@@ -27,7 +27,7 @@ from .lp_core import Polytope
 from .nominal import DEFAULT_ETA, NominalProblem, synthesize_nominal_sign
 from .quantizer import Partition, QuantizerSpec
 from .synth_aarc import synthesize_aarc
-from .synth_sign import synthesize_sign
+from .synth_sign import bisect_least, synthesize_sign
 from .sysmodel import (LinearSystem, StabCertificate, decay_check,
                        simulate_quantized)
 from .verify import robust_verify
@@ -110,7 +110,6 @@ class ExperimentConfig:
     out: str = None
     tol: float = 1e-4
     unchecked: bool = False
-    parallel: bool = False
     objective: str = "feasibility"
     prune: bool = False
     T: int = None
@@ -206,30 +205,18 @@ def min_feasible_rho(probe, tol=1e-4):
 
     probe(rho) returns a SynthResult; feasibility is monotone in rho (finer
     quantization only shrinks the sector).  A probe reporting a solver
-    failure is retried once, then counted infeasible.  Returns (rho, result)
-    or (None, None) when even rho = 1 is infeasible.
+    failure is logged and counted infeasible.  Returns (rho, result) or
+    (None, None) when even rho = 1 is infeasible.
     """
 
-    def attempt(r):
+    def logged(r):
         res = probe(r)
         if res.status == "numerical-failure":
-            log.warning("solver failure at rho=%.6f, retrying once", r)
-            res = probe(r)
+            log.warning("solver failure at rho=%.6f, counted infeasible", r)
         return res
 
-    hi = 1.0
-    res = attempt(hi)
-    if not res.feasible:
-        return None, None
-    lo, best = 0.0, (hi, res)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        r = attempt(mid)
-        if r.feasible:
-            hi, best = mid, (mid, r)
-        else:
-            lo = mid
-    return best
+    rho, res = bisect_least(logged, lambda res: res.feasible, tol)
+    return (None, None) if rho is None else (rho, res)
 
 
 def _cert_payload(cfg, rho, res):
@@ -360,14 +347,7 @@ def cmd_sweep(cfg):
                        cfg.points)
     if not (np.all(grid > 0) and np.all(grid <= 1)):
         raise ValueError("sweep grid must lie in (0, 1]")
-    if cfg.method != "nominal":
-        cfg.resolve_polytope()          # prime the cache before any threads
-    if cfg.parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda r: _sweep_point(cfg, r), grid))
-    else:
-        rows = [_sweep_point(cfg, r) for r in grid]
+    rows = [_sweep_point(cfg, r) for r in grid]
     out = [["rho", "lambda", "status"]] + rows
     if cfg.out:
         with open(cfg.out, "w", newline="") as f:
@@ -418,8 +398,6 @@ def build_parser():
     common.add_argument("--tol", type=float, default=1e-4)
     common.add_argument("--unchecked", action="store_true",
                         help="skip the automatic certificate audit")
-    common.add_argument("--parallel", action="store_true",
-                        help="evaluate sweep grid points concurrently")
     common.add_argument("--prune", action="store_true",
                         help="prune the data polytope before synthesis")
 

@@ -32,6 +32,7 @@ __all__ = [
     "LinprogBackend",
     "solve",
     "add_farkas_block",
+    "add_robust_rows",
     "enumerate_vertices",
     "check_containment_bruteforce",
     "max_linear_over_polytope",
@@ -86,8 +87,9 @@ class AffExpr:
     """Vector of affine expressions over named variable blocks.
 
     terms maps a block name to an (rows x block_size) coefficient matrix;
-    const is the constant part.  Supports +, -, and stacking, which is all
-    the assembly code needs.
+    const is the constant part.  Supports +, -, scaling and left
+    multiplication by a constant matrix, which is all the assembly code
+    needs.
     """
 
     def __init__(self, rows, terms=None, const=None):
@@ -139,9 +141,6 @@ class AffExpr:
             return out
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             raise TypeError("only scalar multiplication is supported")
@@ -159,28 +158,6 @@ class AffExpr:
         return AffExpr(P.shape[0],
                        {k: P @ v for k, v in self.terms.items()},
                        P @ self.const)
-
-    @staticmethod
-    def vstack(exprs):
-        exprs = list(exprs)
-        rows = sum(e.rows for e in exprs)
-        names = {n for e in exprs for n in e.terms}
-        terms = {}
-        for name in names:
-            parts = []
-            for e in exprs:
-                if name in e.terms:
-                    parts.append(e.terms[name])
-                else:
-                    size = None
-                    for other in exprs:
-                        if name in other.terms:
-                            size = other.terms[name].shape[1]
-                            break
-                    parts.append(sp.csr_matrix((e.rows, size)))
-            terms[name] = sp.vstack(parts, format="csr")
-        const = np.concatenate([e.const for e in exprs])
-        return AffExpr(rows, terms, const)
 
     def value(self, assignment):
         """Evaluate at a dict of block values."""
@@ -211,6 +188,7 @@ class LPModel:
         self._ineqs = []           # AffExpr <= 0
         self._objective = None     # scalar AffExpr, minimized
         self.farkas_blocks = []    # (zname, L2, L1) bookkeeping
+        self.row_sups = {}         # robust row name -> values -> sup_z G z
 
     def add_block(self, name, size, lb=None, ub=None):
         if name in self.blocks:
@@ -259,21 +237,26 @@ class LPModel:
         return offsets, at
 
     def _stack(self, exprs, nvar, offsets):
-        rows = sum(e.rows for e in exprs)
-        if rows == 0:
+        """One CSR matrix from every expression's COO triplets, each term
+        shifted to its expression's first row and its block's first
+        column, plus the stacked constants."""
+        nrows = sum(e.rows for e in exprs)
+        if nrows == 0:
             return None, None
-        mats, consts = [], []
+        rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
+        vals = [np.zeros(0)]
+        at = 0
         for e in exprs:
-            parts = []
-            for name in self._order:
-                size = self.blocks[name][0]
-                if name in e.terms:
-                    parts.append(e.terms[name])
-                else:
-                    parts.append(sp.csr_matrix((e.rows, size)))
-            mats.append(sp.hstack(parts, format="csr"))
-            consts.append(e.const)
-        return sp.vstack(mats, format="csr"), np.concatenate(consts)
+            for name, coeff in e.terms.items():
+                coo = coeff.tocoo()
+                rows.append(coo.row + at)
+                cols.append(coo.col + offsets[name])
+                vals.append(coo.data)
+            at += e.rows
+        A = sp.csr_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(nrows, nvar))
+        return A, np.concatenate([e.const for e in exprs])
 
     def assemble(self):
         """Return (c, A_ub, b_ub, A_eq, b_eq, bounds) in linprog convention."""
@@ -299,43 +282,6 @@ class LPModel:
         return {name: x[offsets[name]:offsets[name] + self.blocks[name][0]]
                 for name in self._order}
 
-    def export_lp(self, path):
-        """Write the model in CPLEX LP text format (debugging aid)."""
-        offsets, nvar = self._offsets()
-        c, A_ub, b_ub, A_eq, b_eq, bounds = self.assemble()
-
-        def vname(j):
-            return f"x{j}"
-
-        def row_text(coeffs, idxs):
-            parts = []
-            for v, j in zip(coeffs, idxs):
-                sign = "+" if v >= 0 else "-"
-                parts.append(f" {sign} {abs(v):.17g} {vname(j)}")
-            return "".join(parts) if parts else " 0 x0"
-
-        lines = ["Minimize", " obj:" + row_text(c[c != 0], np.nonzero(c)[0]),
-                 "Subject To"]
-        k = 0
-        for A, b, rel in ((A_ub, b_ub, "<="), (A_eq, b_eq, "=")):
-            if A is None:
-                continue
-            A = A.tocsr()
-            for r in range(A.shape[0]):
-                lo, hi = A.indptr[r], A.indptr[r + 1]
-                lines.append(f" c{k}:" + row_text(A.data[lo:hi], A.indices[lo:hi])
-                             + f" {rel} {b[r]:.17g}")
-                k += 1
-        lines.append("Bounds")
-        for j in range(nvar):
-            lo, hi = bounds[j]
-            lo_s = "-inf" if np.isneginf(lo) else f"{lo:.17g}"
-            hi_s = "+inf" if np.isposinf(hi) else f"{hi:.17g}"
-            lines.append(f" {lo_s} <= {vname(j)} <= {hi_s}")
-        lines.append("End")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
 
 class LinprogBackend:
     """Default backend: scipy.optimize.linprog with the HiGHS solver."""
@@ -357,14 +303,12 @@ DEFAULT_BACKEND = LinprogBackend()
 
 
 def solve(model, backend=None):
-    """Solve an LPModel, returning an LPSolution.  Never raises on solver
-    trouble; backend failures surface as status 'numerical-failure'."""
+    """Solve an LPModel, returning an LPSolution.  Solver trouble arrives
+    as the backend's status ('numerical-failure' and so on); an exception
+    the backend raises is a fault and propagates."""
     backend = backend or DEFAULT_BACKEND
     c, A_ub, b_ub, A_eq, b_eq, bounds = model.assemble()
-    try:
-        status, x, obj = backend.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
-    except Exception:
-        return LPSolution("numerical-failure", None, None)
+    status, x, obj = backend.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
     if status != "optimal":
         return LPSolution(status, None, None)
     return LPSolution("optimal", model.split(x), obj)
@@ -407,6 +351,28 @@ def add_farkas_block(model, G1, h1, G2_expr, h2_expr, name=None):
     model.add_ineq(AffExpr(L2, {name: zh}) - h2_expr)
     model.farkas_blocks.append((name, L2, L1))
     return name
+
+
+def add_robust_rows(model, unc, G_expr, h_expr, name):
+    """Require G z <= h rowwise for every z in the uncertainty set unc.
+
+    G_expr and h_expr are as in add_farkas_block.  unc is either a Polytope,
+    which gets a Farkas multiplier block named name, or one point z0, whose
+    rows are substituted (G z0 <= h) with no multipliers: a robust
+    counterpart is built row by row, so a point needs none.  Records
+    model.row_sups[name], a function of the solved block values returning
+    the certified sup of G z over unc (Z h1 for a polytope, G z0 for a
+    point).
+    """
+    if isinstance(unc, Polytope):
+        add_farkas_block(model, unc.G, unc.h, G_expr, h_expr, name=name)
+        shape = (h_expr.rows, unc.num_faces)
+        model.row_sups[name] = \
+            lambda values: values[name].reshape(shape) @ unc.h
+    else:
+        Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))
+        model.add_ineq(Gz - h_expr)
+        model.row_sups[name] = Gz.value
 
 
 def max_linear_over_polytope(c, poly, backend=None, return_point=False):

@@ -15,25 +15,26 @@ loop in the quantization sector.  The sign form states the exact vertex
 worst-case row sums; the M-form bounds each entry by its vertex maximum
 before summing, so its feasible set can be strictly smaller whenever
 different vertices maximize different entries of the same row.
+
+A known plant is the data-driven problem on the single point
+z0 = plant_vec(A, B): a robust counterpart is built row by row, so each
+row is substituted at z0 and needs no multipliers, and an affinely
+adjustable envelope on a point is a constant one.  Both forms therefore
+run the data-driven synthesizers (synth_sign, synth_aarc) on z0.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .lp_core import AffExpr, LPModel, solve
-from .sysmodel import (StabCertificate, SynthResult, closed_loop_vertex_gain,
-                       sign_vectors)
+from .consistency import plant_vec
+from .synth_aarc import synthesize_aarc
+from .synth_sign import DEFAULT_ETA, synthesize_sign
+from .synth_sign import LAMBDA_BISECT_TOL  # noqa: F401 (re-exported)
 
 __all__ = [
     "NominalProblem",
     "synthesize_nominal_mform",
     "synthesize_nominal_sign",
 ]
-
-ENUM_GUARD = 20
-DEFAULT_ETA = 1e-6
-LAMBDA_BISECT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,181 +63,19 @@ class NominalProblem:
             raise ValueError("quantizer channel count must match the plant")
 
 
-def _mform_model(prob, lam_fixed=None, minimize_lam=False):
-    """Assemble the lifted LP.  lam_fixed replaces v_i - eta by lam * v_i;
-    minimize_lam adds a free lambda variable (SS only, v constant)."""
-    sys, spec = prob.sys, prob.spec
-    n, m = sys.n, sys.m
-    ess = prob.mode == "ess"
-    model = LPModel()
-    if ess:
-        # The constraints are homogeneous of degree one in (v, S, M), so
-        # v >= 1 loses no generality and keeps the LP well scaled; a lower
-        # bound near zero invites degenerate tiny-v solutions whose
-        # constraint residuals drown in solver tolerances.
-        model.add_block("v", n, lb=1.0)
-    model.add_block("S", m * n)
-    model.add_block("M", n * n)
-    if minimize_lam:
-        model.add_block("lam", 1)
-
-    # Envelope rows, column-major pairing with the M block: row j*n+i
-    # carries the (i, j) entry of A Y + B diag(beta) S.
-    col_of_row = np.repeat(np.arange(n), n)      # j for flat index j*n+i
-    Vcoef = np.zeros((n * n, n))
-    Vcoef[np.arange(n * n), col_of_row] = sys.A.flatten(order="F")
-    Mneg = -np.eye(n * n)
-    for beta in spec.beta_vertices():
-        Scoef = np.kron(np.eye(n), sys.B * beta[None, :])
-        for sgn in (+1.0, -1.0):
-            terms = {"S": sgn * Scoef, "M": Mneg}
-            const = np.zeros(n * n)
-            if ess:
-                terms["v"] = sgn * Vcoef
-            else:
-                const = sgn * sys.A.flatten(order="F")
-            model.add_ineq(AffExpr(n * n, terms, const))
-
-    rowsum = np.kron(np.ones((1, n)), np.eye(n))
-    terms = {"M": rowsum}
-    const = np.zeros(n)
-    if lam_fixed is not None:
-        if ess:
-            terms["v"] = -lam_fixed * np.eye(n)
-        else:
-            const = const - lam_fixed
-    elif minimize_lam:
-        terms["lam"] = -np.ones((n, 1))
-    else:
-        if ess:
-            terms["v"] = -np.eye(n)
-        const = const + prob.eta - (0.0 if ess else 1.0)
-    model.add_ineq(AffExpr(n, terms, const))
-    if minimize_lam:
-        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
-    return model
-
-
-def _sign_model(prob, lam_fixed=None, minimize_lam=False):
-    """Assemble the sign-enumerated LP (no M variables)."""
-    sys, spec = prob.sys, prob.spec
-    n, m = sys.n, sys.m
-    ess = prob.mode == "ess"
-    model = LPModel()
-    if ess:
-        model.add_block("v", n, lb=1.0)     # scale freedom, see _mform_model
-    model.add_block("S", m * n)
-    if minimize_lam:
-        model.add_block("lam", 1)
-
-    for alpha in sign_vectors(n):
-        Av = sys.A * alpha[None, :]
-        for beta in spec.beta_vertices():
-            Scoef = np.kron(alpha.reshape(1, n), sys.B * beta[None, :])
-            terms = {"S": Scoef}
-            const = np.zeros(n)
-            if ess:
-                vcoef = Av.copy()
-                if lam_fixed is not None:
-                    vcoef = vcoef - lam_fixed * np.eye(n)
-                else:
-                    vcoef = vcoef - np.eye(n)
-                    const = const + prob.eta
-                terms["v"] = vcoef
-            else:
-                const = const + Av @ np.ones(n)
-                if lam_fixed is not None:
-                    const = const - lam_fixed
-                elif minimize_lam:
-                    terms["lam"] = -np.ones((n, 1))
-                else:
-                    const = const - 1.0 + prob.eta
-            model.add_ineq(AffExpr(n, terms, const))
-    if minimize_lam:
-        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
-    return model
-
-
-def _extract(prob, sol, with_M):
-    sys = prob.sys
-    n, m = sys.n, sys.m
-    v = sol.values["v"] if prob.mode == "ess" else np.ones(n)
-    S = sol.values["S"].reshape(n, m).T
-    M = sol.values["M"].reshape(n, n, order="F") if with_M else None
-    return v, S, M
-
-
-def _fail_status(sol):
-    return "infeasible" if sol.status == "infeasible" else "numerical-failure"
-
-
-def _finish(prob, v, S, M):
-    if prob.mode == "ess" and np.min(v) < 1.0:
-        # Certificates are scale invariant; scaling up so min(v) = 1 keeps
-        # the eta slack in downstream envelope checks negligible.
-        scale = 1.0 / float(np.min(v))
-        v, S = v * scale, S * scale
-        if M is not None:
-            M = M * scale
-    K = S / v[None, :]
-    lam = closed_loop_vertex_gain(prob.sys, K, v, prob.spec)
-    if M is not None:
-        lam = max(lam, float(np.max(M.sum(axis=1) / v)))
-    cert = StabCertificate(v=v, S=S, lam=lam, eta=prob.eta, mode=prob.mode,
-                           M=M)
-    return SynthResult("feasible", cert)
-
-
-def _solve_bisect_lambda(prob, build, with_M):
-    """ESS min-lambda: the row-sum bound lam * v_i is bilinear, so bisect
-    lam over [0, 1] with feasibility LPs."""
-    lo, hi = 0.0, 1.0
-    sol_hi = solve(build(prob, lam_fixed=hi))
-    if not sol_hi.optimal:
-        return SynthResult(_fail_status(sol_hi))
-    best = sol_hi
-    while hi - lo > LAMBDA_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        sol = solve(build(prob, lam_fixed=mid))
-        if sol.optimal:
-            hi, best = mid, sol
-        else:
-            lo = mid
-    v, S, M = _extract(prob, best, with_M)
-    return _finish(prob, v, S, M)
-
-
-def _synthesize(prob, build, with_M):
-    guard = prob.sys.n + prob.sys.m
-    if not with_M and guard > ENUM_GUARD:
-        raise ValueError(f"sign enumeration limited to n + m <= {ENUM_GUARD}")
-    if prob.objective == "min-lambda":
-        if prob.mode == "ess":
-            return _solve_bisect_lambda(prob, build, with_M)
-        sol = solve(build(prob, minimize_lam=True))
-        if not sol.optimal:
-            return SynthResult(_fail_status(sol))
-        v, S, M = _extract(prob, sol, with_M)
-        res = _finish(prob, v, S, M)
-        # The LP objective is the exact minimized bound; keep it.
-        lam = float(sol.values["lam"][0])
-        cert = StabCertificate(v=res.certificate.v, S=res.certificate.S,
-                               lam=lam, eta=prob.eta, mode=prob.mode, M=M)
-        return SynthResult("feasible", cert)
-    sol = solve(build(prob))
-    if not sol.optimal:
-        return SynthResult(_fail_status(sol))
-    v, S, M = _extract(prob, sol, with_M)
-    return _finish(prob, v, S, M)
+def _at_plant(synth, prob):
+    return synth(plant_vec(prob.sys.A, prob.sys.B), prob.spec,
+                 mode=prob.mode, eta=prob.eta, objective=prob.objective)
 
 
 def synthesize_nominal_mform(prob):
     """Lifted-envelope synthesis for a known plant.
 
     Returns a SynthResult whose certificate carries the envelope matrix M
-    from the LP solution; check_cert holds on success.
+    from the LP solution and lambda = max_i sum_j M_ij / v_i; check_cert
+    holds on success.
     """
-    return _synthesize(prob, _mform_model, with_M=True)
+    return _at_plant(synthesize_aarc, prob)
 
 
 def synthesize_nominal_sign(prob):
@@ -246,4 +85,4 @@ def synthesize_nominal_sign(prob):
     returned certificate has no envelope matrix; its lambda is the exact
     worst vertex gain of the recovered controller.
     """
-    return _synthesize(prob, _sign_model, with_M=False)
+    return _at_plant(synthesize_sign, prob)

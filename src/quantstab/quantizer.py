@@ -82,13 +82,20 @@ class QuantizerSpec:
         Returned as an array of shape (2**m, m) in binary counting order
         (last channel toggles fastest, low vertex first).
         """
-        m = self.m
-        out = np.empty((2 ** m, m))
-        for idx in range(2 ** m):
-            for j in range(m):
-                bit = (idx >> (m - 1 - j)) & 1
-                out[idx, j] = 1.0 + self.delta[j] if bit else 1.0 - self.delta[j]
-        return out
+        return cube_vertices(1.0 - self.delta, 1.0 + self.delta)
+
+
+def cube_vertices(lo, hi):
+    """All 2^k vertices of the box prod_j {lo_j, hi_j}, shape (2**k, k).
+
+    Binary counting order: row r takes hi_j where bit k-1-j of r is set, so
+    the low vertex comes first and the last coordinate toggles fastest.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    k = lo.size
+    bits = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return np.where(bits == 1, hi, lo)
 
 
 # Per-density constants (log rho, 1 + delta) of log_quantize, which is called
@@ -96,6 +103,7 @@ class QuantizerSpec:
 # it without limit.
 _LOG_CONSTS = {}
 _LOG_CONSTS_MAX = 256
+_INF = math.inf
 
 
 def _log_consts(rho):
@@ -119,7 +127,8 @@ def log_quantize(z, rho):
     Parameters
     ----------
     z : float
-        Value to quantize.  Must be finite.
+        Value to quantize.  Must be finite.  Raises ValueError when its
+        level lies beyond the largest float (|z| near the float maximum).
     rho : float
         Quantizer density in (0, 1].  rho = 1 passes z through unchanged.
     """
@@ -143,17 +152,46 @@ def log_quantize(z, rho):
     # the boundary rule deterministic under floating-point log drift.
     i = round(math.log(z) / log_rho)
     hi = z * one_plus_delta
-    level = rho ** i
-    while level > hi:
-        i += 1
+    try:
+        if hi == _INF:
+            raise OverflowError
         level = rho ** i
-    while i > -1074:
-        coarser = rho ** (i - 1)
-        if coarser > hi:
-            break
-        i -= 1
-        level = coarser
+        while level > hi:
+            i += 1
+            level = rho ** i
+        while i > -1074:
+            coarser = rho ** (i - 1)
+            if coarser > hi:
+                break
+            i -= 1
+            level = coarser
+    except OverflowError:
+        level = _level_near_max(z, rho, i, one_plus_delta)
     return -level if negative else level
+
+
+def _level_near_max(z, rho, i, one_plus_delta):
+    """log_quantize's level for z > 0 where z (1 + delta) or a power of rho
+    overflows.  rho**i <= z (1 + delta) is tested as
+    rho**(i+1) <= z rho (1 + delta), whose right side is below z, and an
+    overflowing power reads as infinite.  Raises ValueError when the level
+    is not a finite float."""
+    def power(k):
+        try:
+            return rho ** k
+        except OverflowError:
+            return _INF
+
+    top = z * (rho * one_plus_delta)
+    while power(i + 1) > top:
+        i += 1
+    while power(i) <= top:
+        i -= 1
+    level = power(i)
+    if level == _INF:
+        raise ValueError(f"the level of {z!r} at density {rho!r} "
+                         "exceeds the float range")
+    return level
 
 
 def log_quantize_vector(u, spec):

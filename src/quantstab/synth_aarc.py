@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import AffExpr, LPModel, add_farkas_block, solve
-from .nominal import DEFAULT_ETA, LAMBDA_BISECT_TOL
-from .sysmodel import StabCertificate, SynthResult
-from .synth_sign import _infer_state_dim, _require_nonempty
+from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
+from .synth_sign import (DEFAULT_ETA, _certificate, _gain_rhs, _search_blocks,
+                         _synthesize, _unit_scale)
 
 __all__ = [
     "AffineMParam",
@@ -127,31 +126,31 @@ def _ma_rowsum_terms(n, m, d):
     return terms
 
 
-def _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d):
+def _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d, affine):
     """(G_beta, h_beta) expressions for one sector vertex, rows row-major.
 
-    The 2n^2 constraint rows come minus-envelope first, then plus.
+    The 2n^2 constraint rows come minus-envelope first, then plus.  Without
+    affine (a point) the envelope is m0 alone: no ma/mb terms.
     """
     nsq = n * n
     half = nsq * d
-
-    r4 = np.repeat(np.arange(nsq), nsq)
-    c4 = np.tile(np.arange(nsq), nsq)
-    base = r4 * d + c4
-    T_ma = sp.csr_matrix((-np.ones(2 * r4.size),
-                          (np.concatenate([base, half + base]),
-                           np.tile(r4 * nsq + c4, 2))),
-                         shape=(2 * half, n ** 4))
-    terms = {"ma": T_ma}
-    if m > 0:
+    terms = {}
+    if affine:
+        r4 = np.repeat(np.arange(nsq), nsq)
+        c4 = np.tile(np.arange(nsq), nsq)
+        base = r4 * d + c4
+        terms["ma"] = sp.csr_matrix((-np.ones(2 * r4.size),
+                                     (np.concatenate([base, half + base]),
+                                      np.tile(r4 * nsq + c4, 2))),
+                                    shape=(2 * half, n ** 4))
+    if affine and m > 0:
         rb = np.repeat(np.arange(nsq), n * m)
         cb = np.tile(np.arange(n * m), nsq)
         base_b = rb * d + n * n + cb
-        T_mb = sp.csr_matrix((-np.ones(2 * rb.size),
-                              (np.concatenate([base_b, half + base_b]),
-                               np.tile(rb * n * m + cb, 2))),
-                             shape=(2 * half, nsq * n * m))
-        terms["mb"] = T_mb
+        terms["mb"] = sp.csr_matrix((-np.ones(2 * rb.size),
+                                     (np.concatenate([base_b, half + base_b]),
+                                      np.tile(rb * n * m + cb, 2))),
+                                    shape=(2 * half, nsq * n * m))
     G_expr = AffExpr(2 * half, terms)
 
     r = np.arange(nsq)
@@ -180,65 +179,50 @@ def _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d):
 
 
 def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
+    """The affine-envelope LP; on a point (not a Polytope) the envelope is
+    the constant m0, with no ma/mb blocks."""
     m = spec.m
+    if m > VERTEX_GUARD:
+        raise ValueError(f"vertex enumeration limited to m <= {VERTEX_GUARD}")
     d = n * (n + m)
+    affine = isinstance(poly, Polytope)
     model = LPModel()
-    if mode == "ess":
-        model.add_block("v", n, lb=1.0)     # normalization, as in synth_sign
-        v_expr = model.identity_expr("v")
-    else:
-        v_expr = AffExpr(n, {}, np.ones(n))
-    model.add_block("S", m * n)
-    S_expr = model.identity_expr("S")
+    v_expr, S_expr = _search_blocks(model, n, m, mode)
     model.add_block("m0", n * n)
-    model.add_block("ma", n ** 4)
-    model.add_block("mb", n * n * n * m)
-    if minimize_lam:
-        model.add_block("lam", 1)
-
-    R = _rowsum_selector(n)
-    G_M = AffExpr(n * d, _ma_rowsum_terms(n, m, d))
-    m0_rows = model.identity_expr("m0").premul(R)
-    if lam_fixed is not None:
-        h_M = v_expr * lam_fixed - m0_rows
-    elif minimize_lam:
-        h_M = AffExpr(n, {"lam": np.ones((n, 1))}) - m0_rows
-    else:
-        h_M = v_expr - eta - m0_rows
-    add_farkas_block(model, poly.G, poly.h, G_M, h_M, name="ZM")
+    if affine:
+        model.add_block("ma", n ** 4)
+        model.add_block("mb", n * n * n * m)
+    h_M = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam) \
+        - model.identity_expr("m0").premul(_rowsum_selector(n))
+    G_M = AffExpr(n * d, _ma_rowsum_terms(n, m, d) if affine else None)
+    add_robust_rows(model, poly, G_M, h_M, "ZM")
 
     for bi, beta in enumerate(spec.beta_vertices()):
-        G_b, h_b = _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d)
-        add_farkas_block(model, poly.G, poly.h, G_b, h_b, name=f"Zb_{bi}")
-    if minimize_lam:
-        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
+        G_b, h_b = _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d,
+                                     affine)
+        add_robust_rows(model, poly, G_b, h_b, f"Zb_{bi}")
     return model
 
 
 def _extract_aarc(model, sol, poly, spec, n, mode, eta):
+    """Certified gain max_i (sup_z (G_M z)_i + (R m0)_i) / v_i: the row sums
+    of the envelope.  On a point the certificate carries M = m0 (n x n,
+    column-major); on a polytope the extras carry the AffineMParam."""
     m = spec.m
     v = sol.values["v"] if mode == "ess" else np.ones(n)
-    S = sol.values["S"].reshape(n, m).T if m else np.zeros((0, n))
-    param = AffineMParam(m0=sol.values["m0"],
-                         ma=sol.values["ma"].reshape(n * n, n * n),
-                         mb=sol.values["mb"].reshape(n * n, n * m))
-    zblocks = {name: sol.values[name].reshape(L2, L1)
-               for name, L2, L1 in model.farkas_blocks}
-    R = _rowsum_selector(n)
-    ZM = zblocks["ZM"]
-    rowsum_bound = (ZM @ poly.h if poly.num_faces else np.zeros(n)) \
-        + R @ sol.values["m0"]
+    m0 = sol.values["m0"]
+    rowsum_bound = model.row_sups["ZM"](sol.values) + _rowsum_selector(n) @ m0
     lam = float(np.max(rowsum_bound / v))
-    scale = 1.0 / float(np.min(v)) if (mode == "ess" and np.min(v) < 1) else 1.0
-    if scale != 1.0:
-        v, S = v * scale, S * scale
-        param = AffineMParam(param.m0 * scale, param.ma * scale,
-                             param.mb * scale)
-        zblocks = {k: z * scale for k, z in zblocks.items()}
-    cert = StabCertificate(v=v, S=S, lam=lam, eta=eta, mode=mode)
-    extras = {"m_param": param, "Z": zblocks,
-              "counts": count_constraints_aarc(n, m, poly.num_faces)}
-    return SynthResult("feasible", cert, extras)
+    if not isinstance(poly, Polytope):
+        return _certificate(model, sol, poly, n, mode, eta, lam, None,
+                            M=m0.reshape(n, n, order="F"))
+    scale = _unit_scale(v)
+    param = AffineMParam(m0=m0 * scale,
+                         ma=sol.values["ma"].reshape(n * n, n * n) * scale,
+                         mb=sol.values["mb"].reshape(n * n, n * m) * scale)
+    return _certificate(model, sol, poly, n, mode, eta, lam,
+                        count_constraints_aarc(n, m, poly.num_faces),
+                        extras={"m_param": param})
 
 
 def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
@@ -246,52 +230,14 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
     """Affine-envelope robust synthesis over a consistency polytope.
 
     Same calling convention and certificate semantics as the sign-based
-    synthesizer; extras additionally carry the AffineMParam.  Conservative
-    by construction: an infeasible result here does not preclude sign-based
+    synthesizer; extras additionally carry the AffineMParam.  On a plant
+    vector the envelope is a constant matrix M, returned in the
+    certificate (the known-plant envelope form).  Conservative by
+    construction: an infeasible result here does not preclude sign-based
     feasibility.
     """
-    if mode not in ("ss", "ess"):
-        raise ValueError("mode must be 'ss' or 'ess'")
-    if objective not in ("feasibility", "min-lambda"):
-        raise ValueError("objective must be 'feasibility' or 'min-lambda'")
-    if eta <= 0:
-        raise ValueError("stability tolerance eta must be positive")
-    m = spec.m
-    if m > VERTEX_GUARD:
-        raise ValueError(f"vertex enumeration limited to m <= {VERTEX_GUARD}")
-    n = _infer_state_dim(poly, m)
-    _require_nonempty(poly)
-
-    def run(**kw):
-        model = _aarc_model(poly, spec, n, mode, eta, **kw)
-        return model, solve(model, backend)
-
-    if objective == "min-lambda" and mode == "ss":
-        model, sol = run(minimize_lam=True)
-        if not sol.optimal:
-            return SynthResult("infeasible" if sol.status == "infeasible"
-                               else "numerical-failure")
-        return _extract_aarc(model, sol, poly, spec, n, mode, eta)
-    if objective == "min-lambda":
-        lo, hi = 0.0, 1.0
-        model, sol = run(lam_fixed=hi)
-        if not sol.optimal:
-            return SynthResult("infeasible" if sol.status == "infeasible"
-                               else "numerical-failure")
-        best = (model, sol)
-        while hi - lo > LAMBDA_BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            model, sol = run(lam_fixed=mid)
-            if sol.optimal:
-                hi, best = mid, (model, sol)
-            else:
-                lo = mid
-        return _extract_aarc(best[0], best[1], poly, spec, n, mode, eta)
-    model, sol = run()
-    if not sol.optimal:
-        return SynthResult("infeasible" if sol.status == "infeasible"
-                           else "numerical-failure")
-    return _extract_aarc(model, sol, poly, spec, n, mode, eta)
+    return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode, eta,
+                       objective, backend)
 
 
 def count_constraints_aarc(n, m, L):

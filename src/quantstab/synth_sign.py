@@ -17,15 +17,16 @@ Z G_D = G_{alpha,beta} and Z h_D <= h_{alpha,beta}.  Since G_{alpha,beta}
 is affine in the search variables (v, S), stacking one multiplier block per
 (alpha, beta) yields a single finite LP that is feasible exactly when some
 controller K = S diag(1/v) superstabilizes every plant consistent with the
-data, with no conservatism beyond the finite enumeration.
+data, with no conservatism beyond the finite enumeration.  On a single
+plant z0 each row is substituted instead, G_{alpha,beta} z0 <= h, with no
+multipliers: the known-plant sign form.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import (AffExpr, LPModel, add_farkas_block, DEFAULT_BACKEND,
-                      solve)
-from .nominal import DEFAULT_ETA, ENUM_GUARD, LAMBDA_BISECT_TOL
+from .lp_core import (AffExpr, LPModel, Polytope, add_robust_rows,
+                      DEFAULT_BACKEND, solve)
 from .sysmodel import StabCertificate, SynthResult, sign_vectors
 
 __all__ = [
@@ -33,6 +34,10 @@ __all__ = [
     "synthesize_sign",
     "count_constraints_sign",
 ]
+
+ENUM_GUARD = 20
+DEFAULT_ETA = 1e-6
+LAMBDA_BISECT_TOL = 1e-4
 
 
 def build_sign_polytope_rows(v_expr, S_expr, alpha, beta, eta=0.0):
@@ -79,137 +84,166 @@ def build_sign_polytope_rows(v_expr, S_expr, alpha, beta, eta=0.0):
 
 def _infer_state_dim(poly, m):
     """n from dim = n(n+m)."""
-    disc = m * m + 4 * poly.dim
-    n = int(round((-m + np.sqrt(disc)) / 2))
-    if n <= 0 or n * (n + m) != poly.dim:
+    dim = poly.dim if isinstance(poly, Polytope) else np.size(poly)
+    n = int(round((-m + np.sqrt(m * m + 4 * dim)) / 2))
+    if n <= 0 or n * (n + m) != dim:
         raise ValueError("polytope dimension is not n(n+m) for any n")
     return n
 
 
-def _require_nonempty(poly):
+def _uncertainty(poly):
+    """A Polytope, checked nonempty, or a plant vector as a float array."""
+    if not isinstance(poly, Polytope):
+        return np.asarray(poly, dtype=float).ravel()
     bounds = np.column_stack([np.full(poly.dim, -np.inf),
                               np.full(poly.dim, np.inf)])
     status, _, _ = DEFAULT_BACKEND.solve(np.zeros(poly.dim), poly.G, poly.h,
                                          None, None, bounds)
     if status == "infeasible":
         raise ValueError("data polytope is empty")
+    return poly
 
 
-def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
-    m = spec.m
-    model = LPModel()
+def _search_blocks(model, n, m, mode):
+    """(v, S) expressions.  In 'ess' the rows are homogeneous in every
+    block, so v >= 1 is a pure normalization that keeps the LP away from
+    degenerate tiny-v solutions; 'ss' pins v = 1."""
     if mode == "ess":
-        # Homogeneous in (v, S, Z): v >= 1 is a pure normalization that
-        # keeps the LP away from degenerate tiny-v solutions.
         model.add_block("v", n, lb=1.0)
         v_expr = model.identity_expr("v")
     else:
         v_expr = AffExpr(n, {}, np.ones(n))
     model.add_block("S", m * n)
-    S_expr = model.identity_expr("S")
+    return v_expr, model.identity_expr("S")
+
+
+def _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam):
+    """Right-hand side of the gain rows: lam * v for a fixed lam, a free
+    minimized lam (adds its block and the objective), else v - eta."""
+    if lam_fixed is not None:
+        return v_expr * lam_fixed
     if minimize_lam:
         model.add_block("lam", 1)
+        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
+        return AffExpr(v_expr.rows, {"lam": np.ones((v_expr.rows, 1))})
+    return v_expr - eta
 
+
+def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
+    if n + spec.m > ENUM_GUARD:
+        raise ValueError(f"sign enumeration limited to n + m <= {ENUM_GUARD}")
+    model = LPModel()
+    v_expr, S_expr = _search_blocks(model, n, spec.m, mode)
+    h_expr = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam)
     betas = spec.beta_vertices()
     for ai, alpha in enumerate(sign_vectors(n)):
         for bi, beta in enumerate(betas):
             G_expr, _ = build_sign_polytope_rows(v_expr, S_expr, alpha, beta)
-            if lam_fixed is not None:
-                h_expr = v_expr * lam_fixed
-            elif minimize_lam:
-                h_expr = AffExpr(n, {"lam": np.ones((n, 1))})
-            else:
-                h_expr = v_expr - eta
-            add_farkas_block(model, poly.G, poly.h, G_expr, h_expr,
-                             name=f"Z_{ai}_{bi}")
-    if minimize_lam:
-        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
+            add_robust_rows(model, poly, G_expr, h_expr, f"Z_{ai}_{bi}")
     return model
 
 
-def _certified_lambda(model, sol, poly, v):
-    """Tightest certified bound max_i (Z h_D)_i / v_i over all blocks.
+def _unit_scale(v):
+    """Factor lifting min(v) to 1: certificates are scale invariant, and
+    the bound v >= 1 holds only to solver tolerance."""
+    return 1.0 / float(np.min(v)) if np.min(v) < 1.0 else 1.0
 
-    Weak duality: Z >= 0 with Z G_D = G gives sup_P G z <= Z h_D rowwise,
-    so this bounds the worst scaled gain over every consistent plant."""
-    worst = 0.0
-    for name, L2, L1 in model.farkas_blocks:
-        Z = sol.values[name].reshape(L2, L1)
-        if L1:
-            worst = max(worst, float(np.max((Z @ poly.h) / v)))
-    return worst
+
+def _certificate(model, sol, poly, n, mode, eta, lam, counts, M=None,
+                 extras=None):
+    """SynthResult of a solved model, scaled by _unit_scale.  On a point
+    the result carries no multipliers and no size record."""
+    v = sol.values["v"] if mode == "ess" else np.ones(n)
+    S = sol.values["S"].reshape(n, -1).T
+    scale = _unit_scale(v)
+    cert = StabCertificate(v=v * scale, S=S * scale, lam=lam, eta=eta,
+                           mode=mode, M=None if M is None else M * scale)
+    if not isinstance(poly, Polytope):
+        return SynthResult("feasible", cert)
+    Z = {name: sol.values[name].reshape(L2, L1) * scale
+         for name, L2, L1 in model.farkas_blocks}
+    return SynthResult("feasible", cert, {**(extras or {}), "Z": Z,
+                                          "counts": counts})
 
 
 def _extract_sign(model, sol, poly, spec, n, mode, eta):
-    m = spec.m
+    """Certified gain max_i (sup G z)_i / v_i over all rows: by weak
+    duality Z h_D on a polytope, the exact signed row sum on a point."""
     v = sol.values["v"] if mode == "ess" else np.ones(n)
-    S = sol.values["S"].reshape(n, m).T if m else np.zeros((0, n))
-    zblocks = {name: sol.values[name].reshape(L2, L1)
-               for name, L2, L1 in model.farkas_blocks}
-    if mode == "ess" and np.min(v) < 1.0:
-        scale = 1.0 / float(np.min(v))
-        v, S = v * scale, S * scale
-        zblocks = {k: z * scale for k, z in zblocks.items()}
-    lam = _certified_lambda(model, sol, poly, sol.values["v"]
-                            if mode == "ess" else v)
-    cert = StabCertificate(v=v, S=S, lam=lam, eta=eta, mode=mode)
-    extras = {"Z": zblocks,
-              "counts": count_constraints_sign(n, m, poly.num_faces)}
-    return SynthResult("feasible", cert, extras)
+    lam = max([0.0] + [float(np.max(sup(sol.values) / v))
+                       for sup in model.row_sups.values()])
+    counts = (count_constraints_sign(n, spec.m, poly.num_faces)
+              if isinstance(poly, Polytope) else None)
+    return _certificate(model, sol, poly, n, mode, eta, lam, counts)
 
 
-def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
-                    objective="feasibility", backend=None):
-    """Controller synthesis over every plant in a consistency polytope.
+def bisect_least(probe, ok, tol):
+    """Least x in (0, 1] with ok(probe(x)), to within tol, for a monotone
+    probe.  Probes 1 first; then the midpoint of (lo, hi] while
+    hi - lo > tol.  Returns (x, result) for the least passing probe, or
+    (None, result at 1) when 1 fails."""
+    hi = 1.0
+    res = probe(hi)
+    if not ok(res):
+        return None, res
+    lo, best = 0.0, (hi, res)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        r = probe(mid)
+        if ok(r):
+            hi, best = mid, (mid, r)
+        else:
+            lo = mid
+    return best
 
-    poly is the data polytope over [vec(A); vec(B)]; spec fixes the sector
-    vertices.  mode 'ss' pins v = 1, 'ess' searches v > 0.  objective
-    'min-lambda' minimizes the certified gain (direct LP for 'ss',
-    bisection to 1e-4 for 'ess').  Returns a SynthResult whose extras carry
-    the Farkas multiplier blocks for audit.
-    """
+
+def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
+    """The objective dispatch shared by every synthesizer.
+
+    build(poly, spec, n, mode, eta, lam_fixed=, minimize_lam=) returns an
+    LPModel and extract(model, sol, poly, spec, n, mode, eta) the
+    SynthResult of its solution.  'min-lambda' is one LP in 'ss'; in 'ess'
+    the bound lam * v_i is bilinear, so lam is bisected over (0, 1] with
+    fixed-lam feasibility LPs."""
     if mode not in ("ss", "ess"):
         raise ValueError("mode must be 'ss' or 'ess'")
     if objective not in ("feasibility", "min-lambda"):
         raise ValueError("objective must be 'feasibility' or 'min-lambda'")
     if eta <= 0:
         raise ValueError("stability tolerance eta must be positive")
-    m = spec.m
-    n = _infer_state_dim(poly, m)
-    if n + m > ENUM_GUARD:
-        raise ValueError(f"sign enumeration limited to n + m <= {ENUM_GUARD}")
-    _require_nonempty(poly)
+    n = _infer_state_dim(poly, spec.m)
+    poly = _uncertainty(poly)
 
     def run(**kw):
-        model = _sign_model(poly, spec, n, mode, eta, **kw)
+        model = build(poly, spec, n, mode, eta, **kw)
         return model, solve(model, backend)
 
-    if objective == "min-lambda" and mode == "ss":
-        model, sol = run(minimize_lam=True)
-        if not sol.optimal:
-            return SynthResult("infeasible" if sol.status == "infeasible"
-                               else "numerical-failure")
-        return _extract_sign(model, sol, poly, spec, n, mode, eta)
-    if objective == "min-lambda":
-        lo, hi = 0.0, 1.0
-        model, sol = run(lam_fixed=hi)
-        if not sol.optimal:
-            return SynthResult("infeasible" if sol.status == "infeasible"
-                               else "numerical-failure")
-        best = (model, sol)
-        while hi - lo > LAMBDA_BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            model, sol = run(lam_fixed=mid)
-            if sol.optimal:
-                hi, best = mid, (model, sol)
-            else:
-                lo = mid
-        return _extract_sign(best[0], best[1], poly, spec, n, mode, eta)
-    model, sol = run()
+    if objective == "min-lambda" and mode == "ess":
+        _, (model, sol) = bisect_least(lambda lam: run(lam_fixed=lam),
+                                       lambda r: r[1].optimal,
+                                       LAMBDA_BISECT_TOL)
+    else:
+        model, sol = run(minimize_lam=objective == "min-lambda")
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure")
-    return _extract_sign(model, sol, poly, spec, n, mode, eta)
+    return extract(model, sol, poly, spec, n, mode, eta)
+
+
+def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
+                    objective="feasibility", backend=None):
+    """Controller synthesis over every plant in a consistency polytope.
+
+    poly is the data polytope over [vec(A); vec(B)], or one plant vector
+    plant_vec(A, B), whose rows are then substituted (the known-plant
+    case).  spec fixes the sector vertices.  mode 'ss' pins v = 1, 'ess'
+    searches v > 0.  objective 'min-lambda' minimizes the certified gain
+    (direct LP for 'ss', bisection to 1e-4 for 'ess').  Returns a
+    SynthResult whose extras carry the Farkas multiplier blocks for audit
+    (none on a point).
+    """
+    return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
+                       objective, backend)
 
 
 def count_constraints_sign(n, m, L):

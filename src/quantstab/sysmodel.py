@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, log_quantize_vector
+from .quantizer import QuantizerSpec, cube_vertices, log_quantize_vector
 
 __all__ = [
     "LinearSystem",
@@ -160,12 +160,7 @@ def sign_vectors(n):
 
     Binary counting order: the last coordinate toggles fastest.
     """
-    out = np.empty((2 ** n, n))
-    for idx in range(2 ** n):
-        for j in range(n):
-            bit = (idx >> (n - 1 - j)) & 1
-            out[idx, j] = 1.0 if bit else -1.0
-    return out
+    return cube_vertices(-np.ones(n), np.ones(n))
 
 
 def recover_controller(S, v):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp_core import max_linear_over_polytope
-from .nominal import DEFAULT_ETA, ENUM_GUARD
+from .synth_sign import DEFAULT_ETA, ENUM_GUARD
 from .sysmodel import StabCertificate, sign_vectors
 
 __all__ = ["VerificationReport", "robust_verify", "MARGIN_TOL"]

@@ -189,17 +189,6 @@ def test_sweep_produces_monotone_csv(tmp_path):
         assert statuses.index("feasible") > statuses.index("infeasible")
 
 
-def test_sweep_parallel_matches_sequential(tmp_path, data_file):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    for out, extra in ((seq, []), (par, ["--parallel"])):
-        assert run("sweep", "--system", "sys1", "--data", data_file,
-                   "--method", "sign", "--mode", "ess", "--points", "4",
-                   "--rho-min", "0.5", "--rho-max", "1.0", "--prune",
-                   "--out", str(out), *extra) == OK
-    assert seq.read_text() == par.read_text()
-
-
 # ---------------------------------------------------------------------------
 # pruning
 

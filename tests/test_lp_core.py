@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quantstab import (
+    AffExpr,
     LPModel,
     Polytope,
     add_farkas_block,
@@ -85,6 +86,44 @@ def test_affexpr_evaluation_matches_assembly():
     assignment = {"x": np.array([1.0, -2.0, 0.5]), "y": np.array([3.0, 4.0])}
     expect = P @ assignment["x"] + 2.0 * assignment["y"] - 1.0
     np.testing.assert_allclose(combo.value(assignment), expect)
+
+
+def test_assembly_places_terms_at_block_offsets(rng):
+    # expressions skip blocks and list their terms out of block order
+    model = LPModel()
+    for name, size in (("a", 2), ("b", 3), ("c", 1), ("d", 4)):
+        model.add_block(name, size)
+    exprs = [
+        AffExpr(3, {"c": rng.normal(size=(3, 1)),
+                    "a": rng.normal(size=(3, 2))}, rng.normal(size=3)),
+        AffExpr(2, {"d": rng.normal(size=(2, 4))}, rng.normal(size=2)),
+        AffExpr(1, {}, rng.normal(size=1)),
+        AffExpr(4, {"b": rng.normal(size=(4, 3)),
+                    "d": rng.normal(size=(4, 4))}),
+    ]
+    for e in exprs[:2]:
+        model.add_ineq(e)
+    for e in exprs[2:]:
+        model.add_eq(e)
+    c, A_ub, b_ub, A_eq, b_eq, bounds = model.assemble()
+    assert A_ub.shape == (5, 10) and A_eq.shape == (5, 10)
+    x = rng.normal(size=10)
+    values = model.split(x)
+    np.testing.assert_allclose(
+        A_ub @ x - b_ub, np.concatenate([e.value(values) for e in exprs[:2]]),
+        atol=1e-12)
+    np.testing.assert_allclose(
+        A_eq @ x - b_eq, np.concatenate([e.value(values) for e in exprs[2:]]),
+        atol=1e-12)
+
+
+def test_backend_exceptions_propagate():
+    class Broken:
+        def solve(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
+            raise TypeError("bad backend")
+
+    with pytest.raises(TypeError):
+        solve(_scalar_model(lb=1.0, objective=1.0), backend=Broken())
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +267,3 @@ def test_polytope_validation_and_json():
     np.testing.assert_allclose(Q.h, P.h)
     assert Q.num_faces == 4 and Q.dim == 2
     assert Q.contains(np.zeros(2)) and not Q.contains(np.array([2.0, 0.0]))
-
-
-def test_lp_export_writes_readable_text(tmp_path):
-    model = _scalar_model(lb=1.0, objective=1.0)
-    path = tmp_path / "probe.lp"
-    model.export_lp(path)
-    text = path.read_text()
-    assert "Minimize" in text or "minimize" in text.lower()

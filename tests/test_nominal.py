@@ -7,12 +7,15 @@ from quantstab import (
     LinearSystem,
     NominalProblem,
     QuantizerSpec,
+    SynthResult,
     check_cert,
     closed_loop_vertex_gain,
     min_feasible_rho,
     synthesize_nominal_mform,
     synthesize_nominal_sign,
 )
+
+from quantstab.synth_sign import bisect_least
 
 from conftest import random_stabilizable_system
 
@@ -131,6 +134,57 @@ def test_mode_invariants():
 
 # ---------------------------------------------------------------------------
 # minimal density by bisection, pinned to frozen reference values
+
+
+def test_bisection_probe_sequence():
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return x >= 0.3
+
+    assert bisect_least(probe, bool, 1 / 16) == (0.3125, True)
+    assert probes == [1.0, 0.5, 0.25, 0.375, 0.3125]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-5, 0.3, 0.5, 0.77, 1.0])
+def test_bisection_halves_its_bracket_and_never_repeats(threshold):
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return x >= threshold
+
+    tol = 1e-4
+    x, ok = bisect_least(probe, bool, tol)
+    assert ok and probes[0] == 1.0
+    assert len(set(probes)) == len(probes)
+    lo, hi = 0.0, 1.0
+    for p in probes[1:]:
+        assert hi - lo > tol and p == 0.5 * (lo + hi)
+        lo, hi = (lo, p) if p >= threshold else (p, hi)
+    assert hi - lo <= tol and x == hi
+
+
+def test_bisection_returns_failure_at_top():
+    probes = []
+    assert bisect_least(lambda x: probes.append(x) or "bad",
+                        lambda r: r == "good", 1e-4) == (None, "bad")
+    assert probes == [1.0]
+
+
+def test_min_rho_counts_solver_failure_infeasible_without_retry():
+    probes = []
+
+    def probe(r):
+        probes.append(r)
+        status = "feasible" if r >= 0.5 else (
+            "numerical-failure" if r == 0.25 else "infeasible")
+        return SynthResult(status)
+
+    rho, res = min_feasible_rho(probe, tol=0.2)
+    assert probes == [1.0, 0.5, 0.25, 0.375]
+    assert rho == 0.5 and res.feasible
 
 
 def _min_rho(sys, mode, synth=synthesize_nominal_sign):

@@ -1,6 +1,9 @@
 """Logarithmic quantizer: sector bound, level selection, bin lookup."""
 
 import json
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +74,25 @@ def test_log_quantize_rejects_non_finite():
         log_quantize(np.inf, 0.5)
     with pytest.raises(ValueError):
         log_quantize(np.nan, 0.5)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("z", [1e308, -1e308, sys.float_info.max,
+                               -sys.float_info.max])
+def test_log_quantize_near_float_max(z, rho):
+    # smallest i with rho**i <= |z| (1 + delta), in exact arithmetic
+    r = Fraction(rho)
+    top = Fraction(abs(z)) * Fraction(1.0 + delta_from_rho(rho))
+    i = round(math.log(abs(z)) / math.log(rho))
+    while r ** i > top:
+        i += 1
+    while r ** (i - 1) <= top:
+        i -= 1
+    if r ** i > Fraction(sys.float_info.max):
+        with pytest.raises(ValueError):
+            log_quantize(z, rho)
+    else:
+        assert log_quantize(z, rho) == math.copysign(rho ** i, z)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,119 @@
+"""Print one sha256 per LP that a fixed list of synthesis calls solves.
+
+Patches LinprogBackend.solve, so every LP built by synthesis reaches the
+hash before HiGHS sees it.  The hash covers the canonical CSR form
+(indptr, indices, data) of A_ub and A_eq, and c, b_ub, b_eq and bounds,
+so two checkouts build the same LPs exactly when they print the same
+lines.  Datasets, polytopes and pruning are built before the patch goes
+in and are not hashed.
+
+Usage, from the repository root:
+
+    python3 tools/lp_fingerprint.py > hashes.txt
+
+and diff the output of two checkouts.  Only public quantstab calls are
+used, so the script runs against older versions of the package too.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import quantstab as qs                              # noqa: E402
+from quantstab import lp_core                       # noqa: E402
+
+RHO = 0.7
+
+
+def _canonical(A):
+    if A is None:
+        return [b"none"]
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return [np.asarray(A.shape, dtype=np.int64).tobytes(),
+            A.indptr.astype(np.int64).tobytes(),
+            A.indices.astype(np.int64).tobytes(), A.data.tobytes()]
+
+
+def _dense(x):
+    if x is None:
+        return [b"none"]
+    x = np.ascontiguousarray(x, dtype=float)
+    return [np.asarray(x.shape, dtype=np.int64).tobytes(), x.tobytes()]
+
+
+def fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    h = hashlib.sha256()
+    for part in (_dense(c) + _canonical(A_ub) + _dense(b_ub)
+                 + _canonical(A_eq) + _dense(b_eq) + _dense(bounds)):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _pruned(system, partition, T):
+    plant = qs.builtin_system(system)
+    ds = qs.generate_dataset(plant, qs.builtin_partition(partition), T, 1)
+    return qs.prune_redundant(qs.build_polytope(ds)), plant
+
+
+def calls():
+    """(label, thunk) for every call whose LPs are hashed."""
+    poly1, sys1 = _pruned("sys1", "p1", 100)
+    poly2, _ = _pruned("sys2", "p2", 60)
+    spec = qs.QuantizerSpec.uniform(RHO, sys1.m)
+    out = []
+    for method, synth, mode, objective in (
+            ("sign", qs.synthesize_sign, "ess", "min-lambda"),
+            ("sign", qs.synthesize_sign, "ss", "min-lambda"),
+            ("aarc", qs.synthesize_aarc, "ess", "feasibility"),
+            ("aarc", qs.synthesize_aarc, "ss", "min-lambda")):
+        out.append((f"sys1 {method} {mode} {objective}",
+                    lambda s=synth, mo=mode, ob=objective:
+                    s(poly1, spec, mode=mo, objective=ob)))
+    out.append(("sys2 sign ess feasibility",
+                lambda: qs.synthesize_sign(
+                    poly2, qs.QuantizerSpec.uniform(RHO, 3), mode="ess")))
+    for form, synth in (("sign", qs.synthesize_nominal_sign),
+                        ("mform", qs.synthesize_nominal_mform)):
+        for mode in ("ss", "ess"):
+            for objective in ("feasibility", "min-lambda"):
+                prob = qs.NominalProblem(sys1, spec, mode=mode,
+                                         objective=objective)
+                out.append((f"nominal {form} {mode} {objective}",
+                            lambda s=synth, p=prob: s(p)))
+    return out
+
+
+def main():
+    todo = calls()
+    original = lp_core.LinprogBackend.solve
+    label, count = None, 0
+
+    def hashed(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
+        nonlocal count
+        print(f"{label} #{count} "
+              f"{fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds)}", flush=True)
+        count += 1
+        return original(self, c, A_ub, b_ub, A_eq, b_eq, bounds)
+
+    lp_core.LinprogBackend.solve = hashed
+    try:
+        for label, thunk in todo:
+            count = 0
+            res = thunk()
+            lam = res.certificate.lam if res.feasible else float("nan")
+            print(f"{label} result {res.status} lambda={lam:.9f}", flush=True)
+    finally:
+        lp_core.LinprogBackend.solve = original
+
+
+if __name__ == "__main__":
+    main()
