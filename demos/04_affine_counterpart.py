@@ -31,12 +31,20 @@ print(f"polytope: {poly.num_faces} faces -> {pruned.num_faces} after "
       f"pruning ({time.monotonic() - t0:.1f}s)")
 
 L = pruned.num_faces
-sign_size = count_constraints_sign(sys.n, sys.m, L)
+# Every data face constrains one row of [A B], so a sign row of state i
+# only needs multipliers on the L_i faces of row i (the columns c with
+# c % n == i); the envelope rows span every column and need all L.
+row_faces = [int(np.count_nonzero(pruned.G[:, i::sys.n].any(axis=1)))
+             for i in range(sys.n)]
+sign_size = count_constraints_sign(sys.n, sys.m, row_faces)
 aarc_size = count_constraints_aarc(sys.n, sys.m, L)
+print(f"faces per row of [A B]: {row_faces}")
 print(f"robust rows: sign {sign_size['robust_inequalities']}, "
       f"affine {aarc_size['robust_inequalities']}")
 print(f"multipliers: sign {sign_size['farkas_variables']}, "
       f"affine {aarc_size['farkas_variables']}")
+print(f"equality rows: sign {sign_size['equality_rows']}, "
+      f"affine {aarc_size['equality_rows']}")
 
 # --- synthesis at rho = 0.8 -------------------------------------------------
 

@@ -17,8 +17,7 @@ from .sysmodel import (LinearSystem, StabCertificate, SynthResult,
                        closed_loop_vertex_gain, simulate_quantized,
                        check_cert, decay_check)
 from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
-                      solve, add_farkas_block, enumerate_vertices,
-                      check_containment_bruteforce, max_linear_over_polytope)
+                      solve, add_farkas_block, max_linear_over_polytope)
 from .consistency import (DataSample, Dataset, ExcitationConfig,
                           generate_dataset, widen_noise, build_polytope,
                           plant_vec, contains_plant, prune_redundant)
@@ -41,8 +40,7 @@ __all__ = [
     "recover_controller", "scaled_infty_norm", "closed_loop_vertex_gain",
     "simulate_quantized", "check_cert", "decay_check",
     "Polytope", "AffExpr", "LPModel", "LPSolution", "LinprogBackend",
-    "solve", "add_farkas_block", "enumerate_vertices",
-    "check_containment_bruteforce", "max_linear_over_polytope",
+    "solve", "add_farkas_block", "max_linear_over_polytope",
     "DataSample", "Dataset", "ExcitationConfig", "generate_dataset",
     "widen_noise", "build_polytope", "plant_vec", "contains_plant",
     "prune_redundant",

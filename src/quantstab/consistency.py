@@ -248,11 +248,16 @@ def contains_plant(poly, A, B, tol=CONTAIN_TOL):
 def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
     """Drop rows implied by the others, keeping the same feasible set.
 
-    Sequential support-function test: row r is redundant when maximizing
-    G_r x over the remaining retained rows cannot exceed h_r + tol.  A cap
-    G_r x <= h_r + 1 keeps each support LP bounded without changing the
-    verdict.  Rows are processed in order and the retained set updates
-    incrementally, so the result is deterministic.
+    Sequential support-function test inside each component of the
+    face-column pattern (Polytope.components), over that component's faces
+    and columns only: row r is redundant when maximizing G_r x over the
+    component's remaining retained rows cannot exceed h_r + tol.  The
+    polytope is the product of its components' sets, so on a nonempty
+    polytope this is the test over all retained rows; an all-zero face
+    (0 <= h_r) is always redundant.  A cap G_r x <= h_r + 1 keeps each
+    support LP bounded without changing the verdict.  Rows are processed in
+    order, the retained set updates incrementally, and the retained rows
+    keep their original order, so the result is deterministic.
     """
     backend = backend or DEFAULT_BACKEND
     L = poly.num_faces
@@ -265,15 +270,21 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
                                                   np.full(poly.dim, np.inf)]))
     if status == "infeasible":
         raise ValueError("cannot prune an infeasible polytope")
-    retained = list(range(L))
-    for r in range(L):
-        others = [i for i in retained if i != r]
-        G_test = np.vstack([poly.G[others], poly.G[r][None, :]])
-        h_test = np.concatenate([poly.h[others], [poly.h[r] + 1.0]])
-        support = max_linear_over_polytope(poly.G[r],
-                                           Polytope(G_test, h_test), backend)
-        if support <= poly.h[r] + tol:
-            retained.remove(r)
-            logger.debug("pruned face %d (support %.3e <= %.3e)",
-                         r, support, poly.h[r])
-    return Polytope(G=poly.G[retained], h=poly.h[retained])
+    face_comp, col_comp = poly.components
+    keep = np.zeros(L, dtype=bool)
+    for k in range(col_comp.max(initial=-1) + 1):
+        faces = np.flatnonzero(face_comp == k)
+        G, h = poly.G[np.ix_(faces, col_comp == k)], poly.h[faces]
+        retained = list(range(faces.size))
+        for r in range(faces.size):
+            others = [i for i in retained if i != r]
+            G_test = np.vstack([G[others], G[r][None, :]])
+            h_test = np.concatenate([h[others], [h[r] + 1.0]])
+            support = max_linear_over_polytope(G[r], Polytope(G_test, h_test),
+                                               backend)
+            if support <= h[r] + tol:
+                retained.remove(r)
+                logger.debug("pruned face %d (support %.3e <= %.3e)",
+                             faces[r], support, h[r])
+        keep[faces[retained]] = True
+    return Polytope(G=poly.G[keep], h=poly.h[keep])

@@ -1,4 +1,4 @@
-"""LP model assembly, solver backend contract, and polytope oracles.
+"""LP model assembly, solver backend contract, and polytope containment.
 
 Every optimization problem in this package is assembled as an LPModel over
 named variable blocks and handed to a pluggable backend (the default wraps
@@ -9,20 +9,28 @@ Farkas condition
     {x | G1 x <= h1} subset of {x | G2 x <= h2}
         iff  exists Z >= 0 with Z G1 = G2 and Z h1 <= h2,
 
-and enumerate_vertices / check_containment_bruteforce give an independent
-brute-force oracle for small dimensions.
+for a nonempty left-hand side.  The condition is imposed row by row, and a
+row of G2 only meets the faces of G1 that share its columns:
+Polytope.components splits the face-column pattern of G1 into connected
+components, the set is the product of their sets, and each row gets
+multipliers on, and equality rows for, only the components its own
+columns touch.
+
+How the LP scales on a data polytope: over z = [vec(A); vec(B)] each data
+face constrains one row of [A B], so there is one component per row, and
+a robust row of state i carries L_i ~ L/n multipliers and n + m equality
+rows instead of L and n(n+m).  A row touching every component, as with a
+dense G1 or an envelope row that spans all columns, gets the full L2 x L1
+block.
 """
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-
-ABS_TOL = 1e-7
-VERTEX_DEDUP_TOL = 1e-7
-MAX_VERTEX_DIM = 6
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Polytope",
@@ -33,8 +41,6 @@ __all__ = [
     "solve",
     "add_farkas_block",
     "add_robust_rows",
-    "enumerate_vertices",
-    "check_containment_bruteforce",
     "max_linear_over_polytope",
 ]
 
@@ -63,6 +69,24 @@ class Polytope:
     @property
     def dim(self):
         return self.G.shape[1]
+
+    @cached_property
+    def components(self):
+        """(face_comp, col_comp): the connected component of every face
+        and every column in the bipartite graph joining face f to column
+        c where G[f, c] != 0.  Components are numbered 0..K-1 by their
+        columns; the polytope is the product of the components' sets.  A
+        column no face touches is a component of its own, and an all-zero
+        face belongs to none (label -1)."""
+        L, d = self.G.shape
+        f, c = np.nonzero(self.G)
+        graph = sp.csr_matrix((np.ones(f.size), (f, L + c)),
+                              shape=(L + d, L + d))
+        _, labels = connected_components(graph, directed=False)
+        cols, col_comp = np.unique(labels[L:], return_inverse=True)
+        number = np.full(L + d, -1)
+        number[cols] = np.arange(cols.size)
+        return number[labels[:L]], col_comp.ravel()
 
     def contains(self, x, tol=1e-9):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -187,7 +211,7 @@ class LPModel:
         self._eqs = []             # AffExpr == 0
         self._ineqs = []           # AffExpr <= 0
         self._objective = None     # scalar AffExpr, minimized
-        self.farkas_blocks = []    # (zname, L2, L1) bookkeeping
+        self.farkas_blocks = []    # (zname, L2, L1, rows, faces) bookkeeping
         self.row_sups = {}         # robust row name -> values -> sup_z G z
 
     def add_block(self, name, size, lb=None, ub=None):
@@ -314,61 +338,96 @@ def solve(model, backend=None):
     return LPSolution("optimal", model.split(x), obj)
 
 
+def _row_support(expr):
+    """Mask of the expression rows that are not structurally zero: a
+    stored coefficient in some block, or a nonzero constant."""
+    mask = expr.const != 0
+    for coeff in expr.terms.values():
+        mask |= np.diff(coeff.tocsr().indptr) > 0
+    return mask
+
+
+def _farkas_rows(model, poly, G2_expr, h2_expr, name):
+    """The multiplier block of add_farkas_block; returns the (L2 x size)
+    matrix mapping it to the certified sups Z h1 of the rows."""
+    L1, d = poly.G.shape
+    L2 = h2_expr.rows
+    if G2_expr.rows != L2 * d:
+        raise ValueError("G2 expression must have L2 * d rows (row-major)")
+    face_comp, col_comp = poly.components
+    comps = np.arange(col_comp.max(initial=-1) + 1)[:, None]
+    col_of, face_of = col_comp == comps, face_comp == comps
+    touched = _row_support(G2_expr).reshape(L2, d) @ col_of.T
+    rows, faces = np.nonzero(touched @ face_of)
+    eq_rows, eq_cols = np.nonzero(touched @ col_of)
+    eq_index = np.full((L2, d), -1)
+    eq_index[eq_rows, eq_cols] = np.arange(eq_rows.size)
+    size = rows.size
+    model.add_block(name, size, lb=0.0)
+    # Multiplier k (row rows[k], face faces[k]) enters the equality row of
+    # (rows[k], c) with coefficient G1[faces[k], c].
+    G1 = sp.csr_matrix(poly.G)[faces].tocoo()
+    ZG = sp.csr_matrix((G1.data, (eq_index[rows[G1.row], G1.col], G1.row)),
+                       shape=(eq_rows.size, size))
+    pick = sp.csr_matrix((np.ones(eq_rows.size),
+                          (np.arange(eq_rows.size), eq_rows * d + eq_cols)),
+                         shape=(eq_rows.size, L2 * d))
+    model.add_eq(AffExpr(eq_rows.size, {name: ZG}) - G2_expr.premul(pick))
+    Zh = sp.csr_matrix((poly.h[faces], (rows, np.arange(size))),
+                       shape=(L2, size))
+    Zh.eliminate_zeros()
+    model.add_ineq(AffExpr(L2, {name: Zh}) - h2_expr)
+    model.farkas_blocks.append((name, L2, L1, rows, faces))
+    return Zh
+
+
 def add_farkas_block(model, G1, h1, G2_expr, h2_expr, name=None):
     """Add multipliers certifying {G1 x <= h1} subset of {G2 x <= h2}.
 
     G2_expr holds the L2 x d left-hand side flattened row-major into an
     AffExpr of L2*d rows (entries may be affine in model variables);
-    h2_expr is an AffExpr of L2 rows.  Adds a nonnegative block Z of shape
-    L2 x L1 (flattened row-major) with
+    h2_expr is an AffExpr of L2 rows.  Adds one nonnegative block Z with
 
-        Z G1 = G2   (L2 * d equality rows)
+        Z G1 = G2   (equality rows)
         Z h1 <= h2  (L2 inequality rows)
 
-    and returns the Z block name.
+    and returns the Z block name.  Row r of Z ranges over the faces of the
+    components (Polytope.components) that the structural columns of row r
+    of G2 touch, laid out row after row in face order, with equality rows
+    for the columns of those components only.  A row touching every
+    component gets all L1 faces and d equality rows (Z is a full L2 x L1
+    block flattened row-major); a row with no structural column gets
+    none.  This is exact when {G1 x <= h1} is nonempty, which the caller
+    must ensure: on a product of nonempty sets a row's sup is its sup over
+    the components it touches.  model.farkas_blocks records
+    (name, L2, L1, rows, faces), the row and face of each multiplier.
     """
-    G1 = np.atleast_2d(np.asarray(G1, dtype=float))
-    h1 = np.atleast_1d(np.asarray(h1, dtype=float))
-    L1, d = G1.shape
-    if h1.size != L1:
-        raise ValueError("G1 and h1 face counts differ")
     if not isinstance(G2_expr, AffExpr):
         arr = np.atleast_2d(np.asarray(G2_expr, dtype=float))
         G2_expr = AffExpr(arr.size, const=arr.reshape(-1))
     if not isinstance(h2_expr, AffExpr):
         arr = np.atleast_1d(np.asarray(h2_expr, dtype=float))
         h2_expr = AffExpr(arr.size, const=arr)
-    L2 = h2_expr.rows
-    if G2_expr.rows != L2 * d:
-        raise ValueError("G2 expression must have L2 * d rows (row-major)")
     if name is None:
         name = f"Z{len(model.farkas_blocks)}"
-    model.add_block(name, L2 * L1, lb=0.0)
-    # Row-major flattening of Z G1 is (I_{L2} kron G1^T) vec_rm(Z).
-    prod = sp.kron(sp.eye(L2), sp.csr_matrix(G1.T), format="csr")
-    model.add_eq(AffExpr(L2 * d, {name: prod}) - G2_expr)
-    zh = sp.kron(sp.eye(L2), sp.csr_matrix(h1.reshape(1, L1)), format="csr")
-    model.add_ineq(AffExpr(L2, {name: zh}) - h2_expr)
-    model.farkas_blocks.append((name, L2, L1))
+    _farkas_rows(model, Polytope(G1, h1), G2_expr, h2_expr, name)
     return name
 
 
 def add_robust_rows(model, unc, G_expr, h_expr, name):
     """Require G z <= h rowwise for every z in the uncertainty set unc.
 
-    G_expr and h_expr are as in add_farkas_block.  unc is either a Polytope,
-    which gets a Farkas multiplier block named name, or one point z0, whose
-    rows are substituted (G z0 <= h) with no multipliers: a robust
-    counterpart is built row by row, so a point needs none.  Records
-    model.row_sups[name], a function of the solved block values returning
-    the certified sup of G z over unc (Z h1 for a polytope, G z0 for a
-    point).
+    G_expr and h_expr are as in add_farkas_block.  unc is either a nonempty
+    Polytope, which gets a Farkas multiplier block named name (see
+    add_farkas_block for its layout), or one point z0, whose rows are
+    substituted (G z0 <= h) with no multipliers: a robust counterpart is
+    built row by row, so a point needs none.  Records model.row_sups[name],
+    a function of the solved block values returning the certified sup of
+    G z over unc (Z h1 for a polytope, G z0 for a point).
     """
     if isinstance(unc, Polytope):
-        add_farkas_block(model, unc.G, unc.h, G_expr, h_expr, name=name)
-        shape = (h_expr.rows, unc.num_faces)
-        model.row_sups[name] = \
-            lambda values: values[name].reshape(shape) @ unc.h
+        Zh = _farkas_rows(model, unc, G_expr, h_expr, name)
+        model.row_sups[name] = lambda values: Zh @ values[name]
     else:
         Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))
         model.add_ineq(Gz - h_expr)
@@ -394,51 +453,3 @@ def max_linear_over_polytope(c, poly, backend=None, return_point=False):
     if status == "infeasible":
         raise ValueError("support function of an empty polytope")
     raise RuntimeError(f"support LP failed with status {status}")
-
-
-def _recession_unbounded(poly, tol=1e-9):
-    """True when the recession cone {G y <= 0} contains a nonzero ray."""
-    d = poly.dim
-    box = np.column_stack([-np.ones(d), np.ones(d)])
-    for j in range(d):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(d)
-            c[j] = -sgn
-            status, x, obj = DEFAULT_BACKEND.solve(
-                c, poly.G, np.zeros(poly.num_faces), None, None, box)
-            if status == "optimal" and -obj > tol:
-                return True
-    return False
-
-
-def enumerate_vertices(poly, tol=ABS_TOL):
-    """All vertices of a bounded polytope in dimension at most 6.
-
-    Brute force over d-subsets of faces: solve each square subsystem, keep
-    solutions feasible for every face, and deduplicate.  Intended as a test
-    oracle, not for production-size polytopes.
-    """
-    d = poly.dim
-    if d > MAX_VERTEX_DIM:
-        raise ValueError(f"vertex enumeration limited to dimension {MAX_VERTEX_DIM}")
-    if _recession_unbounded(poly):
-        raise ValueError("polytope is unbounded")
-    G, h = poly.G, poly.h
-    verts = []
-    for rows in itertools.combinations(range(poly.num_faces), d):
-        Gsub = G[list(rows)]
-        if np.linalg.matrix_rank(Gsub, tol=1e-10) < d:
-            continue
-        x = np.linalg.solve(Gsub, h[list(rows)])
-        if np.all(G @ x <= h + tol):
-            if not any(np.max(np.abs(x - w)) <= VERTEX_DEDUP_TOL for w in verts):
-                verts.append(x)
-    return verts
-
-
-def check_containment_bruteforce(P1, P2, tol=ABS_TOL):
-    """True when every vertex of bounded P1 satisfies P2's inequalities."""
-    for x in enumerate_vertices(P1):
-        if not np.all(P2.G @ x <= P2.h + tol):
-            return False
-    return True

@@ -13,6 +13,7 @@ point value.
 
 import math
 from dataclasses import dataclass, field
+from math import floor, isfinite, log2
 
 import numpy as np
 
@@ -98,20 +99,39 @@ def cube_vertices(lo, hi):
     return np.where(bits == 1, hi, lo)
 
 
-# Per-density constants (log rho, 1 + delta) of log_quantize, which is called
-# once per input channel and time step; bounded so density sweeps cannot grow
-# it without limit.
+# Per-density constants of log_quantize, which is called once per input
+# channel and time step; bounded so density sweeps cannot grow it without
+# limit.
 _LOG_CONSTS = {}
 _LOG_CONSTS_MAX = 256
 _INF = math.inf
+# The level table holds rho**i for |i| <= _TABLE_INDEX, and for no i with
+# |i log rho| > _TABLE_LOG, so its entries are normal floats.
+_TABLE_INDEX = 512
+_TABLE_LOG = 700.0
 
 
 def _log_consts(rho):
+    """(1 + delta, levels, scale, shift, last) for a density rho.
+
+    levels[p] = rho**(k - p) for p = 0..last = 2k ascends, and
+    floor(shift - scale log2 z) is the position of the level of z, up to
+    rounding.  rho = 1 gets an empty table.
+    """
+    rho = float(rho)
     delta = delta_from_rho(rho)         # validates rho
     if len(_LOG_CONSTS) >= _LOG_CONSTS_MAX:
         _LOG_CONSTS.clear()
-    # log(1) = 0 is never divided by: rho = 1 returns before the exponent.
-    consts = (math.log(rho), 1.0 + delta)
+    levels, scale, shift = [], 0.0, 0.0
+    if rho < 1.0:
+        k = min(_TABLE_INDEX, int(_TABLE_LOG / -math.log(rho)))
+        levels = [rho ** i for i in range(k, -k - 1, -1)]
+        if any(a > b for a, b in zip(levels, levels[1:])):
+            levels = []     # powers of a rho this close to 1 need not ascend
+        # rho**i <= z (1 + delta) iff i >= log2(z (1 + delta)) / log2(rho).
+        scale = 1.0 / math.log2(rho)
+        shift = k - math.log2(1.0 + delta) * scale
+    consts = (1.0 + delta, levels, scale, shift, len(levels) - 1)
     _LOG_CONSTS[rho] = consts
     return consts
 
@@ -133,12 +153,25 @@ def log_quantize(z, rho):
         Quantizer density in (0, 1].  rho = 1 passes z through unchanged.
     """
     z = float(z)
-    if not math.isfinite(z):
+    try:
+        consts = _LOG_CONSTS[rho]
+    except (KeyError, TypeError):
+        consts = _log_consts(rho)
+    one_plus_delta, levels, scale, shift, last = consts
+    # The level is rho**i for the smallest i with rho**i <= |z| (1 + delta):
+    # the levels[p] with levels[p] <= hi < levels[p + 1] when both are in
+    # the table and p is estimated right.  Zero, non-finite z, rho = 1 and
+    # every other case go to the search below.
+    a = -z if z < 0.0 else z
+    if 0.0 < a < _INF:
+        p = floor(shift - log2(a) * scale)
+        if 0 <= p < last:
+            level = levels[p]
+            if level <= a * one_plus_delta < levels[p + 1]:
+                return level if z > 0.0 else -level
+    if not isfinite(z):
         raise ValueError("cannot quantize a non-finite value")
     rho = float(rho)
-    consts = _LOG_CONSTS.get(rho)
-    if consts is None:
-        consts = _log_consts(rho)
     if rho == 1.0:
         return z
     if z == 0.0:
@@ -146,12 +179,11 @@ def log_quantize(z, rho):
     negative = z < 0.0
     if negative:
         z = -z
-    log_rho, one_plus_delta = consts
+    hi = z * one_plus_delta
     # Candidate exponent from the logarithm, then correct by +-1 so that
     # rho**i <= z * (1 + delta) holds with the smallest such i. This keeps
     # the boundary rule deterministic under floating-point log drift.
-    i = round(math.log(z) / log_rho)
-    hi = z * one_plus_delta
+    i = round(math.log(z) / math.log(rho))
     try:
         if hi == _INF:
             raise OverflowError

@@ -91,14 +91,15 @@ def _infer_state_dim(poly, m):
     return n
 
 
-def _uncertainty(poly):
-    """A Polytope, checked nonempty, or a plant vector as a float array."""
+def _uncertainty(poly, backend=None):
+    """A Polytope, checked nonempty by one LP on backend, or a plant
+    vector as a float array."""
     if not isinstance(poly, Polytope):
         return np.asarray(poly, dtype=float).ravel()
     bounds = np.column_stack([np.full(poly.dim, -np.inf),
                               np.full(poly.dim, np.inf)])
-    status, _, _ = DEFAULT_BACKEND.solve(np.zeros(poly.dim), poly.G, poly.h,
-                                         None, None, bounds)
+    status, _, _ = (backend or DEFAULT_BACKEND).solve(
+        np.zeros(poly.dim), poly.G, poly.h, None, None, bounds)
     if status == "infeasible":
         raise ValueError("data polytope is empty")
     return poly
@@ -160,8 +161,10 @@ def _certificate(model, sol, poly, n, mode, eta, lam, counts, M=None,
                            mode=mode, M=None if M is None else M * scale)
     if not isinstance(poly, Polytope):
         return SynthResult("feasible", cert)
-    Z = {name: sol.values[name].reshape(L2, L1) * scale
-         for name, L2, L1 in model.farkas_blocks}
+    Z = {}
+    for name, L2, L1, rows, faces in model.farkas_blocks:
+        Z[name] = np.zeros((L2, L1))
+        Z[name][rows, faces] = sol.values[name] * scale
     return SynthResult("feasible", cert, {**(extras or {}), "Z": Z,
                                           "counts": counts})
 
@@ -172,9 +175,21 @@ def _extract_sign(model, sol, poly, spec, n, mode, eta):
     v = sol.values["v"] if mode == "ess" else np.ones(n)
     lam = max([0.0] + [float(np.max(sup(sol.values) / v))
                        for sup in model.row_sups.values()])
-    counts = (count_constraints_sign(n, spec.m, poly.num_faces)
+    counts = (_built_sizes(model, n, spec.m)
               if isinstance(poly, Polytope) else None)
     return _certificate(model, sol, poly, n, mode, eta, lam, counts)
+
+
+def _built_sizes(model, n, m):
+    """The count_constraints_sign record of an assembled sign model."""
+    return {
+        "robust_inequalities": n * 2 ** (n + m),
+        "farkas_variables": sum(model.blocks[name][0]
+                                for name, *_ in model.farkas_blocks),
+        "equality_rows": model.num_eq_rows,
+        "inequality_rows": model.num_ineq_rows,
+        "search_variables": n + n * m,
+    }
 
 
 def bisect_least(probe, ok, tol):
@@ -212,7 +227,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     if eta <= 0:
         raise ValueError("stability tolerance eta must be positive")
     n = _infer_state_dim(poly, spec.m)
-    poly = _uncertainty(poly)
+    poly = _uncertainty(poly, backend)
 
     def run(**kw):
         model = build(poly, spec, n, mode, eta, **kw)
@@ -249,16 +264,27 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
 def count_constraints_sign(n, m, L):
     """Size record of the sign-enumerated Farkas LP before assembly.
 
-    One multiplier block Z in R>=0^(n x L) per (alpha, beta) pair; each
-    block contributes n(n+m) equality rows per robust row and one RHS
-    inequality row per robust row.  Nonnegativity lives in variable bounds,
-    not rows.
+    One multiplier block per (alpha, beta) pair and one RHS inequality row
+    per robust row; nonnegativity lives in variable bounds, not rows.  L
+    is the face count of a polytope whose faces all share one component
+    (a dense G): each robust row then carries L multipliers and n(n+m)
+    equality rows.  L may instead be the length-n sequence of per-row face
+    counts L_i of a row-separable polytope (a data polytope, one component
+    per row of [A B]): robust row i then carries L_i multipliers and n + m
+    equality rows.
     """
     blocks = 2 ** (n + m)
+    if np.ndim(L):
+        L = np.asarray(L)
+        if L.shape != (n,):
+            raise ValueError("per-row face counts must have length n")
+        farkas, equalities = int(L.sum()), n * (n + m)
+    else:
+        farkas, equalities = n * L, n * n * (n + m)
     return {
         "robust_inequalities": n * blocks,
-        "farkas_variables": n * L * blocks,
-        "equality_rows": n * n * (n + m) * blocks,
+        "farkas_variables": farkas * blocks,
+        "equality_rows": equalities * blocks,
         "inequality_rows": n * blocks,
         "search_variables": n + n * m,
     }

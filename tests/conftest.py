@@ -61,3 +61,32 @@ def box_polytope(center, halfwidth):
     G = np.vstack([np.eye(d), -np.eye(d)])
     h = np.concatenate([center + halfwidth, -(center - halfwidth)])
     return Polytope(G=G, h=h)
+
+
+def random_separable_polytope(rng, A, B, halfwidth=0.5):
+    """A bounded polytope over z = [vec(A); vec(B)] that is a product of
+    one set per row of [A B], like a data polytope, and contains (A, B).
+
+    Row i gets a box of the given halfwidth around its entries and one to
+    four random faces at a random margin from them; the faces of all rows
+    are then shuffled together.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n = A.shape[0]
+    z = np.concatenate([A.flatten(order="F"), B.flatten(order="F")])
+    d = z.size
+    G, h = [], []
+    for i in range(n):
+        cols = np.arange(i, d, n)          # row i of [A B], column-major
+        k = cols.size
+        extra = int(rng.integers(1, 5))
+        local = np.vstack([np.eye(k), -np.eye(k), rng.normal(size=(extra, k))])
+        margin = np.concatenate([np.full(2 * k, halfwidth),
+                                 rng.uniform(0.1, 1.0, extra) * halfwidth])
+        rows = np.zeros((local.shape[0], d))
+        rows[:, cols] = local
+        G.append(rows)
+        h.append(local @ z[cols] + margin)
+    order = rng.permutation(sum(g.shape[0] for g in G))
+    return Polytope(G=np.vstack(G)[order], h=np.concatenate(h)[order])

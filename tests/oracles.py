@@ -1,0 +1,82 @@
+"""Brute-force test oracles that share no code path with the package.
+
+enumerate_vertices / check_containment_bruteforce decide polytope
+containment by vertex enumeration in small dimensions, against which the
+Farkas multiplier blocks are checked; prune_whole_polytope is the
+sequential redundancy test over the whole polytope, against which the
+per-component prune_redundant is checked.
+"""
+
+import itertools
+
+import numpy as np
+
+from quantstab import Polytope, max_linear_over_polytope
+from quantstab.lp_core import DEFAULT_BACKEND
+
+ABS_TOL = 1e-7
+VERTEX_DEDUP_TOL = 1e-7
+MAX_VERTEX_DIM = 6
+
+
+def _recession_unbounded(poly, tol=1e-9):
+    """True when the recession cone {G y <= 0} contains a nonzero ray."""
+    d = poly.dim
+    box = np.column_stack([-np.ones(d), np.ones(d)])
+    for j in range(d):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(d)
+            c[j] = -sgn
+            status, x, obj = DEFAULT_BACKEND.solve(
+                c, poly.G, np.zeros(poly.num_faces), None, None, box)
+            if status == "optimal" and -obj > tol:
+                return True
+    return False
+
+
+def enumerate_vertices(poly, tol=ABS_TOL):
+    """All vertices of a bounded polytope in dimension at most 6.
+
+    Brute force over d-subsets of faces: solve each square subsystem, keep
+    solutions feasible for every face, and deduplicate.
+    """
+    d = poly.dim
+    if d > MAX_VERTEX_DIM:
+        raise ValueError(f"vertex enumeration limited to dimension {MAX_VERTEX_DIM}")
+    if _recession_unbounded(poly):
+        raise ValueError("polytope is unbounded")
+    G, h = poly.G, poly.h
+    verts = []
+    for rows in itertools.combinations(range(poly.num_faces), d):
+        Gsub = G[list(rows)]
+        if np.linalg.matrix_rank(Gsub, tol=1e-10) < d:
+            continue
+        x = np.linalg.solve(Gsub, h[list(rows)])
+        if np.all(G @ x <= h + tol):
+            if not any(np.max(np.abs(x - w)) <= VERTEX_DEDUP_TOL for w in verts):
+                verts.append(x)
+    return verts
+
+
+def check_containment_bruteforce(P1, P2, tol=ABS_TOL):
+    """True when every vertex of bounded P1 satisfies P2's inequalities."""
+    for x in enumerate_vertices(P1):
+        if not np.all(P2.G @ x <= P2.h + tol):
+            return False
+    return True
+
+
+def prune_whole_polytope(poly, tol=1e-8):
+    """Indices of the faces a sequential support test keeps, each face
+    tested against every retained face of the whole polytope (capped at
+    h_r + 1 so the LP stays bounded), in the original order."""
+    retained = list(range(poly.num_faces))
+    for r in range(poly.num_faces):
+        others = [i for i in retained if i != r]
+        G_test = np.vstack([poly.G[others], poly.G[r][None, :]])
+        h_test = np.concatenate([poly.h[others], [poly.h[r] + 1.0]])
+        support = max_linear_over_polytope(poly.G[r],
+                                           Polytope(G_test, h_test))
+        if support <= poly.h[r] + tol:
+            retained.remove(r)
+    return retained

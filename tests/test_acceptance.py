@@ -18,7 +18,6 @@ from quantstab import (
     add_farkas_block,
     build_polytope,
     check_cert,
-    check_containment_bruteforce,
     closed_loop_vertex_gain,
     contains_plant,
     count_constraints_aarc,
@@ -41,6 +40,7 @@ from quantstab.synth_aarc import _aarc_model
 from quantstab.synth_sign import _sign_model
 
 from conftest import box_polytope
+from oracles import check_containment_bruteforce
 from test_synth_sign import _singleton
 
 

@@ -9,8 +9,11 @@ from quantstab import (
     LinearSystem,
     LPModel,
     Partition,
+    Polytope,
     add_farkas_block,
     build_polytope,
+    builtin_partition,
+    builtin_system,
     contains_plant,
     generate_dataset,
     plant_vec,
@@ -19,7 +22,9 @@ from quantstab import (
     widen_noise,
 )
 
-from conftest import box_polytope
+from conftest import (box_polytope, random_separable_polytope,
+                      random_stabilizable_system)
+from oracles import prune_whole_polytope
 
 
 def _scalar_sample(x, u, p, q):
@@ -235,3 +240,40 @@ def test_nested_prefix_polytopes_shrink(sys1, part1):
     model = LPModel()
     add_farkas_block(model, large.G, large.h, small.G, small.h)
     assert solve(model).status == "optimal"
+
+
+def _assert_prunes_like_whole_polytope(poly):
+    keep = prune_whole_polytope(poly)
+    pruned = prune_redundant(poly)
+    np.testing.assert_array_equal(pruned.G, poly.G[keep])
+    np.testing.assert_array_equal(pruned.h, poly.h[keep])
+
+
+@pytest.mark.parametrize("system,partition,T",
+                         [("sys1", "p1", 100), ("sys2", "p2", 60)])
+def test_prune_per_component_matches_whole_polytope_on_data(system,
+                                                            partition, T):
+    plant = builtin_system(system)
+    ds = generate_dataset(plant, builtin_partition(partition), T, 1)
+    _assert_prunes_like_whole_polytope(build_polytope(ds))
+
+
+def test_prune_per_component_matches_whole_polytope_on_random_products():
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        sys = random_stabilizable_system(rng, n, m)
+        poly = random_separable_polytope(rng, sys.A, sys.B)
+        # a repeated face and a slack one, so some faces must go
+        G = np.vstack([poly.G, poly.G[:1], poly.G[1:2]])
+        h = np.concatenate([poly.h, poly.h[:1], poly.h[1:2] + 0.5])
+        _assert_prunes_like_whole_polytope(Polytope(G=G, h=h))
+
+
+def test_prune_drops_an_all_zero_face():
+    box = box_polytope(np.zeros(2), np.ones(2))
+    G = np.vstack([box.G[:2], np.zeros((1, 2)), box.G[2:]])
+    h = np.concatenate([box.h[:2], [0.5], box.h[2:]])
+    poly = Polytope(G=G, h=h)
+    _assert_prunes_like_whole_polytope(poly)
+    assert prune_redundant(poly).num_faces == 4

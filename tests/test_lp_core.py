@@ -8,13 +8,13 @@ from quantstab import (
     LPModel,
     Polytope,
     add_farkas_block,
-    check_containment_bruteforce,
-    enumerate_vertices,
     max_linear_over_polytope,
     solve,
 )
+from quantstab.lp_core import add_robust_rows
 
-from conftest import box_polytope
+from conftest import box_polytope, random_separable_polytope
+from oracles import check_containment_bruteforce, enumerate_vertices
 
 
 def _scalar_model(lb=None, ub=None, objective=None):
@@ -267,3 +267,53 @@ def test_polytope_validation_and_json():
     np.testing.assert_allclose(Q.h, P.h)
     assert Q.num_faces == 4 and Q.dim == 2
     assert Q.contains(np.zeros(2)) and not Q.contains(np.array([2.0, 0.0]))
+
+
+def test_components_split_a_product_of_row_sets(rng):
+    n, m = 3, 2
+    P = random_separable_polytope(rng, rng.normal(size=(n, n)),
+                                  rng.normal(size=(n, m)))
+    zero_face = Polytope(G=np.vstack([P.G[:2], np.zeros((1, P.dim)), P.G[2:]]),
+                         h=np.concatenate([P.h[:2], [1.0], P.h[2:]]))
+    face_comp, col_comp = zero_face.components
+    cols = np.arange(P.dim)
+    # one component per row of [A B]: the columns c with c % n == i
+    assert np.array_equal(col_comp[:, None] == col_comp[None, :],
+                          cols[:, None] % n == cols[None, :] % n)
+    assert face_comp[2] == -1
+    for f in np.flatnonzero(face_comp >= 0):
+        touched = np.flatnonzero(zero_face.G[f])
+        assert np.all(col_comp[touched] == face_comp[f])
+    # a column no face touches is a component without faces
+    lone = Polytope(G=np.array([[1.0, 0.0], [-1.0, 0.0]]), h=np.ones(2))
+    face_comp, col_comp = lone.components
+    assert col_comp[0] != col_comp[1]
+    assert np.all(face_comp == col_comp[0])
+
+
+def test_robust_rows_range_over_their_own_components(rng):
+    n, m = 2, 1
+    P = random_separable_polytope(rng, rng.normal(size=(n, n)),
+                                  rng.normal(size=(n, m)))
+    d = P.dim
+    face_comp, col_comp = P.components
+    g = np.zeros((3, d))
+    g[0, 0] = 1.0                       # row 0 of A only
+    g[2] = rng.normal(size=d)           # every column; row 1 is empty
+    sups = np.array([max_linear_over_polytope(r, P) for r in g])
+    # exact: feasible just above every row's sup, infeasible just below any
+    for tight, feasible in ((None, True), (0, False), (1, False), (2, False)):
+        h = sups + 1e-3
+        if tight is not None:
+            h[tight] -= 2e-3
+        model = LPModel()
+        add_robust_rows(model, P, AffExpr(3 * d, const=g.ravel()),
+                        AffExpr(3, const=h), "Z")
+        assert solve(model).optimal == feasible
+    _, L2, L1, rows, faces = model.farkas_blocks[0]
+    assert (L2, L1) == (3, P.num_faces)
+    own = np.flatnonzero(face_comp == col_comp[0])
+    np.testing.assert_array_equal(faces[rows == 0], own)
+    assert not np.any(rows == 1)
+    np.testing.assert_array_equal(faces[rows == 2], np.arange(P.num_faces))
+    assert model.num_eq_rows == np.count_nonzero(col_comp == col_comp[0]) + d

@@ -95,6 +95,37 @@ def test_log_quantize_near_float_max(z, rho):
         assert log_quantize(z, rho) == math.copysign(rho ** i, z)
 
 
+def _searched_level(z, rho):
+    """sign(z) rho**i for the smallest i with rho**i <= |z| (1 + delta),
+    compared in floats as log_quantize compares them."""
+    hi = abs(z) * (1.0 + delta_from_rho(rho))
+    i = round(math.log(abs(z)) / math.log(rho))
+    while rho ** i > hi:
+        i += 1
+    while rho ** (i - 1) <= hi:
+        i -= 1
+    return math.copysign(rho ** i, z)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.4, 0.5, 0.9, 0.999])
+def test_log_quantize_level_table_matches_search(rho):
+    # Each level, the lower end of its interval and their float neighbours,
+    # across and past the table of levels (|i| <= 512, fewer at rho = 0.1).
+    one_plus_delta = 1.0 + delta_from_rho(rho)
+    values = []
+    for i in range(-600, 601):
+        try:
+            rho ** (i - 1)
+        except OverflowError:
+            continue
+        for v in (rho ** i, rho ** i / one_plus_delta):
+            values += [v, math.nextafter(v, 0.0),
+                       math.nextafter(v, math.inf)]
+    for z in filter(None, values):
+        assert log_quantize(z, rho) == _searched_level(z, rho)
+        assert log_quantize(-z, rho) == _searched_level(-z, rho)
+
+
 @settings(max_examples=300, deadline=None)
 @given(z=st.floats(-1e6, 1e6, allow_nan=False),
        rho=st.sampled_from([0.1, 0.3, 0.4, 0.5, 0.7, 0.9]))

@@ -1,0 +1,73 @@
+"""Properties of the row-separable robust counterparts on random products.
+
+Each example draws a small random plant (n <= 3, m <= 2) and a bounded
+polytope around it that is a product of one set per row of [A B], as a
+data polytope is.  Appending one redundant face that touches every column
+leaves the set unchanged but joins all rows into one component, so the
+same synthesizer then builds the coupled LP, with full multiplier blocks.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantstab import (Polytope, QuantizerSpec, max_linear_over_polytope,
+                       robust_verify, synthesize_aarc, synthesize_sign)
+
+from conftest import random_separable_polytope, random_stabilizable_system
+
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None,
+                             derandomize=True)
+
+cases = st.tuples(st.integers(1, 3), st.integers(1, 2),
+                  st.integers(0, 2 ** 32 - 1),
+                  st.floats(0.3, 0.95), st.floats(0.02, 0.2))
+
+
+def _draw(case):
+    n, m, seed, rho, halfwidth = case
+    rng = np.random.default_rng(seed)
+    sys = random_stabilizable_system(rng, n, m)
+    poly = random_separable_polytope(rng, sys.A, sys.B, halfwidth)
+    return poly, QuantizerSpec.uniform(rho, m)
+
+
+def _coupled(poly):
+    g = np.ones(poly.dim)
+    top = max_linear_over_polytope(g, poly) + 1.0
+    return Polytope(G=np.vstack([poly.G, g]), h=np.append(poly.h, top))
+
+
+@PROPERTY_SETTINGS
+@given(cases)
+def test_split_lp_matches_coupled_lp(case):
+    poly, spec = _draw(case)
+    coupled = _coupled(poly)
+    assert coupled.components[1].max() == 0
+    split = synthesize_sign(poly, spec, mode="ess")
+    joint = synthesize_sign(coupled, spec, mode="ess")
+    assert split.status == joint.status
+    split = synthesize_sign(poly, spec, mode="ss", objective="min-lambda")
+    joint = synthesize_sign(coupled, spec, mode="ss", objective="min-lambda")
+    assert abs(split.certificate.lam - joint.certificate.lam) <= 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(cases)
+def test_every_emitted_certificate_audits(case):
+    poly, spec = _draw(case)
+    for synth, mode in ((synthesize_sign, "ess"), (synthesize_sign, "ss"),
+                        (synthesize_aarc, "ess")):
+        res = synth(poly, spec, mode=mode)
+        if res.feasible:
+            report = robust_verify(poly, res.certificate, spec)
+            assert report.worst_margin >= -1e-7
+
+
+@PROPERTY_SETTINGS
+@given(cases)
+def test_sign_form_never_worse_than_envelope_form(case):
+    poly, spec = _draw(case)
+    sign = synthesize_sign(poly, spec, mode="ss", objective="min-lambda")
+    aarc = synthesize_aarc(poly, spec, mode="ss", objective="min-lambda")
+    assert sign.certificate.lam <= aarc.certificate.lam + 1e-6

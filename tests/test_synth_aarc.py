@@ -12,7 +12,6 @@ from quantstab import (
     build_polytope,
     closed_loop_vertex_gain,
     count_constraints_aarc,
-    enumerate_vertices,
     eval_affine_M,
     generate_dataset,
     prune_redundant,
@@ -25,6 +24,7 @@ from quantstab import (
 from quantstab.synth_aarc import _aarc_model
 
 from test_synth_sign import _scalar_box, _singleton
+from oracles import enumerate_vertices
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,18 @@ from quantstab import (
     build_sign_polytope_rows,
     closed_loop_vertex_gain,
     count_constraints_sign,
-    enumerate_vertices,
     generate_dataset,
     prune_redundant,
     robust_verify,
     synthesize_nominal_sign,
     synthesize_sign,
 )
+from quantstab.lp_core import LinprogBackend
 from quantstab.synth_sign import _sign_model
 
-from conftest import box_polytope
+from conftest import (box_polytope, random_separable_polytope,
+                      random_stabilizable_system)
+from oracles import enumerate_vertices
 
 
 def _scalar_box(alow, ahigh, blow, bhigh):
@@ -229,3 +231,57 @@ def test_size_record_matches_assembled_model(n, m, L):
     farkas_vars = model.num_variables - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n * 2 ** (n + m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_size_record_matches_row_separable_model(n, m):
+    rng = np.random.default_rng(31 + 5 * n + m)
+    sys = random_stabilizable_system(rng, n, m)
+    poly = random_separable_polytope(rng, sys.A, sys.B)
+    row_faces = [np.count_nonzero(poly.G[:, i::n].any(axis=1))
+                 for i in range(n)]
+    spec = QuantizerSpec.uniform(0.5, m)
+    model = _sign_model(poly, spec, n, "ess", 1e-6)
+    counts = count_constraints_sign(n, m, row_faces)
+    assert model.num_ineq_rows == counts["inequality_rows"]
+    assert model.num_eq_rows == counts["equality_rows"]
+    farkas_vars = model.num_variables - counts["search_variables"]
+    assert farkas_vars == counts["farkas_variables"]
+    assert counts["farkas_variables"] == 2 ** (n + m) * sum(row_faces)
+    assert counts["equality_rows"] == 2 ** (n + m) * n * (n + m)
+    # the record a synthesis reports is the model it built
+    res = synthesize_sign(poly, spec, mode="ss", objective="min-lambda")
+    assert res.extras["counts"] == counts
+
+
+def test_size_record_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        count_constraints_sign(3, 1, [4, 4])
+
+
+def test_every_lp_reaches_the_callers_backend(sys1, part1, monkeypatch):
+    poly = build_polytope(generate_dataset(sys1, part1, 20, seed=5))
+    solved = []
+    real_solve = LinprogBackend.solve
+
+    def every_solve(self, *args):
+        solved.append(self)
+        return real_solve(self, *args)
+
+    monkeypatch.setattr(LinprogBackend, "solve", every_solve)
+
+    class Counting:
+        def __init__(self):
+            self.calls = 0
+            self.inner = LinprogBackend()
+
+        def solve(self, *args):
+            self.calls += 1
+            return self.inner.solve(*args)
+
+    backend = Counting()
+    synthesize_sign(poly, QuantizerSpec.uniform(0.7, 2), mode="ess",
+                    objective="min-lambda", backend=backend)
+    assert backend.calls > 1
+    assert len(solved) == backend.calls
+    assert all(b is backend.inner for b in solved)
