@@ -109,7 +109,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = None
     tol: float = 1e-4
-    unchecked: bool = False
     objective: str = "feasibility"
     prune: bool = False
     T: int = None
@@ -252,15 +251,14 @@ def cmd_synthesize(cfg):
               f"rho={cfg.rho})")
         return EXIT_INFEASIBLE
     cert = res.certificate
-    if not cfg.unchecked:
-        audit_poly = poly if poly is not None \
-            else singleton_polytope(cfg.resolve_system())
-        report = robust_verify(audit_poly, cert, spec)
-        if not report.verified:
-            print(f"synthesize: certificate failed verification "
-                  f"(worst margin {report.worst_margin:.3e}); not emitted",
-                  file=_sys.stderr)
-            return EXIT_UNVERIFIED
+    audit_poly = poly if poly is not None \
+        else singleton_polytope(cfg.resolve_system())
+    report = robust_verify(audit_poly, cert, spec)
+    if not report.verified:
+        print(f"synthesize: certificate failed verification "
+              f"(worst margin {report.worst_margin:.3e}); not emitted",
+              file=_sys.stderr)
+        return EXIT_UNVERIFIED
     _write_json(cfg.out, _cert_payload(cfg, cfg.rho, res))
     if cfg.dump_z and res.extras.get("Z"):
         _write_json(cfg.dump_z,
@@ -396,8 +394,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out")
     common.add_argument("--tol", type=float, default=1e-4)
-    common.add_argument("--unchecked", action="store_true",
-                        help="skip the automatic certificate audit")
     common.add_argument("--prune", action="store_true",
                         help="prune the data polytope before synthesis")
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import Polytope, max_linear_over_polytope, DEFAULT_BACKEND
+from .lp_core import (DEFAULT_BACKEND, Polytope, _require_nonempty,
+                      max_linear_over_polytope)
 from .quantizer import interval_quantize
 
 logger = logging.getLogger(__name__)
@@ -257,19 +258,15 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
     (0 <= h_r) is always redundant.  A cap G_r x <= h_r + 1 keeps each
     support LP bounded without changing the verdict.  Rows are processed in
     order, the retained set updates incrementally, and the retained rows
-    keep their original order, so the result is deterministic.
+    keep their original order, so the result is deterministic.  An empty
+    polytope raises ValueError, and a failed nonemptiness LP RuntimeError.
     """
     backend = backend or DEFAULT_BACKEND
     L = poly.num_faces
     if L == 0:
         return poly
-    # Feasibility check: pruning an empty polytope is a caller error.
-    status, _, _ = backend.solve(np.zeros(poly.dim), poly.G, poly.h,
-                                 None, None,
-                                 np.column_stack([np.full(poly.dim, -np.inf),
-                                                  np.full(poly.dim, np.inf)]))
-    if status == "infeasible":
-        raise ValueError("cannot prune an infeasible polytope")
+    # Pruning an empty polytope is a caller error.
+    _require_nonempty(poly, backend)
     face_comp, col_comp = poly.components
     keep = np.zeros(L, dtype=bool)
     for k in range(col_comp.max(initial=-1) + 1):

@@ -21,7 +21,8 @@ face constrains one row of [A B], so there is one component per row, and
 a robust row of state i carries L_i ~ L/n multipliers and n + m equality
 rows instead of L and n(n+m).  A row touching every component, as with a
 dense G1 or an envelope row that spans all columns, gets the full L2 x L1
-block.
+block.  Multipliers are laid out row after row, so a caller stacks every
+robust row of a constraint family into one G2 and gets one block.
 """
 
 from dataclasses import dataclass
@@ -432,6 +433,20 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
         Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))
         model.add_ineq(Gz - h_expr)
         model.row_sups[name] = Gz.value
+
+
+def _require_nonempty(poly, backend=None):
+    """Check {G x <= h} nonempty, as the Farkas rule needs, by one
+    zero-cost LP over free x: ValueError when empty, RuntimeError on any
+    other non-optimal status, so a solver failure never passes."""
+    bounds = np.column_stack([np.full(poly.dim, -np.inf),
+                              np.full(poly.dim, np.inf)])
+    status, _, _ = (backend or DEFAULT_BACKEND).solve(
+        np.zeros(poly.dim), poly.G, poly.h, None, None, bounds)
+    if status == "infeasible":
+        raise ValueError("polytope is empty")
+    if status != "optimal":
+        raise RuntimeError(f"nonemptiness LP failed with status {status}")
 
 
 def max_linear_over_polytope(c, poly, backend=None, return_point=False):

@@ -15,12 +15,13 @@ that are affine in the search variables (v, S, m0, ma, mb):
 
   * a row-sum containment with G_M = (1^T kron I_n)[ma, mb] and
     h_M = v - eta 1 - (1^T kron I_n) m0, certified by Z_M >= 0 (n x L);
-  * per sector vertex, a two-sided envelope containment with
-    G_beta rows [-ma -/+ (diag(v) kron I_n), -mb -/+ ((diag(beta) S)^T kron I_n)]
-    and h_beta = [m0; m0], certified by Z_beta >= 0 (2n^2 x L).
+  * a two-sided envelope containment with, per sector vertex beta, the
+    rows [-ma -/+ (diag(v) kron I_n), -mb -/+ ((diag(beta) S)^T kron I_n)]
+    and right-hand side [m0; m0].  The rows of all 2^m vertices are
+    stacked into one G_b and certified by one Z_b >= 0 (2n^2 2^m x L).
 
-Only the 2^m vertex loop remains exponential.  The affine restriction is a
-genuine restriction: feasibility here implies feasibility of the
+Only the 2^m vertex count remains exponential.  The affine restriction is
+a genuine restriction: feasibility here implies feasibility of the
 sign-enumerated program, never the reverse.
 """
 
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 
 from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
 from .synth_sign import (DEFAULT_ETA, _certificate, _gain_rhs, _search_blocks,
-                         _synthesize, _unit_scale)
+                         _synthesize, _tile, _unit_scale)
 
 __all__ = [
     "AffineMParam",
@@ -112,70 +113,55 @@ def _ma_rowsum_terms(n, m, d):
     """Coefficients of G_M = (1^T kron I_n)[ma, mb], flattened row-major."""
     r4 = np.repeat(np.arange(n * n), n * n)
     c4 = np.tile(np.arange(n * n), n * n)
-    T_ma = sp.csr_matrix((np.ones(r4.size),
-                          ((r4 % n) * d + c4, r4 * n * n + c4)),
-                         shape=(n * d, n ** 4))
-    terms = {"ma": T_ma}
-    if m > 0:
-        rb = np.repeat(np.arange(n * n), n * m)
-        cb = np.tile(np.arange(n * m), n * n)
-        T_mb = sp.csr_matrix((np.ones(rb.size),
-                              ((rb % n) * d + n * n + cb, rb * n * m + cb)),
-                             shape=(n * d, n * n * n * m))
-        terms["mb"] = T_mb
-    return terms
+    rb = np.repeat(np.arange(n * n), n * m)
+    cb = np.tile(np.arange(n * m), n * n)
+    return {"ma": sp.csr_matrix((np.ones(r4.size),
+                                 ((r4 % n) * d + c4, r4 * n * n + c4)),
+                                shape=(n * d, n ** 4)),
+            "mb": sp.csr_matrix((np.ones(rb.size),
+                                 ((rb % n) * d + n * n + cb, rb * n * m + cb)),
+                                shape=(n * d, n * n * n * m))}
 
 
-def _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d, affine):
-    """(G_beta, h_beta) expressions for one sector vertex, rows row-major.
+def _envelope_rows(v_expr, S_expr, m0_expr, betas, affine):
+    """(G_b, h_b) expressions of the envelope rows of every sector vertex.
 
-    The 2n^2 constraint rows come minus-envelope first, then plus.  Without
-    affine (a point) the envelope is m0 alone: no ma/mb terms.
+    betas is the 2^m x m array of vertices.  Rows are ordered vertex, then
+    lower before upper, then r = j*n + i, and G_b is flattened row-major:
+    row (beta, -/+, r) reads -/+ (A diag(v) + B diag(beta) S)_ij
+    - M(A, B)_ij <= 0 as G_b z <= h_b, with h_b the entry r of m0.
+    Without affine (a point) the envelope is m0 alone: no ma/mb terms.
     """
-    nsq = n * n
-    half = nsq * d
+    n = v_expr.rows
+    m = betas.shape[1]
+    nsq, d = n * n, n * (n + m)
+    halves = 2 * betas.shape[0]
+    q = np.arange(halves)[:, None]      # half q: vertex q // 2, side q % 2
+    sign = np.where(q % 2, 1.0, -1.0)
+
+    def coeff(vals, r, c, col, width):
+        """Entry (r, c) of every half's G rows, scaled by vals (one row
+        of values per half), on column col of a width-wide block."""
+        return sp.csr_matrix(
+            (np.broadcast_to(vals, (halves, r.size)).ravel(),
+             (((q * nsq + r) * d + c).ravel(), np.tile(col, halves))),
+            shape=(halves * nsq * d, width))
+
     terms = {}
     if affine:
-        r4 = np.repeat(np.arange(nsq), nsq)
-        c4 = np.tile(np.arange(nsq), nsq)
-        base = r4 * d + c4
-        terms["ma"] = sp.csr_matrix((-np.ones(2 * r4.size),
-                                     (np.concatenate([base, half + base]),
-                                      np.tile(r4 * nsq + c4, 2))),
-                                    shape=(2 * half, n ** 4))
-    if affine and m > 0:
-        rb = np.repeat(np.arange(nsq), n * m)
-        cb = np.tile(np.arange(n * m), nsq)
-        base_b = rb * d + n * n + cb
-        terms["mb"] = sp.csr_matrix((-np.ones(2 * rb.size),
-                                     (np.concatenate([base_b, half + base_b]),
-                                      np.tile(rb * n * m + cb, 2))),
-                                    shape=(2 * half, nsq * n * m))
-    G_expr = AffExpr(2 * half, terms)
-
+        r4, c4 = (a.ravel() for a in np.indices((nsq, nsq)))
+        terms["ma"] = coeff(-1.0, r4, c4, r4 * nsq + c4, n ** 4)
+        rb, cb = (a.ravel() for a in np.indices((nsq, n * m)))
+        terms["mb"] = coeff(-1.0, rb, nsq + cb, rb * n * m + cb,
+                            nsq * n * m)
     r = np.arange(nsq)
-    base_v = r * d + r
-    P_v = sp.csr_matrix((np.concatenate([-np.ones(nsq), np.ones(nsq)]),
-                         (np.concatenate([base_v, half + base_v]),
-                          np.tile(r // n, 2))),
-                        shape=(2 * half, n))
-    G_expr = G_expr + v_expr.premul(P_v)
-
-    if m > 0:
-        j5 = np.repeat(np.arange(n), n * m)
-        i5 = np.tile(np.repeat(np.arange(n), m), n)
-        k5 = np.tile(np.arange(m), n * n)
-        rows_s = (j5 * n + i5) * d + n * n + k5 * n + i5
-        vals = beta[k5]
-        P_S = sp.csr_matrix((np.concatenate([-vals, vals]),
-                             (np.concatenate([rows_s, half + rows_s]),
-                              np.tile(j5 * m + k5, 2))),
-                            shape=(2 * half, n * m))
-        G_expr = G_expr + S_expr.premul(P_S)
-
-    stack2 = sp.vstack([sp.eye(nsq, format="csr")] * 2, format="csr")
-    h_expr = model.identity_expr("m0").premul(stack2)
-    return G_expr, h_expr
+    j, i, k = (a.ravel() for a in np.indices((n, n, m)))
+    G_expr = (AffExpr(halves * nsq * d, terms)
+              + v_expr.premul(coeff(sign, r, r, r // n, n))
+              + S_expr.premul(coeff(sign * betas[q[:, 0] // 2][:, k],
+                                    j * n + i, nsq + k * n + i, j * m + k,
+                                    n * m)))
+    return G_expr, _tile(m0_expr, halves)
 
 
 def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
@@ -196,11 +182,9 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
         - model.identity_expr("m0").premul(_rowsum_selector(n))
     G_M = AffExpr(n * d, _ma_rowsum_terms(n, m, d) if affine else None)
     add_robust_rows(model, poly, G_M, h_M, "ZM")
-
-    for bi, beta in enumerate(spec.beta_vertices()):
-        G_b, h_b = _beta_block_exprs(model, v_expr, S_expr, beta, n, m, d,
-                                     affine)
-        add_robust_rows(model, poly, G_b, h_b, f"Zb_{bi}")
+    G_b, h_b = _envelope_rows(v_expr, S_expr, model.identity_expr("m0"),
+                              spec.beta_vertices(), affine)
+    add_robust_rows(model, poly, G_b, h_b, "Zb")
     return model
 
 
@@ -230,11 +214,12 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
     """Affine-envelope robust synthesis over a consistency polytope.
 
     Same calling convention and certificate semantics as the sign-based
-    synthesizer; extras additionally carry the AffineMParam.  On a plant
-    vector the envelope is a constant matrix M, returned in the
-    certificate (the known-plant envelope form).  Conservative by
-    construction: an infeasible result here does not preclude sign-based
-    feasibility.
+    synthesizer; extras["Z"] holds {"ZM": (n, L), "Zb": (2n^2 2^m, L)}
+    multipliers, rows ordered as in _envelope_rows, and extras["m_param"]
+    the AffineMParam.  On a plant vector the envelope is a constant matrix
+    M, returned in the certificate (the known-plant envelope form).
+    Conservative by construction: an infeasible result here does not
+    preclude sign-based feasibility.
     """
     return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode, eta,
                        objective, backend)
@@ -244,7 +229,8 @@ def count_constraints_aarc(n, m, L):
     """Size record of the affine-counterpart LP before assembly.
 
     n row-sum rows plus 2n^2 envelope rows at each of the 2^m vertices;
-    multiplier blocks Z_M (n x L) and one Z_beta (2n^2 x L) per vertex.
+    multipliers Z_M (n x L) for the row sums and Z_b (2n^2 2^m x L) for
+    the envelope rows.
     """
     d = n * (n + m)
     verts = 2 ** m

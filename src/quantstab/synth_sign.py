@@ -13,21 +13,24 @@ says that P is contained in the polytope
 
 over z = [vec(A); vec(B)].  Containment of one polytope in another is an
 LP-representable condition (extended Farkas): there must exist Z >= 0 with
-Z G_D = G_{alpha,beta} and Z h_D <= h_{alpha,beta}.  Since G_{alpha,beta}
-is affine in the search variables (v, S), stacking one multiplier block per
-(alpha, beta) yields a single finite LP that is feasible exactly when some
-controller K = S diag(1/v) superstabilizes every plant consistent with the
-data, with no conservatism beyond the finite enumeration.  On a single
-plant z0 each row is substituted instead, G_{alpha,beta} z0 <= h, with no
-multipliers: the known-plant sign form.
+Z G_D = G_{alpha,beta} and Z h_D <= h_{alpha,beta}.  A robust counterpart
+is built row by row, so the n 2^(n+m) robust rows of every (alpha, beta)
+pair are stacked into one G(v, S), rows ordered (pair, i), and certified
+by one multiplier block Z.  G is affine in the search variables (v, S), so
+this is a single finite LP that is feasible exactly when some controller
+K = S diag(1/v) superstabilizes every plant consistent with the data,
+with no conservatism beyond the finite enumeration.  On a single plant z0
+each row is substituted instead, G z0 <= h, with no multipliers: the
+known-plant sign form.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import (AffExpr, LPModel, Polytope, add_robust_rows,
-                      DEFAULT_BACKEND, solve)
-from .sysmodel import StabCertificate, SynthResult, sign_vectors
+from .lp_core import (AffExpr, LPModel, Polytope, _require_nonempty,
+                      add_robust_rows, solve)
+from .quantizer import cube_vertices
+from .sysmodel import StabCertificate, SynthResult
 
 __all__ = [
     "build_sign_polytope_rows",
@@ -41,45 +44,46 @@ LAMBDA_BISECT_TOL = 1e-4
 
 
 def build_sign_polytope_rows(v_expr, S_expr, alpha, beta, eta=0.0):
-    """Expression form of one (alpha, beta) robust constraint polytope.
+    """Expression form of the robust constraint polytopes of P pairs.
 
     v_expr (n rows) and S_expr (m*n rows, vec of the m x n matrix S in
-    column order) are affine expressions in the search variables; alpha is
-    a sign vector and beta a sector vertex.  Returns (G_expr, h_expr):
-    G_expr holds the n x n(n+m) matrix G_{alpha,beta} flattened row by row,
-    h_expr the right-hand side v - eta 1.  Plugging numeric (v, S) into
-    G_expr and multiplying by [vec(A); vec(B)] reproduces the signed row
-    sums of A diag(v) + B diag(beta) S.
+    column order) are affine expressions in the search variables; pair p
+    is the sign vector alpha[p] (alpha is P x n) and the sector vertex
+    beta[p] (beta is P x m), and a 1-D alpha and beta are one pair.
+    Returns (G_expr, h_expr): G_expr holds the Pn x n(n+m) stack of the
+    G_{alpha_p,beta_p}, rows ordered (p, i), flattened row by row; h_expr
+    is v - eta 1 repeated P times.  Numeric (v, S) in G_expr times
+    [vec(A); vec(B)] gives the signed row sums of A diag(v) + B diag(beta_p) S.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    beta = np.atleast_2d(np.asarray(beta, dtype=float))
     n = v_expr.rows
-    m = beta.size
-    if alpha.size != n or not np.all(np.abs(alpha) == 1.0):
-        raise ValueError("alpha must be a length-n vector of +/-1")
+    P, m = beta.shape
+    if alpha.shape != (P, n) or not np.all(np.abs(alpha) == 1.0):
+        raise ValueError("alpha must hold one length-n +/-1 row per beta")
     if np.any(beta <= 0):
         raise ValueError("beta entries must be positive sector gains")
     if S_expr.rows != m * n:
         raise ValueError("S expression must have m*n rows")
     d = n * (n + m)
 
-    # Flat row-major index of entry (i, c) of G is i*d + c.  The vec(A)
-    # column j*n+i of row i carries alpha_j v_j; the vec(B) column
-    # n^2 + k*n + i carries beta_k (S alpha)_k.
-    ii = np.repeat(np.arange(n), n)
-    jj = np.tile(np.arange(n), n)
-    Pv = sp.csr_matrix((alpha[jj], (ii * d + jj * n + ii, jj)), shape=(n * d, n))
-    G_expr = v_expr.premul(Pv)
-    if m > 0:
-        i3 = np.repeat(np.arange(n), m * n)
-        k3 = np.tile(np.repeat(np.arange(m), n), n)
-        j3 = np.tile(np.arange(n), n * m)
-        rows = i3 * d + n * n + k3 * n + i3
-        PS = sp.csr_matrix((alpha[j3] * beta[k3], (rows, j3 * m + k3)),
-                           shape=(n * d, n * m))
-        G_expr = G_expr + S_expr.premul(PS)
-    h_expr = v_expr - eta
-    return G_expr, h_expr
+    # Flat row-major index of entry (p*n + i, c) of G is (p*n + i)*d + c.
+    # The vec(A) column j*n+i of row (p, i) carries alpha_pj v_j; the
+    # vec(B) column n^2 + k*n + i carries beta_pk (S alpha_p)_k.
+    p, i, j = (a.ravel() for a in np.indices((P, n, n)))
+    Pv = sp.csr_matrix((alpha[p, j], ((p * n + i) * d + j * n + i, j)),
+                       shape=(P * n * d, n))
+    p, i, k, j = (a.ravel() for a in np.indices((P, n, m, n)))
+    PS = sp.csr_matrix((alpha[p, j] * beta[p, k],
+                        ((p * n + i) * d + n * n + k * n + i, j * m + k)),
+                       shape=(P * n * d, n * m))
+    return v_expr.premul(Pv) + S_expr.premul(PS), _tile(v_expr - eta, P)
+
+
+def _tile(expr, reps):
+    """expr stacked reps times."""
+    return expr.premul(sp.kron(np.ones((reps, 1)), sp.eye(expr.rows),
+                               format="csr"))
 
 
 def _infer_state_dim(poly, m):
@@ -89,20 +93,6 @@ def _infer_state_dim(poly, m):
     if n <= 0 or n * (n + m) != dim:
         raise ValueError("polytope dimension is not n(n+m) for any n")
     return n
-
-
-def _uncertainty(poly, backend=None):
-    """A Polytope, checked nonempty by one LP on backend, or a plant
-    vector as a float array."""
-    if not isinstance(poly, Polytope):
-        return np.asarray(poly, dtype=float).ravel()
-    bounds = np.column_stack([np.full(poly.dim, -np.inf),
-                              np.full(poly.dim, np.inf)])
-    status, _, _ = (backend or DEFAULT_BACKEND).solve(
-        np.zeros(poly.dim), poly.G, poly.h, None, None, bounds)
-    if status == "infeasible":
-        raise ValueError("data polytope is empty")
-    return poly
 
 
 def _search_blocks(model, n, m, mode):
@@ -136,11 +126,12 @@ def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     model = LPModel()
     v_expr, S_expr = _search_blocks(model, n, spec.m, mode)
     h_expr = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam)
-    betas = spec.beta_vertices()
-    for ai, alpha in enumerate(sign_vectors(n)):
-        for bi, beta in enumerate(betas):
-            G_expr, _ = build_sign_polytope_rows(v_expr, S_expr, alpha, beta)
-            add_robust_rows(model, poly, G_expr, h_expr, f"Z_{ai}_{bi}")
+    # Every (alpha, beta) pair, alpha outer and beta inner.
+    pairs = cube_vertices(np.concatenate([-np.ones(n), 1.0 - spec.delta]),
+                          np.concatenate([np.ones(n), 1.0 + spec.delta]))
+    G_expr, _ = build_sign_polytope_rows(v_expr, S_expr, pairs[:, :n],
+                                         pairs[:, n:])
+    add_robust_rows(model, poly, G_expr, _tile(h_expr, len(pairs)), "Z")
     return model
 
 
@@ -170,11 +161,11 @@ def _certificate(model, sol, poly, n, mode, eta, lam, counts, M=None,
 
 
 def _extract_sign(model, sol, poly, spec, n, mode, eta):
-    """Certified gain max_i (sup G z)_i / v_i over all rows: by weak
+    """Certified gain max (sup G z)_(p,i) / v_i over all rows: by weak
     duality Z h_D on a polytope, the exact signed row sum on a point."""
     v = sol.values["v"] if mode == "ess" else np.ones(n)
-    lam = max([0.0] + [float(np.max(sup(sol.values) / v))
-                       for sup in model.row_sups.values()])
+    sups = model.row_sups["Z"](sol.values).reshape(-1, n)
+    lam = max(0.0, float(np.max(sups / v)))
     counts = (_built_sizes(model, n, spec.m)
               if isinstance(poly, Polytope) else None)
     return _certificate(model, sol, poly, n, mode, eta, lam, counts)
@@ -184,8 +175,7 @@ def _built_sizes(model, n, m):
     """The count_constraints_sign record of an assembled sign model."""
     return {
         "robust_inequalities": n * 2 ** (n + m),
-        "farkas_variables": sum(model.blocks[name][0]
-                                for name, *_ in model.farkas_blocks),
+        "farkas_variables": model.blocks["Z"][0],
         "equality_rows": model.num_eq_rows,
         "inequality_rows": model.num_ineq_rows,
         "search_variables": n + n * m,
@@ -227,7 +217,10 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     if eta <= 0:
         raise ValueError("stability tolerance eta must be positive")
     n = _infer_state_dim(poly, spec.m)
-    poly = _uncertainty(poly, backend)
+    if isinstance(poly, Polytope):
+        _require_nonempty(poly, backend)
+    else:
+        poly = np.asarray(poly, dtype=float).ravel()
 
     def run(**kw):
         model = build(poly, spec, n, mode, eta, **kw)
@@ -254,8 +247,10 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     case).  spec fixes the sector vertices.  mode 'ss' pins v = 1, 'ess'
     searches v > 0.  objective 'min-lambda' minimizes the certified gain
     (direct LP for 'ss', bisection to 1e-4 for 'ess').  Returns a
-    SynthResult whose extras carry the Farkas multiplier blocks for audit
-    (none on a point).
+    SynthResult whose extras["Z"] carries the Farkas multipliers for
+    audit, {"Z": array of shape (n 2^(n+m), L)} with rows ordered as in
+    build_sign_polytope_rows (none on a point).  An empty polytope raises
+    ValueError, and a failed nonemptiness LP RuntimeError.
     """
     return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
                        objective, backend)
@@ -264,8 +259,8 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
 def count_constraints_sign(n, m, L):
     """Size record of the sign-enumerated Farkas LP before assembly.
 
-    One multiplier block per (alpha, beta) pair and one RHS inequality row
-    per robust row; nonnegativity lives in variable bounds, not rows.  L
+    One RHS inequality row per robust row, n for each of the 2^(n+m)
+    (alpha, beta) pairs; nonnegativity lives in variable bounds, not rows.  L
     is the face count of a polytope whose faces all share one component
     (a dense G): each robust row then carries L multipliers and n(n+m)
     equality rows.  L may instead be the length-n sequence of per-row face

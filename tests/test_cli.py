@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from quantstab import Dataset, Polytope, builtin_partition, builtin_system
+from quantstab import (Dataset, Polytope, VerificationReport,
+                       builtin_partition, builtin_system)
 from quantstab.cli import main
 
 OK, INFEASIBLE, UNVERIFIED, CONFIG = 0, 2, 3, 4
@@ -97,6 +98,37 @@ def test_synthesize_aarc_records_envelope(tmp_path, data_file):
         d = json.load(f)
     assert d["method"] == "aarc"
     assert "m0" in d and "ma" in d and "mb" in d
+
+
+def test_synthesize_dumps_one_multiplier_block(tmp_path, data_file):
+    pruned, cert, zfile = (tmp_path / name for name in
+                           ("pruned.json", "cert.json", "z.json"))
+    assert run("prune", "--data", data_file, "--out", str(pruned)) == OK
+    assert run("synthesize", "--system", "sys1", "--data", str(pruned),
+               "--rho", "0.7", "--out", str(cert),
+               "--dump-z", str(zfile)) == OK
+    poly = Polytope.from_json_dict(json.loads(pruned.read_text()))
+    Z = json.loads(zfile.read_text())
+    assert list(Z) == ["Z"]
+    z = np.asarray(Z["Z"])
+    assert z.shape == (3 * 2 ** (3 + 2), poly.num_faces)
+    d = json.loads(cert.read_text())
+    assert np.all(z @ poly.h
+                  <= d["lambda"] * np.tile(d["v"], 2 ** 5) + 1e-7)
+
+
+def test_synthesize_withholds_unverified_certificate(tmp_path, monkeypatch):
+    monkeypatch.setattr("quantstab.cli.robust_verify",
+                        lambda *args, **kw: VerificationReport(
+                            verified=False, worst_margin=-1.0))
+    out = tmp_path / "cert.json"
+    assert run("synthesize", "--system", "sys1", "--method", "nominal",
+               "--rho", "0.7", "--out", str(out)) == UNVERIFIED
+    assert not out.exists()
+    # the audit cannot be skipped
+    assert run("synthesize", "--system", "sys1", "--method", "nominal",
+               "--rho", "0.7", "--unchecked", "--out", str(out)) == CONFIG
+    assert not out.exists()
 
 
 def test_nominal_synthesis_needs_no_data(tmp_path):

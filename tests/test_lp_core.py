@@ -11,7 +11,7 @@ from quantstab import (
     max_linear_over_polytope,
     solve,
 )
-from quantstab.lp_core import add_robust_rows
+from quantstab.lp_core import _require_nonempty, add_robust_rows
 
 from conftest import box_polytope, random_separable_polytope
 from oracles import check_containment_bruteforce, enumerate_vertices
@@ -317,3 +317,17 @@ def test_robust_rows_range_over_their_own_components(rng):
     assert not np.any(rows == 1)
     np.testing.assert_array_equal(faces[rows == 2], np.arange(P.num_faces))
     assert model.num_eq_rows == np.count_nonzero(col_comp == col_comp[0]) + d
+
+
+def test_require_nonempty_tells_empty_from_solver_failure():
+    box = Polytope(G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]))
+    assert _require_nonempty(box) is None
+    with pytest.raises(ValueError):
+        _require_nonempty(Polytope(G=box.G, h=np.array([-1.0, -1.0])))
+
+    class Failing:
+        def solve(self, *args):
+            return "numerical-failure", None, None
+
+    with pytest.raises(RuntimeError):
+        _require_nonempty(box, Failing())

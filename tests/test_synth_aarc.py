@@ -6,6 +6,7 @@ import pytest
 from quantstab import (
     AffineMParam,
     LinearSystem,
+    LPModel,
     NominalProblem,
     Polytope,
     QuantizerSpec,
@@ -14,6 +15,7 @@ from quantstab import (
     count_constraints_aarc,
     eval_affine_M,
     generate_dataset,
+    plant_vec,
     prune_redundant,
     robust_verify,
     scaled_infty_norm,
@@ -21,7 +23,7 @@ from quantstab import (
     synthesize_nominal_mform,
     synthesize_sign,
 )
-from quantstab.synth_aarc import _aarc_model
+from quantstab.synth_aarc import _aarc_model, _envelope_rows
 
 from test_synth_sign import _scalar_box, _singleton
 from oracles import enumerate_vertices
@@ -72,6 +74,69 @@ def test_affine_param_shape_validation():
         AffineMParam(m0=np.zeros(3), ma=np.zeros((3, 3)), mb=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         AffineMParam(m0=np.zeros(4), ma=np.zeros((4, 3)), mb=np.zeros((4, 2)))
+
+
+# ---------------------------------------------------------------------------
+# envelope rows
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
+    # row (beta, -/+, j*n + i) of G_b z - h_b is -/+ (A Y + B diag(beta) S)_ij
+    # - M(A, B)_ij, vertices in order, the lower row block first
+    n, m = 3, 2
+    model = LPModel()
+    for name, size in (("v", n), ("S", n * m), ("m0", n * n),
+                       ("ma", n ** 4), ("mb", n ** 3 * m)):
+        model.add_block(name, size)
+    betas = QuantizerSpec.uniform(0.4, m).beta_vertices()
+    G_expr, h_expr = _envelope_rows(
+        model.identity_expr("v"), model.identity_expr("S"),
+        model.identity_expr("m0"), betas, affine)
+    assert set(G_expr.terms) == ({"v", "S", "ma", "mb"} if affine
+                                 else {"v", "S"})
+    d = n * (n + m)
+    for _ in range(3):
+        param = AffineMParam(m0=rng.normal(size=n * n),
+                             ma=rng.normal(size=(n * n, n * n)),
+                             mb=rng.normal(size=(n * n, n * m)))
+        v = rng.uniform(0.5, 2.0, size=n)
+        S = rng.normal(size=(m, n))
+        A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+        values = {"v": v, "S": S.flatten("F"), "m0": param.m0,
+                  "ma": param.ma.ravel(), "mb": param.mb.ravel()}
+        rows = G_expr.value(values).reshape(-1, d) @ plant_vec(A, B) \
+            - h_expr.value(values)
+        rows = rows.reshape(len(betas), 2, n * n)
+        M = eval_affine_M(param, A, B) if affine \
+            else param.m0.reshape(n, n, order="F")
+        for b, beta in enumerate(betas):
+            closed = A * v + B @ (beta[:, None] * S)
+            for s, sign in enumerate((-1.0, 1.0)):
+                np.testing.assert_allclose(
+                    rows[b, s], (sign * closed - M).flatten("F"),
+                    atol=1e-10)
+
+
+def test_aarc_model_has_two_multiplier_blocks():
+    rng = np.random.default_rng(9)
+    n, m, L = 2, 2, 7
+    poly = Polytope(G=rng.normal(size=(L, n * (n + m))),
+                    h=rng.uniform(1.0, 2.0, size=L))
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    assert [(name, L2, L1) for name, L2, L1, *_ in model.farkas_blocks] \
+        == [("ZM", n, L), ("Zb", 2 * n * n * 2 ** m, L)]
+
+
+def test_multiplier_payload_layout():
+    poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
+    res = synthesize_aarc(poly, QuantizerSpec.uniform(0.6, 1), mode="ss",
+                          objective="min-lambda")
+    assert res.feasible
+    Z = res.extras["Z"]
+    assert list(Z) == ["ZM", "Zb"]
+    assert Z["ZM"].shape == (1, 4) and Z["Zb"].shape == (2 * 2, 4)
+    assert all(np.all(z >= -1e-12) for z in Z.values())
 
 
 # ---------------------------------------------------------------------------

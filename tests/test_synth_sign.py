@@ -17,6 +17,7 @@ from quantstab import (
     generate_dataset,
     prune_redundant,
     robust_verify,
+    sign_vectors,
     synthesize_nominal_sign,
     synthesize_sign,
 )
@@ -109,6 +110,88 @@ def test_row_assembly_validates_inputs():
                                  np.array([1.0, -1.0]), np.array([-0.2]))
 
 
+def test_stacked_pairs_equal_single_pair_calls(rng):
+    # P pairs in one call are the row-wise stack of P one-pair calls
+    n, m, P = 3, 2, 6
+    model = LPModel()
+    model.add_block("v", n)
+    model.add_block("S", n * m)
+    v_expr = model.identity_expr("v")
+    S_expr = model.identity_expr("S")
+    alpha = rng.choice([-1.0, 1.0], size=(P, n))
+    beta = rng.uniform(0.5, 1.5, size=(P, m))
+    G_expr, h_expr = build_sign_polytope_rows(v_expr, S_expr, alpha, beta,
+                                              eta=0.01)
+    d = n * (n + m)
+    assert G_expr.rows == P * n * d and h_expr.rows == P * n
+    singles = [build_sign_polytope_rows(v_expr, S_expr, a, b, eta=0.01)
+               for a, b in zip(alpha, beta)]
+    for _ in range(3):
+        values = {"v": rng.uniform(0.5, 2.0, size=n),
+                  "S": rng.normal(size=n * m)}
+        np.testing.assert_allclose(
+            G_expr.value(values).reshape(P * n, d),
+            np.vstack([G.value(values).reshape(n, d) for G, _ in singles]),
+            atol=1e-12)
+        np.testing.assert_allclose(
+            h_expr.value(values),
+            np.concatenate([h.value(values) for _, h in singles]),
+            atol=1e-12)
+    with pytest.raises(ValueError):
+        build_sign_polytope_rows(v_expr, S_expr, alpha[:-1], beta)
+
+
+def test_sign_model_has_one_multiplier_block():
+    rng = np.random.default_rng(4)
+    n, m = 2, 1
+    poly = Polytope(G=rng.normal(size=(6, n * (n + m))),
+                    h=rng.uniform(1.0, 2.0, size=6))
+    spec = QuantizerSpec.uniform(0.5, m)
+    model = _sign_model(poly, spec, n, "ess", 1e-6)
+    assert [name for name, *_ in model.farkas_blocks] == ["Z"]
+    assert model.farkas_blocks[0][1] == n * 2 ** (n + m)
+
+
+def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
+    # on a point the row sups are the signed row sums G z0, in row order
+    n, m = 3, 2
+    sys = LinearSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+    z0 = np.concatenate([sys.A.flatten("F"), sys.B.flatten("F")])
+    spec = QuantizerSpec.uniform(0.4, m)
+    model = _sign_model(z0, spec, n, "ess", 1e-6)
+    assert model.farkas_blocks == []
+    v = rng.uniform(0.5, 2.0, size=n)
+    S = rng.normal(size=(m, n))
+    got = model.row_sups["Z"]({"v": v, "S": S.flatten("F")})
+    expect = [(sys.A * v + sys.B @ (beta[:, None] * S)) @ alpha
+              for alpha in sign_vectors(n) for beta in spec.beta_vertices()]
+    np.testing.assert_allclose(got, np.concatenate(expect), atol=1e-12)
+
+
+class _FailsFirstLP:
+    """Backend reporting a numerical failure on its first LP (the
+    nonemptiness check) and solving every later one."""
+
+    def __init__(self):
+        self.calls = 0
+        self.inner = LinprogBackend()
+
+    def solve(self, *args):
+        self.calls += 1
+        if self.calls == 1:
+            return "numerical-failure", None, None
+        return self.inner.solve(*args)
+
+
+def test_failed_nonemptiness_lp_is_not_taken_for_nonempty():
+    poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
+    with pytest.raises(RuntimeError):
+        synthesize_sign(poly, QuantizerSpec.uniform(1.0, 1),
+                        backend=_FailsFirstLP())
+    with pytest.raises(RuntimeError):
+        prune_redundant(poly, backend=_FailsFirstLP())
+
+
 # ---------------------------------------------------------------------------
 # hand-checkable plant boxes
 
@@ -190,12 +273,14 @@ def test_multiplier_blocks_certify_lambda(sys1, part1):
     spec = QuantizerSpec.uniform(0.8, 2)
     res = synthesize_sign(poly, spec, mode="ess")
     cert, Z = res.certificate, res.extras["Z"]
-    assert len(Z) == 2 ** (sys1.n + sys1.m)
-    for z in Z.values():
-        assert z.shape == (sys1.n, poly.num_faces)
-        assert np.all(z >= -1e-12)
-        # weak duality: each block's certified rowsum stays below lam * v
-        assert np.all(z @ poly.h <= cert.lam * cert.v + 1e-7)
+    pairs = 2 ** (sys1.n + sys1.m)
+    assert list(Z) == ["Z"]
+    z = Z["Z"]
+    assert z.shape == (sys1.n * pairs, poly.num_faces)
+    assert np.all(z >= -1e-12)
+    # weak duality: every row's certified rowsum stays below lam * v_i,
+    # rows ordered (pair, i)
+    assert np.all(z @ poly.h <= cert.lam * np.tile(cert.v, pairs) + 1e-7)
 
 
 # ---------------------------------------------------------------------------
