@@ -30,14 +30,14 @@ pruned = prune_redundant(poly)
 print(f"polytope: {poly.num_faces} faces -> {pruned.num_faces} after "
       f"pruning ({time.monotonic() - t0:.1f}s)")
 
-L = pruned.num_faces
-# Every data face constrains one row of [A B], so a sign row of state i
+# Every data face constrains one row of [A B], so a robust row of state i
 # only needs multipliers on the L_i faces of row i (the columns c with
-# c % n == i); the envelope rows span every column and need all L.
+# c % n == i).  That holds for the envelope rows too: row i of the envelope
+# M depends on row i of [A B] alone, which loses nothing on such a product.
 row_faces = [int(np.count_nonzero(pruned.G[:, i::sys.n].any(axis=1)))
              for i in range(sys.n)]
 sign_size = count_constraints_sign(sys.n, sys.m, row_faces)
-aarc_size = count_constraints_aarc(sys.n, sys.m, L)
+aarc_size = count_constraints_aarc(sys.n, sys.m, row_faces)
 print(f"faces per row of [A B]: {row_faces}")
 print(f"robust rows: sign {sign_size['robust_inequalities']}, "
       f"affine {aarc_size['robust_inequalities']}")

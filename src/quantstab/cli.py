@@ -2,7 +2,8 @@
 
 Subcommands: gendata | synthesize | verify | simulate | minrho | sweep |
 prune.  Exit codes are scriptable: 0 success/feasible, 2 infeasible,
-3 verification or solver failure, 4 configuration error.
+3 verification or solver failure (a failed LP ends any subcommand with
+exit 3 and its message), 4 configuration error.
 
 Two systems are built in.  "sys1" is a 3-state 2-input open-loop unstable
 plant (eigenvalues -1.0185, -0.2613, 0.1236) with the unit-step partition
@@ -23,7 +24,7 @@ import numpy as np
 
 from .consistency import (Dataset, build_polytope, generate_dataset,
                           plant_vec, prune_redundant)
-from .lp_core import Polytope
+from .lp_core import Polytope, SolverError
 from .nominal import DEFAULT_ETA, NominalProblem, synthesize_nominal_sign
 from .quantizer import Partition, QuantizerSpec
 from .synth_aarc import synthesize_aarc
@@ -334,10 +335,11 @@ def cmd_minrho(cfg):
 
 
 def _sweep_point(cfg, rho):
+    """One CSV row: the minimized gain, also that of an optimum whose gain
+    of 1 or more makes it infeasible, and the status."""
     res, _, _ = run_synthesis(cfg, rho, objective="min-lambda")
-    if res.feasible:
-        return [f"{rho:.6f}", f"{res.certificate.lam:.6f}", "feasible"]
-    return [f"{rho:.6f}", "", res.status]
+    lam = res.certificate.lam if res.feasible else res.extras.get("lam")
+    return [f"{rho:.6f}", "" if lam is None else f"{lam:.6f}", res.status]
 
 
 def cmd_sweep(cfg):
@@ -451,6 +453,9 @@ def main(argv=None):
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_CONFIG
+    except SolverError as e:
+        print(f"error: {e}", file=_sys.stderr)
+        return EXIT_UNVERIFIED
 
 
 if __name__ == "__main__":

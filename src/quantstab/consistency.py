@@ -259,7 +259,7 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
     support LP bounded without changing the verdict.  Rows are processed in
     order, the retained set updates incrementally, and the retained rows
     keep their original order, so the result is deterministic.  An empty
-    polytope raises ValueError, and a failed nonemptiness LP RuntimeError.
+    polytope raises ValueError, and a failed nonemptiness LP SolverError.
     """
     backend = backend or DEFAULT_BACKEND
     L = poly.num_faces

@@ -19,8 +19,9 @@ columns touch.
 How the LP scales on a data polytope: over z = [vec(A); vec(B)] each data
 face constrains one row of [A B], so there is one component per row, and
 a robust row of state i carries L_i ~ L/n multipliers and n + m equality
-rows instead of L and n(n+m).  A row touching every component, as with a
-dense G1 or an envelope row that spans all columns, gets the full L2 x L1
+rows instead of L and n(n+m), and so does every robust row of synth_aarc,
+whose row-local envelope keeps each row to its own columns.  A row
+touching every component, as with a dense G1, gets the full L2 x L1
 block.  Multipliers are laid out row after row, so a caller stacks every
 robust row of a constraint family into one G2 and gets one block.
 """
@@ -39,6 +40,7 @@ __all__ = [
     "LPModel",
     "LPSolution",
     "LinprogBackend",
+    "SolverError",
     "solve",
     "add_farkas_block",
     "add_robust_rows",
@@ -327,6 +329,10 @@ class LinprogBackend:
 DEFAULT_BACKEND = LinprogBackend()
 
 
+class SolverError(RuntimeError):
+    """An LP whose status (a numerical failure, say) gives no answer."""
+
+
 def solve(model, backend=None):
     """Solve an LPModel, returning an LPSolution.  Solver trouble arrives
     as the backend's status ('numerical-failure' and so on); an exception
@@ -437,7 +443,7 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
 
 def _require_nonempty(poly, backend=None):
     """Check {G x <= h} nonempty, as the Farkas rule needs, by one
-    zero-cost LP over free x: ValueError when empty, RuntimeError on any
+    zero-cost LP over free x: ValueError when empty, SolverError on any
     other non-optimal status, so a solver failure never passes."""
     bounds = np.column_stack([np.full(poly.dim, -np.inf),
                               np.full(poly.dim, np.inf)])
@@ -446,15 +452,16 @@ def _require_nonempty(poly, backend=None):
     if status == "infeasible":
         raise ValueError("polytope is empty")
     if status != "optimal":
-        raise RuntimeError(f"nonemptiness LP failed with status {status}")
+        raise SolverError(f"nonemptiness LP failed with status {status}")
 
 
 def max_linear_over_polytope(c, poly, backend=None, return_point=False):
     """Support value max c^T x over the polytope.
 
     Returns +inf when the maximization is unbounded; raises ValueError on an
-    infeasible (empty) polytope.  With return_point the maximizer is
-    returned alongside the value (None when unbounded).
+    infeasible (empty) polytope and SolverError on any other failure.  With
+    return_point the maximizer is returned alongside the value (None when
+    unbounded).
     """
     backend = backend or DEFAULT_BACKEND
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -467,4 +474,4 @@ def max_linear_over_polytope(c, poly, backend=None, return_point=False):
         return (np.inf, None) if return_point else np.inf
     if status == "infeasible":
         raise ValueError("support function of an empty polytope")
-    raise RuntimeError(f"support LP failed with status {status}")
+    raise SolverError(f"support LP failed with status {status}")

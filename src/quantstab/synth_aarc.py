@@ -14,11 +14,27 @@ turns both requirements into polytope containments over z = [vec(A); vec(B)]
 that are affine in the search variables (v, S, m0, ma, mb):
 
   * a row-sum containment with G_M = (1^T kron I_n)[ma, mb] and
-    h_M = v - eta 1 - (1^T kron I_n) m0, certified by Z_M >= 0 (n x L);
+    h_M = v - eta 1 - (1^T kron I_n) m0, certified by Z_M >= 0;
   * a two-sided envelope containment with, per sector vertex beta, the
     rows [-ma -/+ (diag(v) kron I_n), -mb -/+ ((diag(beta) S)^T kron I_n)]
     and right-hand side [m0; m0].  The rows of all 2^m vertices are
-    stacked into one G_b and certified by one Z_b >= 0 (2n^2 2^m x L).
+    stacked into one G_b and certified by one Z_b >= 0.
+
+Row-local rule: M_ij depends only on the columns of the components
+(Polytope.components) that row i of [A B] touches, so ma/mb exist only on
+those entries.  On a data polytope that is row i of [A B] alone; on a
+polytope whose faces couple every column it is the whole plant, the full
+n^4 + n^3 m entries.  The rule loses nothing.  The polytope is the
+product of its components' sets, and the constraints of row i (its row
+sum and its envelope entries) see the plant only through the components
+row i touches and through M_i.  Given any feasible affine M, fix the other
+components at a point zbar of their sets: M'_ij(z) = M_ij(z_i, zbar_-i) is
+affine, depends on row i's components only, and meets every constraint of
+row i at z because M does at (z_i, zbar_-i), a member of the product.
+Robust counterparts are built constraint by constraint, which is why a
+rule per row is enough (Ben-Tal, Goryashko, Guslitzer and Nemirovski,
+Math. Program. 99, 2004).  With it no robust row touches another row's
+columns, so lp_core gives each one multipliers on its own row's faces only.
 
 Only the 2^m vertex count remains exponential.  The affine restriction is
 a genuine restriction: feasibility here implies feasibility of the
@@ -109,28 +125,46 @@ def _rowsum_selector(n):
     return sp.csr_matrix((np.ones(n * n), (cols % n, cols)), shape=(n, n * n))
 
 
-def _ma_rowsum_terms(n, m, d):
+def _envelope_pattern(poly, n):
+    """(n^2, d) mask of the plant columns each envelope entry may depend
+    on: entry r = j*n + i (row i of M) gets the columns of every component
+    (Polytope.components) that row i of [A B], the columns c with
+    c % n == i, touches."""
+    _, col_comp = poly.components
+    touched = np.zeros((n, col_comp.max() + 1), dtype=bool)
+    touched[np.arange(col_comp.size) % n, col_comp] = True
+    return touched[:, col_comp][np.arange(n * n) % n]
+
+
+def _pattern_blocks(pattern, n):
+    """(name, r, c, size) of the ma and mb blocks: the entries (r, c) the
+    pattern allows in each, row-major, so entry k is the block's LP
+    variable k; c counts the block's columns from the first vec(A) one."""
+    nsq = n * n
+    out = []
+    for name, cols in (("ma", slice(0, nsq)), ("mb", slice(nsq, None))):
+        r, c = np.nonzero(pattern[:, cols])
+        out.append((name, r, c + cols.start, r.size))
+    return out
+
+
+def _ma_rowsum_terms(pattern, n, d):
     """Coefficients of G_M = (1^T kron I_n)[ma, mb], flattened row-major."""
-    r4 = np.repeat(np.arange(n * n), n * n)
-    c4 = np.tile(np.arange(n * n), n * n)
-    rb = np.repeat(np.arange(n * n), n * m)
-    cb = np.tile(np.arange(n * m), n * n)
-    return {"ma": sp.csr_matrix((np.ones(r4.size),
-                                 ((r4 % n) * d + c4, r4 * n * n + c4)),
-                                shape=(n * d, n ** 4)),
-            "mb": sp.csr_matrix((np.ones(rb.size),
-                                 ((rb % n) * d + n * n + cb, rb * n * m + cb)),
-                                shape=(n * d, n * n * n * m))}
+    return {name: sp.csr_matrix((np.ones(size), ((r % n) * d + c,
+                                                 np.arange(size))),
+                                shape=(n * d, size))
+            for name, r, c, size in _pattern_blocks(pattern, n)}
 
 
-def _envelope_rows(v_expr, S_expr, m0_expr, betas, affine):
+def _envelope_rows(v_expr, S_expr, m0_expr, betas, pattern):
     """(G_b, h_b) expressions of the envelope rows of every sector vertex.
 
     betas is the 2^m x m array of vertices.  Rows are ordered vertex, then
     lower before upper, then r = j*n + i, and G_b is flattened row-major:
     row (beta, -/+, r) reads -/+ (A diag(v) + B diag(beta) S)_ij
     - M(A, B)_ij <= 0 as G_b z <= h_b, with h_b the entry r of m0.
-    Without affine (a point) the envelope is m0 alone: no ma/mb terms.
+    ma/mb enter on the entries of pattern (_envelope_pattern); without
+    one (a point) the envelope is m0 alone: no ma/mb terms.
     """
     n = v_expr.rows
     m = betas.shape[1]
@@ -147,13 +181,9 @@ def _envelope_rows(v_expr, S_expr, m0_expr, betas, affine):
              (((q * nsq + r) * d + c).ravel(), np.tile(col, halves))),
             shape=(halves * nsq * d, width))
 
-    terms = {}
-    if affine:
-        r4, c4 = (a.ravel() for a in np.indices((nsq, nsq)))
-        terms["ma"] = coeff(-1.0, r4, c4, r4 * nsq + c4, n ** 4)
-        rb, cb = (a.ravel() for a in np.indices((nsq, n * m)))
-        terms["mb"] = coeff(-1.0, rb, nsq + cb, rb * n * m + cb,
-                            nsq * n * m)
+    terms = {} if pattern is None else {
+        name: coeff(-1.0, r, c, np.arange(size), size)
+        for name, r, c, size in _pattern_blocks(pattern, n)}
     r = np.arange(nsq)
     j, i, k = (a.ravel() for a in np.indices((n, n, m)))
     G_expr = (AffExpr(halves * nsq * d, terms)
@@ -165,25 +195,28 @@ def _envelope_rows(v_expr, S_expr, m0_expr, betas, affine):
 
 
 def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
-    """The affine-envelope LP; on a point (not a Polytope) the envelope is
-    the constant m0, with no ma/mb blocks."""
+    """The affine-envelope LP.  On a polytope ma/mb are allocated only on
+    the entries of _envelope_pattern, in row-major order; on a point (not
+    a Polytope) the envelope is the constant m0, with no ma/mb blocks."""
     m = spec.m
     if m > VERTEX_GUARD:
         raise ValueError(f"vertex enumeration limited to m <= {VERTEX_GUARD}")
     d = n * (n + m)
-    affine = isinstance(poly, Polytope)
+    pattern = _envelope_pattern(poly, n) \
+        if isinstance(poly, Polytope) else None
     model = LPModel()
     v_expr, S_expr = _search_blocks(model, n, m, mode)
     model.add_block("m0", n * n)
-    if affine:
-        model.add_block("ma", n ** 4)
-        model.add_block("mb", n * n * n * m)
+    if pattern is not None:
+        for name, _, _, size in _pattern_blocks(pattern, n):
+            model.add_block(name, size)
     h_M = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam) \
         - model.identity_expr("m0").premul(_rowsum_selector(n))
-    G_M = AffExpr(n * d, _ma_rowsum_terms(n, m, d) if affine else None)
+    G_M = AffExpr(n * d, None if pattern is None
+                  else _ma_rowsum_terms(pattern, n, d))
     add_robust_rows(model, poly, G_M, h_M, "ZM")
     G_b, h_b = _envelope_rows(v_expr, S_expr, model.identity_expr("m0"),
-                              spec.beta_vertices(), affine)
+                              spec.beta_vertices(), pattern)
     add_robust_rows(model, poly, G_b, h_b, "Zb")
     return model
 
@@ -191,7 +224,8 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
 def _extract_aarc(model, sol, poly, spec, n, mode, eta):
     """Certified gain max_i (sup_z (G_M z)_i + (R m0)_i) / v_i: the row sums
     of the envelope.  On a point the certificate carries M = m0 (n x n,
-    column-major); on a polytope the extras carry the AffineMParam."""
+    column-major); on a polytope the extras carry the AffineMParam, zero
+    off the pattern, and the sizes of the model built."""
     m = spec.m
     v = sol.values["v"] if mode == "ess" else np.ones(n)
     m0 = sol.values["m0"]
@@ -201,12 +235,25 @@ def _extract_aarc(model, sol, poly, spec, n, mode, eta):
         return _certificate(model, sol, poly, n, mode, eta, lam, None,
                             M=m0.reshape(n, n, order="F"))
     scale = _unit_scale(v)
-    param = AffineMParam(m0=m0 * scale,
-                         ma=sol.values["ma"].reshape(n * n, n * n) * scale,
-                         mb=sol.values["mb"].reshape(n * n, n * m) * scale)
+    full = np.zeros((n * n, n * (n + m)))
+    for name, r, c, _ in _pattern_blocks(_envelope_pattern(poly, n), n):
+        full[r, c] = sol.values[name] * scale
+    param = AffineMParam(m0=m0 * scale, ma=full[:, :n * n],
+                         mb=full[:, n * n:])
     return _certificate(model, sol, poly, n, mode, eta, lam,
-                        count_constraints_aarc(n, m, poly.num_faces),
-                        extras={"m_param": param})
+                        _built_sizes(model, n, m), extras={"m_param": param})
+
+
+def _built_sizes(model, n, m):
+    """The count_constraints_aarc record of an assembled envelope model."""
+    return {
+        "robust_inequalities": n + n * n * 2 ** (m + 1),
+        "farkas_variables": model.blocks["ZM"][0] + model.blocks["Zb"][0],
+        "equality_rows": model.num_eq_rows,
+        "inequality_rows": model.num_ineq_rows,
+        "search_variables": n + n * m + n * n + model.blocks["ma"][0]
+        + model.blocks["mb"][0],
+    }
 
 
 def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
@@ -228,16 +275,29 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
 def count_constraints_aarc(n, m, L):
     """Size record of the affine-counterpart LP before assembly.
 
-    n row-sum rows plus 2n^2 envelope rows at each of the 2^m vertices;
-    multipliers Z_M (n x L) for the row sums and Z_b (2n^2 2^m x L) for
-    the envelope rows.
+    n row-sum rows plus 2n^2 envelope rows at each of the 2^m vertices,
+    certified by Z_M and Z_b.  L is the face count of a polytope whose
+    faces all share one component (a dense G): M then depends on the
+    whole plant, ma/mb have n^4 + n^3 m entries, and every robust row
+    carries L multipliers and n(n+m) equality rows.  L may instead be
+    the length-n sequence of per-row face counts L_i of a row-separable
+    polytope (a data polytope, one component per row of [A B]): row i of
+    M then depends on row i of [A B] alone (n^3 + n^2 m entries of
+    ma/mb), and a robust row of state i carries L_i multipliers and
+    n + m equality rows.
     """
-    d = n * (n + m)
-    verts = 2 ** m
+    per_state = 1 + 2 * n * 2 ** m      # row sum and envelope rows of i
+    if np.ndim(L):
+        L = np.asarray(L)
+        if L.shape != (n,):
+            raise ValueError("per-row face counts must have length n")
+        faces, width, pattern = int(L.sum()), n + m, n * n * (n + m)
+    else:
+        faces, width, pattern = n * L, n * (n + m), n ** 3 * (n + m)
     return {
-        "robust_inequalities": n + n * n * 2 ** (m + 1),
-        "farkas_variables": n * L + verts * 2 * n * n * L,
-        "equality_rows": n * d + verts * 2 * n * n * d,
-        "inequality_rows": n + verts * 2 * n * n,
-        "search_variables": n + n * m + n * n + n ** 4 + n * n * n * m,
+        "robust_inequalities": n * per_state,
+        "farkas_variables": faces * per_state,
+        "equality_rows": width * n * per_state,
+        "inequality_rows": n * per_state,
+        "search_variables": n + n * m + n * n + pattern,
     }

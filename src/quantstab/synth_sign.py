@@ -209,7 +209,10 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     LPModel and extract(model, sol, poly, spec, n, mode, eta) the
     SynthResult of its solution.  'min-lambda' is one LP in 'ss'; in 'ess'
     the bound lam * v_i is bilinear, so lam is bisected over (0, 1] with
-    fixed-lam feasibility LPs."""
+    fixed-lam feasibility LPs.  Every mode and objective shares one
+    verdict: 'feasible' only when the certified lam < 1.  An optimum with
+    lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
+    lam and extras["optimum"] its (v, S) as a StabCertificate."""
     if mode not in ("ss", "ess"):
         raise ValueError("mode must be 'ss' or 'ess'")
     if objective not in ("feasibility", "min-lambda"):
@@ -235,7 +238,14 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure")
-    return extract(model, sol, poly, spec, n, mode, eta)
+    res = extract(model, sol, poly, spec, n, mode, eta)
+    if res.certificate.lam >= 1.0:
+        # A gain of 1 or more certifies no stability: the optimum stays in
+        # the extras, for plots and comparisons, but no certificate.
+        return SynthResult("infeasible", None,
+                           {**res.extras, "lam": res.certificate.lam,
+                            "optimum": res.certificate})
+    return res
 
 
 def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
@@ -246,11 +256,13 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     plant_vec(A, B), whose rows are then substituted (the known-plant
     case).  spec fixes the sector vertices.  mode 'ss' pins v = 1, 'ess'
     searches v > 0.  objective 'min-lambda' minimizes the certified gain
-    (direct LP for 'ss', bisection to 1e-4 for 'ess').  Returns a
-    SynthResult whose extras["Z"] carries the Farkas multipliers for
+    (direct LP for 'ss', bisection to 1e-4 for 'ess').  The status is
+    'feasible' only when the certified gain is below 1; an optimum at or
+    above 1 is 'infeasible' and keeps its gain in extras["lam"].  Returns
+    a SynthResult whose extras["Z"] carries the Farkas multipliers for
     audit, {"Z": array of shape (n 2^(n+m), L)} with rows ordered as in
     build_sign_polytope_rows (none on a point).  An empty polytope raises
-    ValueError, and a failed nonemptiness LP RuntimeError.
+    ValueError, and a failed nonemptiness LP SolverError.
     """
     return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
                        objective, backend)

@@ -142,8 +142,10 @@ class SynthResult:
     """Outcome of a synthesis call: a status string plus optional payload.
 
     status is 'feasible', 'infeasible', or 'numerical-failure'; certificate
-    is present exactly when feasible.  extras carries method-specific audit
-    data (Farkas multiplier blocks, affine envelope parameters).
+    is present exactly when feasible, which needs a certified gain below 1.
+    extras carries method-specific audit data (Farkas multiplier blocks,
+    affine envelope parameters) and, for an optimum whose gain is 1 or
+    more, that gain ("lam") and its unstable (v, S) ("optimum").
     """
 
     status: str

@@ -125,11 +125,13 @@ def test_criterion_4_form_equivalence_and_counts():
     """Sign vs single-envelope forms on 50 systems; exact size formulas.
 
     The size formulas must match the assembled models exactly for all
-    n <= 4, m <= 3.  The two nominal forms must agree on feasibility, and
-    each SS min-lambda must be exact and optimal for its own measure to
-    1e-6: the sign form for the worst vertex gain, the single-envelope form
-    for the envelope bound, which can only be the larger of the two (it
-    sums entrywise vertex maxima).  Budget < 2 min.
+    n <= 4, m <= 3.  Each form must solve its SS min-lambda LP and report
+    feasible exactly when its optimum's lambda < 1 (an optimum at 1 or
+    more is kept in extras["optimum"]), the envelope form never where the
+    sign form is not; and each SS min-lambda must be exact and optimal for
+    its own measure to 1e-6: the sign form for the worst vertex gain, the
+    single-envelope form for the envelope bound, which can only be the
+    larger of the two (it sums entrywise vertex maxima).  Budget < 2 min.
     """
     t0 = time.monotonic()
     poly_rows = 2
@@ -161,11 +163,16 @@ def test_criterion_4_form_equivalence_and_counts():
                               mode="ss", objective="min-lambda")
         a = synthesize_nominal_mform(prob)
         b = synthesize_nominal_sign(prob)
-        if a.feasible != b.feasible:
+        opt_env = a.certificate or a.extras.get("optimum")
+        opt_sign = b.certificate or b.extras.get("optimum")
+        if (opt_env is None or opt_sign is None
+                or a.feasible != (opt_env.lam < 1.0)
+                or b.feasible != (opt_sign.lam < 1.0)
+                or (a.feasible and not b.feasible)):
             disagreements.append((trial, "feasibility", a.status, b.status))
-        elif a.feasible:
-            lam_env, K_env = a.certificate.lam, a.certificate.K
-            lam_sign, K_sign = b.certificate.lam, b.certificate.K
+        else:
+            lam_env, K_env = opt_env.lam, opt_env.K
+            lam_sign, K_sign = opt_sign.lam, opt_sign.K
             ones = np.ones(n)
             gain = {"env": closed_loop_vertex_gain(sys, K_env, ones, prob.spec),
                     "sign": closed_loop_vertex_gain(sys, K_sign, ones,

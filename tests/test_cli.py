@@ -10,6 +10,8 @@ from quantstab import (Dataset, Polytope, VerificationReport,
                        builtin_partition, builtin_system)
 from quantstab.cli import main
 
+from test_synth_sign import _FailsFirstLP
+
 OK, INFEASIBLE, UNVERIFIED, CONFIG = 0, 2, 3, 4
 
 
@@ -131,6 +133,18 @@ def test_synthesize_withholds_unverified_certificate(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_failed_nonemptiness_lp_is_a_solver_failure(tmp_path, monkeypatch,
+                                                     capsys, data_file):
+    monkeypatch.setattr("quantstab.lp_core.DEFAULT_BACKEND", _FailsFirstLP())
+    out = tmp_path / "cert.json"
+    assert run("synthesize", "--system", "sys1", "--data", data_file,
+               "--rho", "0.7", "--out", str(out)) == UNVERIFIED
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: nonemptiness LP failed")
+    assert "Traceback" not in err
+
+
 def test_nominal_synthesis_needs_no_data(tmp_path):
     out = tmp_path / "nom.json"
     assert run("synthesize", "--system", "sys1", "--method", "nominal",
@@ -219,6 +233,19 @@ def test_sweep_produces_monotone_csv(tmp_path):
     statuses = [r[2] for r in rows[1:]]
     if "infeasible" in statuses:
         assert statuses.index("feasible") > statuses.index("infeasible")
+
+
+def test_sweep_keeps_the_gain_of_an_unstable_optimum(tmp_path):
+    # nominal sys1 has its SS threshold near 0.311: at 0.2 the least gain
+    # is about 1.066, printed with status infeasible
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--system", "sys1", "--method", "nominal", "--mode",
+               "ss", "--points", "1", "--rho-min", "0.2", "--rho-max",
+               "0.2", "--out", str(out)) == OK
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    assert rows[1][0] == "0.200000" and rows[1][2] == "infeasible"
+    assert float(rows[1][1]) == pytest.approx(1.0662, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from quantstab import (
     check_cert,
     closed_loop_vertex_gain,
     min_feasible_rho,
+    robust_verify,
+    singleton_polytope,
     synthesize_nominal_mform,
     synthesize_nominal_sign,
 )
@@ -40,6 +42,25 @@ def test_benchmark_infeasible_below_threshold(sys1, synth):
     res = synth(_problem(sys1, 0.2, mode="ss"))
     assert res.status == "infeasible"
     assert res.certificate is None
+
+
+@pytest.mark.parametrize("synth", [synthesize_nominal_mform,
+                                   synthesize_nominal_sign])
+def test_min_lambda_at_or_above_one_is_infeasible(sys1, synth):
+    # between the ESS (~0.014) and SS (~0.311) thresholds of sys1 the
+    # least SS gain is about 1.0662: no certificate, only the optimum,
+    # whose audit fails; ESS certifies a gain below 1
+    spec = QuantizerSpec.uniform(0.2, 2)
+    res = synth(_problem(sys1, 0.2, mode="ss", objective="min-lambda"))
+    assert res.status == "infeasible"
+    assert res.certificate is None
+    assert res.extras["lam"] == pytest.approx(1.0662, abs=1e-4)
+    assert res.extras["optimum"].lam == res.extras["lam"]
+    report = robust_verify(singleton_polytope(sys1), res.extras["optimum"],
+                           spec)
+    assert not report.verified
+    ess = synth(_problem(sys1, 0.2, mode="ess", objective="min-lambda"))
+    assert ess.feasible and ess.certificate.lam < 1.0
 
 
 def test_trivial_plant_gets_zero_gain():

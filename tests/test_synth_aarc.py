@@ -23,8 +23,9 @@ from quantstab import (
     synthesize_nominal_mform,
     synthesize_sign,
 )
-from quantstab.synth_aarc import _aarc_model, _envelope_rows
+from quantstab.synth_aarc import _aarc_model, _envelope_pattern, _envelope_rows
 
+from conftest import random_separable_polytope, random_stabilizable_system
 from test_synth_sign import _scalar_box, _singleton
 from oracles import enumerate_vertices
 
@@ -80,34 +81,49 @@ def test_affine_param_shape_validation():
 # envelope rows
 
 
+def _row_local_pattern(n, m):
+    """Entry r = j*n + i of vec(M) may depend on row i of [A B] alone: the
+    columns c of z = [vec(A); vec(B)] with c % n == i."""
+    return np.arange(n * (n + m))[None, :] % n == np.arange(n * n)[:, None] % n
+
+
 @pytest.mark.parametrize("affine", [True, False])
 def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
     # row (beta, -/+, j*n + i) of G_b z - h_b is -/+ (A Y + B diag(beta) S)_ij
-    # - M(A, B)_ij, vertices in order, the lower row block first
+    # - M(A, B)_ij, vertices in order, the lower row block first; ma/mb are
+    # drawn on the row-local pattern, zero elsewhere
     n, m = 3, 2
+    nsq = n * n
+    pattern = _row_local_pattern(n, m) if affine else None
     model = LPModel()
-    for name, size in (("v", n), ("S", n * m), ("m0", n * n),
-                       ("ma", n ** 4), ("mb", n ** 3 * m)):
+    for name, size in (("v", n), ("S", n * m), ("m0", nsq)):
         model.add_block(name, size)
+    if affine:
+        model.add_block("ma", np.count_nonzero(pattern[:, :nsq]))
+        model.add_block("mb", np.count_nonzero(pattern[:, nsq:]))
     betas = QuantizerSpec.uniform(0.4, m).beta_vertices()
     G_expr, h_expr = _envelope_rows(
         model.identity_expr("v"), model.identity_expr("S"),
-        model.identity_expr("m0"), betas, affine)
+        model.identity_expr("m0"), betas, pattern)
     assert set(G_expr.terms) == ({"v", "S", "ma", "mb"} if affine
                                  else {"v", "S"})
     d = n * (n + m)
     for _ in range(3):
-        param = AffineMParam(m0=rng.normal(size=n * n),
-                             ma=rng.normal(size=(n * n, n * n)),
-                             mb=rng.normal(size=(n * n, n * m)))
+        full = np.zeros((nsq, d))
+        if affine:
+            full[pattern] = rng.normal(size=np.count_nonzero(pattern))
+        param = AffineMParam(m0=rng.normal(size=nsq), ma=full[:, :nsq],
+                             mb=full[:, nsq:])
         v = rng.uniform(0.5, 2.0, size=n)
         S = rng.normal(size=(m, n))
         A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
-        values = {"v": v, "S": S.flatten("F"), "m0": param.m0,
-                  "ma": param.ma.ravel(), "mb": param.mb.ravel()}
+        values = {"v": v, "S": S.flatten("F"), "m0": param.m0}
+        if affine:
+            values["ma"] = param.ma[pattern[:, :nsq]]
+            values["mb"] = param.mb[pattern[:, nsq:]]
         rows = G_expr.value(values).reshape(-1, d) @ plant_vec(A, B) \
             - h_expr.value(values)
-        rows = rows.reshape(len(betas), 2, n * n)
+        rows = rows.reshape(len(betas), 2, nsq)
         M = eval_affine_M(param, A, B) if affine \
             else param.m0.reshape(n, n, order="F")
         for b, beta in enumerate(betas):
@@ -126,6 +142,49 @@ def test_aarc_model_has_two_multiplier_blocks():
     model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
     assert [(name, L2, L1) for name, L2, L1, *_ in model.farkas_blocks] \
         == [("ZM", n, L), ("Zb", 2 * n * n * 2 ** m, L)]
+
+
+def test_dense_polytope_gets_the_full_envelope():
+    # one component: every M_ij depends on the whole plant
+    rng = np.random.default_rng(9)
+    n, m, L = 3, 2, 7
+    poly = Polytope(G=rng.normal(size=(L, n * (n + m))),
+                    h=rng.uniform(1.0, 2.0, size=L))
+    assert _envelope_pattern(poly, n).all()
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    assert model.blocks["ma"][0] == n ** 4
+    assert model.blocks["mb"][0] == n ** 3 * m
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2)])
+def test_data_polytope_allocates_only_the_row_local_envelope(n, m):
+    rng = np.random.default_rng(40 + 3 * n + m)
+    sys = random_stabilizable_system(rng, n, m)
+    poly = random_separable_polytope(rng, sys.A, sys.B)
+    pattern = _envelope_pattern(poly, n)
+    np.testing.assert_array_equal(pattern, _row_local_pattern(n, m))
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    assert model.blocks["ma"][0] == n ** 3
+    assert model.blocks["mb"][0] == n * n * m
+    # no dangling column: every ma/mb variable enters some constraint
+    _, A_ub, _, A_eq, _, _ = model.assemble()
+    used = (np.diff(A_ub.tocsc().indptr) > 0) | (np.diff(A_eq.tocsc().indptr) > 0)
+    offsets, _ = model._offsets()
+    for name in ("ma", "mb"):
+        start = offsets[name]
+        assert used[start:start + model.blocks[name][0]].all()
+
+
+def test_extracted_envelope_is_zero_off_the_pattern(sys1, part1):
+    ds = generate_dataset(sys1, part1, 60, seed=14)
+    poly = prune_redundant(build_polytope(ds))
+    res = synthesize_aarc(poly, QuantizerSpec.uniform(0.8, 2), mode="ess")
+    assert res.feasible
+    param = res.extras["m_param"]
+    assert param.ma.shape == (9, 9) and param.mb.shape == (9, 6)
+    full = np.hstack([param.ma, param.mb])
+    assert np.all(full[~_row_local_pattern(3, 2)] == 0.0)
+    assert np.any(full[_row_local_pattern(3, 2)] != 0.0)
 
 
 def test_multiplier_payload_layout():
@@ -244,6 +303,33 @@ def test_size_record_matches_assembled_model(n, m, L):
     assert model.num_variables - counts["search_variables"] \
         == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n + n * n * 2 ** (m + 1)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_size_record_matches_row_separable_model(n, m):
+    rng = np.random.default_rng(57 + 5 * n + m)
+    sys = random_stabilizable_system(rng, n, m)
+    poly = random_separable_polytope(rng, sys.A, sys.B)
+    row_faces = [np.count_nonzero(poly.G[:, i::n].any(axis=1))
+                 for i in range(n)]
+    spec = QuantizerSpec.uniform(0.5, m)
+    model = _aarc_model(poly, spec, n, "ess", 1e-6)
+    counts = count_constraints_aarc(n, m, row_faces)
+    assert model.num_ineq_rows == counts["inequality_rows"]
+    assert model.num_eq_rows == counts["equality_rows"]
+    farkas_vars = model.num_variables - counts["search_variables"]
+    assert farkas_vars == counts["farkas_variables"]
+    per_state = 1 + 2 * n * 2 ** m      # row sum and envelope rows of i
+    assert counts["farkas_variables"] == per_state * sum(row_faces)
+    assert counts["equality_rows"] == per_state * n * (n + m)
+    # the record a synthesis reports is the model it built
+    res = synthesize_aarc(poly, spec, mode="ss", objective="min-lambda")
+    assert res.extras["counts"] == counts
+
+
+def test_size_record_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        count_constraints_aarc(3, 1, [4, 4])
 
 
 def test_growth_is_polynomial_in_state_dimension():

@@ -28,6 +28,7 @@ import quantstab as qs                              # noqa: E402
 from quantstab import lp_core                       # noqa: E402
 
 RHO = 0.7
+DENSE_FACES = 40
 
 
 def _canonical(A):
@@ -64,6 +65,15 @@ def _pruned(system, partition, T):
     return qs.prune_redundant(qs.build_polytope(ds)), plant
 
 
+def _dense_polytope(plant, seed=0):
+    """A fixed random polytope around the plant whose every face touches
+    every column, so the whole set is one component."""
+    rng = np.random.default_rng(seed)
+    z = qs.plant_vec(plant.A, plant.B)
+    G = rng.normal(size=(DENSE_FACES, z.size))
+    return qs.Polytope(G=G, h=G @ z + rng.uniform(0.01, 0.05, DENSE_FACES))
+
+
 def calls():
     """(label, thunk) for every call whose LPs are hashed."""
     poly1, sys1 = _pruned("sys1", "p1", 100)
@@ -78,6 +88,9 @@ def calls():
         out.append((f"sys1 {method} {mode} {objective}",
                     lambda s=synth, mo=mode, ob=objective:
                     s(poly1, spec, mode=mo, objective=ob)))
+    dense = _dense_polytope(sys1)
+    out.append(("sys1 dense aarc ess feasibility",
+                lambda: qs.synthesize_aarc(dense, spec, mode="ess")))
     out.append(("sys2 sign ess feasibility",
                 lambda: qs.synthesize_sign(
                     poly2, qs.QuantizerSpec.uniform(RHO, 3), mode="ess")))
