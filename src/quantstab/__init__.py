@@ -28,8 +28,8 @@ from .synth_sign import (build_sign_polytope_rows, synthesize_sign,
 from .synth_aarc import (AffineMParam, eval_affine_M, synthesize_aarc,
                          count_constraints_aarc)
 from .verify import VerificationReport, robust_verify
-from .cli import (ExperimentConfig, builtin_system, builtin_partition,
-                  singleton_polytope, min_feasible_rho, main)
+from .cli import (builtin_system, builtin_partition, singleton_polytope,
+                  min_feasible_rho, main)
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,7 @@ __all__ = [
     "AffineMParam", "eval_affine_M", "synthesize_aarc",
     "count_constraints_aarc",
     "VerificationReport", "robust_verify",
-    "ExperimentConfig", "builtin_system", "builtin_partition",
+    "builtin_system", "builtin_partition",
     "singleton_polytope", "min_feasible_rho", "main",
     "__version__",
 ]

@@ -5,6 +5,9 @@ prune.  Exit codes are scriptable: 0 success/feasible, 2 infeasible,
 3 verification or solver failure (a failed LP ends any subcommand with
 exit 3 and its message), 4 configuration error.
 
+With --data, synthesis ranges over the data polytope; without it, and
+always for --method nominal, over the point plant_vec(A, B) of --system.
+
 Two systems are built in.  "sys1" is a 3-state 2-input open-loop unstable
 plant (eigenvalues -1.0185, -0.2613, 0.1236) with the unit-step partition
 on [-4, 4]; "sys2" is A = 0.2 [min(i/j, j/i)]_{ij} + 0.45 I_5 (1-based
@@ -14,27 +17,23 @@ partition on [-6, 6].
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys as _sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .consistency import (Dataset, build_polytope, generate_dataset,
                           plant_vec, prune_redundant)
 from .lp_core import Polytope, SolverError
-from .nominal import DEFAULT_ETA, NominalProblem, synthesize_nominal_sign
 from .quantizer import Partition, QuantizerSpec
 from .synth_aarc import synthesize_aarc
-from .synth_sign import bisect_least, synthesize_sign
+from .synth_sign import DEFAULT_ETA, bisect_least, synthesize_sign
 from .sysmodel import (LinearSystem, StabCertificate, decay_check,
                        simulate_quantized)
 from .verify import robust_verify
 
 __all__ = [
-    "ExperimentConfig",
     "builtin_system",
     "builtin_partition",
     "singleton_polytope",
@@ -96,81 +95,56 @@ def singleton_polytope(sys):
     return Polytope(G=np.vstack([eye, -eye]), h=np.concatenate([z, -z]))
 
 
-@dataclass
-class ExperimentConfig:
-    """Bag of resolved command-line options shared by all subcommands."""
+def _system(args):
+    if not args.system:
+        raise ValueError("a plant is required; pass --system")
+    return builtin_system(args.system)
 
-    system: str = None
-    partition: str = None
-    data: str = None
-    method: str = "sign"
-    mode: str = "ess"
-    rho: float = None
-    eta: float = DEFAULT_ETA
-    seed: int = 0
-    out: str = None
-    tol: float = 1e-4
-    objective: str = "feasibility"
-    prune: bool = False
-    T: int = None
-    noise: float = 0.0
-    cert: str = None
-    x0: str = None
-    points: int = 25
-    rho_min: float = 0.05
-    rho_max: float = 1.0
-    dump_z: str = None
 
-    @classmethod
-    def from_args(cls, ns):
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            kwargs[f.name] = getattr(ns, f.name, f.default)
-        return cls(**kwargs)
+def _load_data(args):
+    """(polytope, input count m) of --data: a Dataset JSON, whose
+    consistency polytope is built here, or a bare Polytope JSON, whose
+    input count --system supplies."""
+    with open(args.data) as f:
+        d = json.load(f)
+    if "G" not in d:
+        ds = Dataset.from_json_dict(d)
+        return build_polytope(ds), ds.m
+    poly = Polytope.from_json_dict(d)
+    if not args.system:
+        raise ValueError("a bare polytope does not fix the input count; "
+                         "pass --system as well")
+    return poly, builtin_system(args.system).m
 
-    def resolve_system(self):
-        if not self.system:
-            raise ValueError("a plant is required; pass --system")
-        return builtin_system(self.system)
 
-    def resolve_partition(self):
-        name = self.partition or DEFAULT_PARTITION.get(self.system)
-        if not name:
-            raise ValueError("no partition; pass --partition")
-        return builtin_partition(name)
+def _data_polytope(args):
+    """The --data polytope and its input count, pruned on --prune."""
+    poly, m = _load_data(args)
+    if args.prune:
+        before = poly.num_faces
+        poly = prune_redundant(poly)
+        log.info("pruned polytope: %d -> %d faces", before, poly.num_faces)
+    return poly, m
 
-    def resolve_polytope(self):
-        """(polytope, input count m) for the data-driven methods.
 
-        --data may point at a Dataset JSON (the consistency polytope is
-        built on the fly) or a raw Polytope JSON (then --system must supply
-        the channel count).  Without --data, the plant itself is used as an
-        equality-tight singleton.  Cached so bisection probes do not reload
-        or re-prune."""
-        cached = getattr(self, "_poly_cache", None)
-        if cached is not None:
-            return cached
-        if self.data:
-            with open(self.data) as f:
-                d = json.load(f)
-            if "G" in d:
-                poly = Polytope.from_json_dict(d)
-                if not self.system:
-                    raise ValueError("a bare polytope does not fix the input "
-                                     "count; pass --system as well")
-                m = builtin_system(self.system).m
-            else:
-                ds = Dataset.from_json_dict(d)
-                poly, m = build_polytope(ds), ds.m
-        else:
-            sys = self.resolve_system()
-            poly, m = singleton_polytope(sys), sys.m
-        if self.prune:
-            before = poly.num_faces
-            poly = prune_redundant(poly)
-            log.info("pruned polytope: %d -> %d faces", before, poly.num_faces)
-        self._poly_cache = (poly, m)
-        return poly, m
+def _synthesis_set(args):
+    """(set, input count m) that synthesis ranges over: the --data
+    polytope, or the point plant_vec(A, B) of --system for the nominal
+    method and without --data."""
+    if args.data and args.method != "nominal":
+        return _data_polytope(args)
+    sys = _system(args)
+    return plant_vec(sys.A, sys.B), sys.m
+
+
+def _synthesize(args, target, m, rho, objective):
+    """One synthesis call over target at density rho; returns (result,
+    spec).  The sign form serves the sign and nominal methods."""
+    spec = QuantizerSpec.uniform(rho, m)
+    synth = synthesize_aarc if args.method == "aarc" else synthesize_sign
+    res = synth(target, spec, mode=args.mode, eta=args.eta,
+                objective=objective)
+    return res, spec
 
 
 def _write_json(path, obj):
@@ -182,22 +156,12 @@ def _write_json(path, obj):
         print(text, end="")
 
 
-def run_synthesis(cfg, rho, objective=None):
-    """One synthesis call at a given density; returns (result, spec, poly).
-
-    poly is None for the nominal method (known plant, no data polytope)."""
-    objective = objective or cfg.objective
-    if cfg.method == "nominal":
-        sys = cfg.resolve_system()
-        spec = QuantizerSpec.uniform(rho, sys.m)
-        prob = NominalProblem(sys, spec, mode=cfg.mode, eta=cfg.eta,
-                              objective=objective)
-        return synthesize_nominal_sign(prob), spec, None
-    poly, m = cfg.resolve_polytope()
-    spec = QuantizerSpec.uniform(rho, m)
-    synth = synthesize_sign if cfg.method == "sign" else synthesize_aarc
-    res = synth(poly, spec, mode=cfg.mode, eta=cfg.eta, objective=objective)
-    return res, spec, poly
+def _write_csv(path, rows):
+    if path:
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+    else:
+        csv.writer(_sys.stdout).writerows(rows)
 
 
 def min_feasible_rho(probe, tol=1e-4):
@@ -219,157 +183,149 @@ def min_feasible_rho(probe, tol=1e-4):
     return (None, None) if rho is None else (rho, res)
 
 
-def _cert_payload(cfg, rho, res):
-    payload = res.certificate.to_json_dict()
-    payload["rho"] = rho
-    payload["method"] = cfg.method
-    if "m_param" in res.extras:
-        payload.update(res.extras["m_param"].to_json_dict())
-    return payload
-
-
-def cmd_gendata(cfg):
-    sys = cfg.resolve_system()
-    part = cfg.resolve_partition()
-    T = 100 if cfg.T is None else cfg.T
-    ds = generate_dataset(sys, part, T, cfg.seed, noise=cfg.noise)
-    payload = ds.to_json_dict()
-    _write_json(cfg.out, payload)
+def cmd_gendata(args):
+    sys = _system(args)
+    partition = args.partition or DEFAULT_PARTITION.get(args.system)
+    if not partition:
+        raise ValueError("no partition; pass --partition")
+    ds = generate_dataset(sys, builtin_partition(partition), args.T,
+                          args.seed, noise=args.noise)
+    _write_json(args.out, ds.to_json_dict())
     print(f"gendata: {len(ds)} samples, epsilon={ds.epsilon}"
-          + (f" -> {cfg.out}" if cfg.out else ""))
+          + (f" -> {args.out}" if args.out else ""))
     return EXIT_OK
 
 
-def cmd_synthesize(cfg):
-    if cfg.rho is None:
+def cmd_synthesize(args):
+    if args.rho is None:
         raise ValueError("synthesize requires --rho")
-    res, spec, poly = run_synthesis(cfg, cfg.rho)
+    target, m = _synthesis_set(args)
+    res, spec = _synthesize(args, target, m, args.rho, args.objective)
     if res.status == "numerical-failure":
         print("synthesize: solver failure", file=_sys.stderr)
         return EXIT_UNVERIFIED
     if not res.feasible:
-        print(f"synthesize: infeasible ({cfg.method}, {cfg.mode}, "
-              f"rho={cfg.rho})")
+        print(f"synthesize: infeasible ({args.method}, {args.mode}, "
+              f"rho={args.rho})")
         return EXIT_INFEASIBLE
     cert = res.certificate
-    audit_poly = poly if poly is not None \
-        else singleton_polytope(cfg.resolve_system())
-    report = robust_verify(audit_poly, cert, spec)
+    audit_set = target if isinstance(target, Polytope) \
+        else singleton_polytope(_system(args))
+    report = robust_verify(audit_set, cert, spec)
     if not report.verified:
         print(f"synthesize: certificate failed verification "
               f"(worst margin {report.worst_margin:.3e}); not emitted",
               file=_sys.stderr)
         return EXIT_UNVERIFIED
-    _write_json(cfg.out, _cert_payload(cfg, cfg.rho, res))
-    if cfg.dump_z and res.extras.get("Z"):
-        _write_json(cfg.dump_z,
+    payload = dict(cert.to_json_dict(), rho=args.rho, method=args.method)
+    if "m_param" in res.extras:
+        payload.update(res.extras["m_param"].to_json_dict())
+    _write_json(args.out, payload)
+    if args.dump_z and res.extras.get("Z"):
+        _write_json(args.dump_z,
                     {k: z.tolist() for k, z in res.extras["Z"].items()})
     print(f"synthesize: feasible, lambda={cert.lam:.6f}"
-          + (f" -> {cfg.out}" if cfg.out else ""))
+          + (f" -> {args.out}" if args.out else ""))
     return EXIT_OK
 
 
-def _load_cert(cfg):
-    if not cfg.cert:
+def _load_cert(args):
+    if not args.cert:
         raise ValueError("pass --cert with a certificate file")
-    with open(cfg.cert) as f:
+    with open(args.cert) as f:
         d = json.load(f)
-    rho = cfg.rho if cfg.rho is not None else d.get("rho")
+    rho = args.rho if args.rho is not None else d.get("rho")
     if rho is None:
         raise ValueError("density unknown; pass --rho or use a certificate "
                          "that records one")
     return StabCertificate.from_json_dict(d), float(rho)
 
 
-def cmd_verify(cfg):
-    cert, rho = _load_cert(cfg)
-    poly, m = cfg.resolve_polytope()
-    spec = QuantizerSpec.uniform(rho, m)
-    report = robust_verify(poly, cert, spec)
-    _write_json(cfg.out, report.to_json_dict())
+def cmd_verify(args):
+    cert, rho = _load_cert(args)
+    if args.data:
+        poly, m = _data_polytope(args)
+    else:
+        sys = _system(args)
+        poly, m = singleton_polytope(sys), sys.m
+    report = robust_verify(poly, cert, QuantizerSpec.uniform(rho, m))
+    _write_json(args.out, report.to_json_dict())
     print(f"verify: {'verified' if report.verified else 'NOT verified'}, "
           f"worst margin {report.worst_margin:.6e}")
     return EXIT_OK if report.verified else EXIT_UNVERIFIED
 
 
-def cmd_simulate(cfg):
-    cert, rho = _load_cert(cfg)
-    sys = cfg.resolve_system()
+def cmd_simulate(args):
+    cert, rho = _load_cert(args)
+    sys = _system(args)
     spec = QuantizerSpec.uniform(rho, sys.m)
-    if cfg.x0:
-        x0 = np.array([float(t) for t in cfg.x0.split(",")])
+    if args.x0:
+        x0 = np.array([float(t) for t in args.x0.split(",")])
     else:
         x0 = np.ones(sys.n)
-    T = 200 if cfg.T is None else cfg.T
-    traj, status = simulate_quantized(sys, cert.K, spec, x0, T)
+    traj, status = simulate_quantized(sys, cert.K, spec, x0, args.T)
     rows = [["t"] + [f"x{i + 1}" for i in range(sys.n)]]
     for t, x in enumerate(traj):
         rows.append([t] + [f"{xi:.12g}" for xi in x])
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as f:
-            csv.writer(f).writerows(rows)
-    else:
-        csv.writer(_sys.stdout).writerows(rows)
+    _write_csv(args.out, rows)
     decayed = status == "ok" and decay_check(traj, cert.v, cert.lam)
     print(f"simulate: {status}, decay bound "
           f"{'respected' if decayed else 'VIOLATED'}")
     return EXIT_OK if decayed else EXIT_UNVERIFIED
 
 
-def cmd_minrho(cfg):
+def cmd_minrho(args):
+    target, m = _synthesis_set(args)
+    failed = []
+
     def probe(r):
-        res, _, _ = run_synthesis(cfg, r, objective="feasibility")
+        res, _ = _synthesize(args, target, m, r, "feasibility")
+        if res.status == "numerical-failure":
+            failed.append(r)
         return res
 
-    rho_star, res = min_feasible_rho(probe, tol=cfg.tol)
+    rho_star, res = min_feasible_rho(probe, tol=args.tol)
+    failures = ("; counted infeasible after a solver failure: rho = "
+                + ", ".join(f"{r:.6g}" for r in failed)) if failed else ""
     if rho_star is None:
-        print(f"minrho: infeasible for all rho <= 1 ({cfg.method}, "
-              f"{cfg.mode})")
+        print(f"minrho: infeasible for all rho <= 1 ({args.method}, "
+              f"{args.mode}){failures}")
         return EXIT_INFEASIBLE
-    if cfg.out:
-        _write_json(cfg.out, {"min_rho": rho_star, "method": cfg.method,
-                              "mode": cfg.mode, "tol": cfg.tol,
-                              "lambda": res.certificate.lam})
-    print(f"minrho: {rho_star:.4f} ({cfg.method}, {cfg.mode})")
+    if args.out:
+        _write_json(args.out, {"min_rho": rho_star, "method": args.method,
+                               "mode": args.mode, "tol": args.tol,
+                               "lambda": res.certificate.lam,
+                               "failed_rho": failed})
+    print(f"minrho: {rho_star:.4f} ({args.method}, {args.mode}){failures}")
     return EXIT_OK
 
 
-def _sweep_point(cfg, rho):
-    """One CSV row: the minimized gain, also that of an optimum whose gain
-    of 1 or more makes it infeasible, and the status."""
-    res, _, _ = run_synthesis(cfg, rho, objective="min-lambda")
-    lam = res.certificate.lam if res.feasible else res.extras.get("lam")
-    return [f"{rho:.6f}", "" if lam is None else f"{lam:.6f}", res.status]
-
-
-def cmd_sweep(cfg):
-    grid = np.logspace(np.log10(cfg.rho_min), np.log10(cfg.rho_max),
-                       cfg.points)
+def cmd_sweep(args):
+    """One CSV row per grid density: the minimized gain, also that of an
+    optimum whose gain of 1 or more makes it infeasible, and the status."""
+    grid = np.logspace(np.log10(args.rho_min), np.log10(args.rho_max),
+                       args.points)
     if not (np.all(grid > 0) and np.all(grid <= 1)):
         raise ValueError("sweep grid must lie in (0, 1]")
-    rows = [_sweep_point(cfg, r) for r in grid]
-    out = [["rho", "lambda", "status"]] + rows
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as f:
-            csv.writer(f).writerows(out)
-    else:
-        csv.writer(_sys.stdout).writerows(out)
+    target, m = _synthesis_set(args)
+    rows = []
+    for rho in grid:
+        res, _ = _synthesize(args, target, m, rho, "min-lambda")
+        lam = res.certificate.lam if res.feasible else res.extras.get("lam")
+        rows.append([f"{rho:.6f}", "" if lam is None else f"{lam:.6f}",
+                     res.status])
+    _write_csv(args.out, [["rho", "lambda", "status"]] + rows)
     n_feas = sum(1 for r in rows if r[2] == "feasible")
     print(f"sweep: {n_feas}/{len(rows)} grid points feasible")
     return EXIT_OK
 
 
-def cmd_prune(cfg):
-    if not cfg.data:
+def cmd_prune(args):
+    if not args.data:
         raise ValueError("prune requires --data")
-    was_pruning = cfg.prune
-    cfg.prune = False
-    try:
-        poly, _ = cfg.resolve_polytope()
-    finally:
-        cfg.prune = was_pruning
+    poly, _ = _load_data(args)
     pruned = prune_redundant(poly)
-    _write_json(cfg.out, pruned.to_json_dict())
+    _write_json(args.out, pruned.to_json_dict())
     print(f"prune: {poly.num_faces} -> {pruned.num_faces} faces")
     return EXIT_OK
 
@@ -410,7 +366,8 @@ def build_parser():
         return sp
 
     sp = add("gendata", help="simulate a plant and record quantized data")
-    sp.add_argument("--T", type=int, help="number of transitions")
+    sp.add_argument("--T", type=int, default=100,
+                    help="number of transitions")
     sp.add_argument("--noise", type=float, default=0.0)
 
     sp = add("synthesize", help="solve for a robust certificate")
@@ -424,7 +381,7 @@ def build_parser():
     sp = add("simulate", help="run the nonlinear quantized closed loop")
     sp.add_argument("--cert", help="certificate JSON file")
     sp.add_argument("--x0", help="comma-separated initial state")
-    sp.add_argument("--T", type=int, help="number of steps")
+    sp.add_argument("--T", type=int, default=200, help="number of steps")
 
     add("minrho", help="bisect for the minimal feasible density")
 
@@ -447,9 +404,8 @@ def main(argv=None):
     if getattr(args, "func", None) is None:
         parser.print_help()
         return EXIT_CONFIG
-    cfg = ExperimentConfig.from_args(args)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -239,8 +239,6 @@ def plant_vec(A, B):
 def contains_plant(poly, A, B, tol=CONTAIN_TOL):
     """Membership test of a plant in the consistency polytope."""
     z = plant_vec(A, B)
-    if poly.num_faces == 0:
-        return True
     if z.size != poly.dim:
         raise ValueError("plant dimensions do not match the polytope")
     return bool(np.all(poly.G @ z <= poly.h + tol))

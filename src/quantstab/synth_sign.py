@@ -186,7 +186,11 @@ def bisect_least(probe, ok, tol):
     """Least x in (0, 1] with ok(probe(x)), to within tol, for a monotone
     probe.  Probes 1 first; then the midpoint of (lo, hi] while
     hi - lo > tol.  Returns (x, result) for the least passing probe, or
-    (None, result at 1) when 1 fails."""
+    (None, result at 1) when 1 fails.  tol must be positive: once lo and
+    hi are adjacent floats their midpoint is one of them, so a bracket
+    that must shrink to zero width never closes."""
+    if not tol > 0:
+        raise ValueError("bisection tolerance must be positive")
     hi = 1.0
     res = probe(hi)
     if not ok(res):

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from quantstab import (Dataset, Polytope, VerificationReport,
-                       builtin_partition, builtin_system)
+from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
+                       builtin_partition, builtin_system, synthesize_sign)
 from quantstab.cli import main
 
 from test_synth_sign import _FailsFirstLP
@@ -153,6 +153,18 @@ def test_nominal_synthesis_needs_no_data(tmp_path):
         assert json.load(f)["mode"] == "ss"
 
 
+def test_aarc_without_data_writes_the_plant_envelope(tmp_path):
+    # on the known plant the envelope is a constant M, with no m0/ma/mb
+    out = tmp_path / "aarc.json"
+    assert run("synthesize", "--system", "sys1", "--method", "aarc",
+               "--rho", "0.7", "--out", str(out)) == OK
+    d = json.loads(out.read_text())
+    assert d["method"] == "aarc" and "m0" not in d
+    M = np.asarray(d["M"])
+    assert M.shape == (3, 3)
+    assert np.all(M.sum(axis=1) <= d["lambda"] * np.asarray(d["v"]) + 1e-7)
+
+
 # ---------------------------------------------------------------------------
 # verification and simulation
 
@@ -204,6 +216,44 @@ def test_minrho_matches_frozen_reference(tmp_path, capsys):
         d = json.load(f)
     assert d["min_rho"] == pytest.approx(0.31146240234375, abs=1e-9)
     assert capsys.readouterr().out.strip().endswith("(nominal, ss)")
+
+
+@pytest.mark.parametrize("method", ["nominal", "sign", "aarc"])
+@pytest.mark.parametrize("mode, reference", [("ss", 0.31146240234375),
+                                             ("ess", 0.01385498046875)])
+def test_minrho_without_data_synthesizes_at_the_plant(tmp_path, method, mode,
+                                                      reference):
+    out = tmp_path / "minrho.json"
+    assert run("minrho", "--system", "sys1", "--method", method, "--mode",
+               mode, "--out", str(out)) == OK
+    d = json.loads(out.read_text())
+    assert d["min_rho"] == pytest.approx(reference, abs=1e-9)
+    assert d["failed_rho"] == []
+
+
+def test_minrho_lists_failed_probes(tmp_path, monkeypatch, capsys):
+    # the probe at 0.25 lies below the threshold, so rho* is unchanged
+    def fails_at_quarter(target, spec, **kw):
+        if spec.rho[0] == 0.25:
+            return SynthResult("numerical-failure")
+        return synthesize_sign(target, spec, **kw)
+
+    monkeypatch.setattr("quantstab.cli.synthesize_sign", fails_at_quarter)
+    out = tmp_path / "minrho.json"
+    assert run("minrho", "--system", "sys1", "--method", "nominal",
+               "--mode", "ss", "--out", str(out)) == OK
+    d = json.loads(out.read_text())
+    assert d["min_rho"] == pytest.approx(0.31146240234375, abs=1e-9)
+    assert d["failed_rho"] == [0.25]
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("minrho: 0.3115 (nominal, ss)")
+    assert line.endswith("counted infeasible after a solver failure: "
+                         "rho = 0.25")
+
+
+def test_minrho_rejects_nonpositive_tolerance():
+    assert run("minrho", "--system", "sys1", "--method", "nominal",
+               "--tol", "0") == CONFIG
 
 
 def test_minrho_reports_total_infeasibility(tmp_path):

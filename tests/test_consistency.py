@@ -100,6 +100,13 @@ def test_single_sample_polytope_rows():
     assert not contains_plant(poly, np.array([[1.2]]), np.array([[0.0]]))
 
 
+def test_contains_plant_checks_shape_on_a_faceless_polytope():
+    free = Polytope(G=np.zeros((0, 15)), h=np.zeros(0))
+    assert contains_plant(free, np.zeros((3, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="dimensions"):
+        contains_plant(free, np.zeros((2, 2)), np.zeros((2, 1)))
+
+
 def test_sample_scaling_divides_bounds():
     ds = Dataset(samples=[_scalar_sample(2.0, 0.0, -1.0, 1.0)], epsilon=0.0)
     poly = build_polytope(ds)

@@ -194,6 +194,15 @@ def test_bisection_returns_failure_at_top():
     assert probes == [1.0]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_bisection_rejects_nonpositive_tolerance(tol):
+    # at tol <= 0 the bracket would shrink to adjacent floats and stall
+    probes = []
+    with pytest.raises(ValueError, match="tolerance"):
+        bisect_least(lambda x: probes.append(x) or True, bool, tol)
+    assert probes == []
+
+
 def test_min_rho_counts_solver_failure_infeasible_without_retry():
     probes = []
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantstab import (Polytope, QuantizerSpec, max_linear_over_polytope,
-                       robust_verify, synthesize_aarc, synthesize_sign)
+                       min_feasible_rho, plant_vec, robust_verify,
+                       synthesize_aarc, synthesize_sign)
 
 from conftest import random_separable_polytope, random_stabilizable_system
 
@@ -29,12 +30,16 @@ cases = st.tuples(st.integers(1, 3), st.integers(1, 2),
                   st.floats(0.3, 0.95), st.floats(0.02, 0.2))
 
 
-def _draw(case):
+def _draw_with_plant(case):
     n, m, seed, rho, halfwidth = case
     rng = np.random.default_rng(seed)
     sys = random_stabilizable_system(rng, n, m)
     poly = random_separable_polytope(rng, sys.A, sys.B, halfwidth)
-    return poly, QuantizerSpec.uniform(rho, m)
+    return poly, QuantizerSpec.uniform(rho, m), plant_vec(sys.A, sys.B)
+
+
+def _draw(case):
+    return _draw_with_plant(case)[:2]
 
 
 def _gain(res):
@@ -99,3 +104,28 @@ def test_sign_form_never_worse_than_envelope_form(case):
     sign = synthesize_sign(poly, spec, mode="ss", objective="min-lambda")
     aarc = synthesize_aarc(poly, spec, mode="ss", objective="min-lambda")
     assert _gain(sign) <= _gain(aarc) + 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(cases, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_adding_data_never_raises_min_density(case, extra, seed):
+    # More data only cuts plants out of the set, so every density feasible
+    # for the larger set stays feasible; each bisection lands within tol
+    # above its own threshold.
+    poly, spec, z = _draw_with_plant(case)
+    n, m, tol = case[0], spec.m, 1e-3
+    rng = np.random.default_rng(seed)
+    G = np.zeros((extra, poly.dim))
+    for face in G:
+        cols = np.arange(rng.integers(n), poly.dim, n)   # one row of [A B]
+        face[cols] = rng.normal(size=cols.size)
+    h = G @ z + rng.uniform(0.0, case[4], extra)
+    smaller = Polytope(G=np.vstack([poly.G, G]), h=np.append(poly.h, h))
+
+    def rho_star(p):
+        rho, _ = min_feasible_rho(
+            lambda r: synthesize_sign(p, QuantizerSpec.uniform(r, m),
+                                      mode="ess"), tol=tol)
+        return np.inf if rho is None else rho
+
+    assert rho_star(smaller) <= rho_star(poly) + tol

@@ -5,7 +5,9 @@ hash before HiGHS sees it.  The hash covers the canonical CSR form
 (indptr, indices, data) of A_ub and A_eq, and c, b_ub, b_eq and bounds,
 so two checkouts build the same LPs exactly when they print the same
 lines.  Datasets, polytopes and pruning are built before the patch goes
-in and are not hashed.
+in and are not hashed.  The last calls run known-plant `minrho` commands
+through `quantstab.cli.main`; their result is the exit code and summary
+line.
 
 Usage, from the repository root:
 
@@ -15,7 +17,9 @@ and diff the output of two checkouts.  Only public quantstab calls are
 used, so the script runs against older versions of the package too.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -25,7 +29,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import quantstab as qs                              # noqa: E402
-from quantstab import lp_core                       # noqa: E402
+from quantstab import cli, lp_core                  # noqa: E402
 
 RHO = 0.7
 DENSE_FACES = 40
@@ -74,6 +78,14 @@ def _dense_polytope(plant, seed=0):
     return qs.Polytope(G=G, h=G @ z + rng.uniform(0.01, 0.05, DENSE_FACES))
 
 
+def _cli(argv):
+    """Run one CLI command; returns its exit code and summary line."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(argv)
+    return f"exit {code}: {printed.getvalue().strip()}"
+
+
 def calls():
     """(label, thunk) for every call whose LPs are hashed."""
     poly1, sys1 = _pruned("sys1", "p1", 100)
@@ -102,6 +114,10 @@ def calls():
                                          objective=objective)
                 out.append((f"nominal {form} {mode} {objective}",
                             lambda s=synth, p=prob: s(p)))
+    for method in ("nominal", "sign", "aarc"):
+        out.append((f"cli minrho sys1 {method} ss",
+                    lambda mt=method: _cli(["minrho", "--system", "sys1",
+                                            "--method", mt, "--mode", "ss"])))
     return out
 
 
@@ -109,11 +125,13 @@ def main():
     todo = calls()
     original = lp_core.LinprogBackend.solve
     label, count = None, 0
+    out = sys.stdout             # the CLI calls redirect sys.stdout
 
     def hashed(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
         nonlocal count
         print(f"{label} #{count} "
-              f"{fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds)}", flush=True)
+              f"{fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds)}",
+              file=out, flush=True)
         count += 1
         return original(self, c, A_ub, b_ub, A_eq, b_eq, bounds)
 
@@ -122,8 +140,10 @@ def main():
         for label, thunk in todo:
             count = 0
             res = thunk()
-            lam = res.certificate.lam if res.feasible else float("nan")
-            print(f"{label} result {res.status} lambda={lam:.9f}", flush=True)
+            if not isinstance(res, str):
+                lam = res.certificate.lam if res.feasible else float("nan")
+                res = f"{res.status} lambda={lam:.9f}"
+            print(f"{label} result {res}", file=out, flush=True)
     finally:
         lp_core.LinprogBackend.solve = original
 
