@@ -104,22 +104,22 @@ def _system(args):
 def _load_data(args):
     """(polytope, input count m) of --data: a Dataset JSON, whose
     consistency polytope is built here, or a bare Polytope JSON, whose
-    input count --system supplies."""
+    input count --system supplies (None without it)."""
     with open(args.data) as f:
         d = json.load(f)
     if "G" not in d:
         ds = Dataset.from_json_dict(d)
         return build_polytope(ds), ds.m
     poly = Polytope.from_json_dict(d)
-    if not args.system:
-        raise ValueError("a bare polytope does not fix the input count; "
-                         "pass --system as well")
-    return poly, builtin_system(args.system).m
+    return poly, builtin_system(args.system).m if args.system else None
 
 
 def _data_polytope(args):
     """The --data polytope and its input count, pruned on --prune."""
     poly, m = _load_data(args)
+    if m is None:
+        raise ValueError("a bare polytope does not fix the input count; "
+                         "pass --system as well")
     if args.prune:
         before = poly.num_faces
         poly = prune_redundant(poly)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import (DEFAULT_BACKEND, Polytope, _require_nonempty,
-                      max_linear_over_polytope)
+from .lp_core import Polytope, _require_nonempty, _SupportSession
 from .quantizer import interval_quantize
 
 logger = logging.getLogger(__name__)
@@ -253,13 +252,14 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
     component's remaining retained rows cannot exceed h_r + tol.  The
     polytope is the product of its components' sets, so on a nonempty
     polytope this is the test over all retained rows; an all-zero face
-    (0 <= h_r) is always redundant.  A cap G_r x <= h_r + 1 keeps each
-    support LP bounded without changing the verdict.  Rows are processed in
-    order, the retained set updates incrementally, and the retained rows
-    keep their original order, so the result is deterministic.  An empty
-    polytope raises ValueError, and a failed nonemptiness LP SolverError.
+    (0 <= h_r) is always redundant.  Each component is one support session
+    (lp_core._SupportSession): row r is tested with its bound raised to
+    h_r + 1, which keeps the LP bounded without changing the verdict, and
+    is then freed when redundant or restored otherwise.  Rows are processed
+    in order, and the retained rows keep their original order, so the
+    result is deterministic.  An empty polytope raises ValueError, and a
+    failed nonemptiness LP SolverError.
     """
-    backend = backend or DEFAULT_BACKEND
     L = poly.num_faces
     if L == 0:
         return poly
@@ -270,16 +270,15 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
     for k in range(col_comp.max(initial=-1) + 1):
         faces = np.flatnonzero(face_comp == k)
         G, h = poly.G[np.ix_(faces, col_comp == k)], poly.h[faces]
-        retained = list(range(faces.size))
+        session = _SupportSession(G, h, backend)
         for r in range(faces.size):
-            others = [i for i in retained if i != r]
-            G_test = np.vstack([G[others], G[r][None, :]])
-            h_test = np.concatenate([h[others], [h[r] + 1.0]])
-            support = max_linear_over_polytope(G[r], Polytope(G_test, h_test),
-                                               backend)
+            session.set_upper(r, h[r] + 1.0)
+            support, _ = session.maximize(G[r])
             if support <= h[r] + tol:
-                retained.remove(r)
+                session.set_upper(r, np.inf)
                 logger.debug("pruned face %d (support %.3e <= %.3e)",
                              faces[r], support, h[r])
-        keep[faces[retained]] = True
+            else:
+                session.set_upper(r, h[r])
+                keep[faces[r]] = True
     return Polytope(G=poly.G[keep], h=poly.h[keep])

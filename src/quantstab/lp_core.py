@@ -24,6 +24,11 @@ whose row-local envelope keeps each row to its own columns.  A row
 touching every component, as with a dense G1, gets the full L2 x L1
 block.  Multipliers are laid out row after row, so a caller stacks every
 robust row of a constraint family into one G2 and gets one block.
+
+Sequences of support LPs over one polytope (pruning, the audit) run in a
+_SupportSession: one persistent HiGHS model whose costs and row bounds
+change between warm re-solves, with a fresh solve per LP through an
+explicitly passed backend as the reference.
 """
 
 from dataclasses import dataclass
@@ -33,6 +38,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
+
+try:    # HiGHS's own model object: private to scipy, so optional
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 __all__ = [
     "Polytope",
@@ -475,3 +485,72 @@ def max_linear_over_polytope(c, poly, backend=None, return_point=False):
     if status == "infeasible":
         raise ValueError("support function of an empty polytope")
     raise SolverError(f"support LP failed with status {status}")
+
+
+class _SupportSession:
+    """Repeated support LPs max c^T x over {G x <= h, x free}, built once.
+
+    The LP lives in one persistent HiGHS model: maximize(c) changes only
+    the costs and re-solves from the last basis, and set_upper(r, value)
+    changes the bound of row r (+inf frees it).  A call costs a few
+    simplex iterations instead of a fresh linprog setup.  maximize follows
+    max_linear_over_polytope: (value, point) when optimal, (+inf, None)
+    when unbounded, ValueError when infeasible and SolverError on any
+    other status.  With a backend, every maximize is that function on the
+    current rows through the backend instead: the reference path, also
+    taken when scipy lacks the HiGHS module.
+    """
+
+    def __init__(self, G, h, backend=None):
+        self._G = np.atleast_2d(np.asarray(G, dtype=float))
+        self._upper = np.array(h, dtype=float)
+        if backend is None and _highs is None:
+            backend = DEFAULT_BACKEND
+        self._backend = backend
+        if backend is not None:
+            return
+        L, d = self._G.shape
+        self._cols = np.arange(d, dtype=np.int32)
+        A = sp.csc_matrix(self._G)
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = d
+        lp.num_row_ = lp.a_matrix_.num_row_ = L
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = np.zeros(d)
+        lp.col_lower_ = np.full(d, -np.inf)
+        lp.col_upper_ = np.full(d, np.inf)
+        lp.row_lower_ = np.full(L, -np.inf)
+        lp.row_upper_ = self._upper
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the support model")
+
+    def set_upper(self, r, value):
+        self._upper[r] = value
+        if self._backend is None:
+            self._highs.changeRowBounds(int(r), -np.inf, float(value))
+
+    def maximize(self, c):
+        c = np.asarray(c, dtype=float)
+        if self._backend is not None:
+            rows = np.isfinite(self._upper)
+            return max_linear_over_polytope(
+                c, Polytope(self._G[rows], self._upper[rows]),
+                self._backend, return_point=True)
+        highs = self._highs
+        highs.changeColsCost(c.size, self._cols, -c)
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return (-highs.getInfo().objective_function_value,
+                    np.array(highs.getSolution().col_value))
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return np.inf, None
+        if status == _highs.HighsModelStatus.kInfeasible:
+            raise ValueError("support function of an empty polytope")
+        raise SolverError("support LP failed with status "
+                          + highs.modelStatusToString(status))

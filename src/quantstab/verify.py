@@ -10,13 +10,25 @@ is checked by maximizing the fixed linear functional on the left over P
 with one LP per (i, alpha, beta).  No Farkas multipliers, no shared
 assembly code with the synthesizers: a bug in their Kronecker bookkeeping
 cannot cancel out here.
+
+The functional of state row i touches only the n + m columns of row i of
+[A B].  When every face with a nonzero in those columns has all its
+nonzeros there, P is the product of that block's set and the rest, and
+on a nonempty P the sup over P is the sup over the block.  The audit
+checks this structure itself, from G's nonzero pattern, rather than
+through Polytope.components, and ranges over the whole P for a row that
+fails the check.  Nonemptiness, which the reduction needs, is settled by
+an LP of its own, whose point also fills the columns outside the block
+in the reported worst-case plant.  The only code shared with the rest of
+the package is the LP session wrapper lp_core._SupportSession: one warm
+HiGHS model per row, re-solved with new costs for every (alpha, beta).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import max_linear_over_polytope
+from .lp_core import _SupportSession
 from .synth_sign import DEFAULT_ETA, ENUM_GUARD
 from .sysmodel import StabCertificate, sign_vectors
 
@@ -70,12 +82,34 @@ def _candidate_vS(candidate):
     return np.ones(K.shape[1]), K
 
 
+def _row_columns(n, m, i):
+    """Columns of row i of [A B] in z = [vec(A); vec(B)] (column-major)."""
+    return np.concatenate([np.arange(n) * n + i, n * n + np.arange(m) * n + i])
+
+
+def _row_block(poly, n, m, i):
+    """(faces, columns) of P that the support LPs of row i range over:
+    the faces with a nonzero in row i's columns and those columns, when
+    none of those faces reaches outside them, and otherwise every face
+    and every column."""
+    inside = np.zeros(poly.dim, dtype=bool)
+    inside[_row_columns(n, m, i)] = True
+    nonzero = poly.G != 0
+    faces = np.flatnonzero(nonzero[:, inside].any(axis=1))
+    if nonzero[np.ix_(faces, ~inside)].any():
+        return np.arange(poly.num_faces), np.arange(poly.dim)
+    return faces, np.flatnonzero(inside)
+
+
 def robust_verify(poly, candidate, spec, eta=None, backend=None):
     """Audit a candidate controller against every plant consistent with P.
 
     candidate may be a StabCertificate, a (v, S) pair, or a bare gain
-    matrix K (then v = 1 and S = K).  Runs n * 2^(n+m) support LPs and
-    aggregates the margins; never consults the synthesis code path.
+    matrix K (then v = 1 and S = K).  Runs one nonemptiness LP and
+    n * 2^(n+m) support LPs, each over its row's block of P (see the module
+    docstring), and aggregates the margins; never consults the synthesis
+    code path.  An empty P raises ValueError.  With a backend every LP is
+    a fresh solve through it, the reference for the warm sessions.
     """
     v, S = _candidate_vS(candidate)
     n = v.size
@@ -92,6 +126,12 @@ def robust_verify(poly, candidate, spec, eta=None, backend=None):
     if np.any(v <= 0):
         raise ValueError("weights v must be positive")
 
+    # Raises ValueError on an empty polytope, as every support LP would.
+    _, point = _SupportSession(poly.G, poly.h, backend).maximize(
+        np.zeros(poly.dim))
+    blocks = [_row_block(poly, n, m, i) for i in range(n)]
+    sessions = [_SupportSession(poly.G[np.ix_(faces, cols)], poly.h[faces],
+                                backend) for faces, cols in blocks]
     worst = np.inf
     worst_case = {}
     betas = spec.beta_vertices()
@@ -101,11 +141,9 @@ def robust_verify(poly, candidate, spec, eta=None, backend=None):
             bsa = beta * Sa
             for i in range(n):
                 c = np.zeros(poly.dim)
-                c[np.arange(n) * n + i] = alpha * v
-                if m:
-                    c[n * n + np.arange(m) * n + i] = bsa
-                val, z = max_linear_over_polytope(c, poly, backend=backend,
-                                                 return_point=True)
+                c[_row_columns(n, m, i)] = np.concatenate([alpha * v, bsa])
+                cols = blocks[i][1]
+                val, x = sessions[i].maximize(c[cols])
                 if np.isinf(val):
                     return VerificationReport(
                         False, -np.inf,
@@ -117,6 +155,8 @@ def robust_verify(poly, candidate, spec, eta=None, backend=None):
                 margin = v[i] - eta - val
                 if margin < worst:
                     worst = margin
+                    z = point.copy()
+                    z[cols] = x
                     worst_case = {
                         "i": i, "alpha": alpha.copy(), "beta": beta.copy(),
                         "A": z[:n * n].reshape(n, n, order="F"),

@@ -312,6 +312,18 @@ def test_prune_writes_smaller_equivalent_polytope(tmp_path, data_file):
     assert pruned.dim == 15
 
 
+def test_prune_of_a_bare_polytope_needs_no_system(tmp_path, data_file,
+                                                  capsys):
+    once, twice = tmp_path / "p1.json", tmp_path / "p2.json"
+    assert run("prune", "--data", data_file, "--out", str(once)) == OK
+    assert run("prune", "--data", str(once), "--out", str(twice)) == OK
+    assert capsys.readouterr().out.splitlines()[-1] == "prune: 48 -> 48 faces"
+    with open(once) as f, open(twice) as g:
+        assert json.load(f) == json.load(g)
+    # synthesis still needs the input count a bare polytope lacks
+    assert run("synthesize", "--data", str(once), "--rho", "0.7") == CONFIG
+
+
 # ---------------------------------------------------------------------------
 # config errors
 

@@ -7,6 +7,7 @@ from quantstab import (
     DataSample,
     Dataset,
     LinearSystem,
+    LinprogBackend,
     LPModel,
     Partition,
     Polytope,
@@ -250,10 +251,13 @@ def test_nested_prefix_polytopes_shrink(sys1, part1):
 
 
 def _assert_prunes_like_whole_polytope(poly):
+    """The warm session and a fresh linprog per face (an explicit backend)
+    keep exactly the oracle's faces, in order."""
     keep = prune_whole_polytope(poly)
-    pruned = prune_redundant(poly)
-    np.testing.assert_array_equal(pruned.G, poly.G[keep])
-    np.testing.assert_array_equal(pruned.h, poly.h[keep])
+    for backend in (None, LinprogBackend()):
+        pruned = prune_redundant(poly, backend=backend)
+        np.testing.assert_array_equal(pruned.G, poly.G[keep])
+        np.testing.assert_array_equal(pruned.h, poly.h[keep])
 
 
 @pytest.mark.parametrize("system,partition,T",

@@ -5,13 +5,15 @@ import pytest
 
 from quantstab import (
     AffExpr,
+    LinprogBackend,
     LPModel,
     Polytope,
     add_farkas_block,
     max_linear_over_polytope,
     solve,
 )
-from quantstab.lp_core import _require_nonempty, add_robust_rows
+from quantstab.lp_core import (SolverError, _require_nonempty,
+                               _SupportSession, add_robust_rows)
 
 from conftest import box_polytope, random_separable_polytope
 from oracles import check_containment_bruteforce, enumerate_vertices
@@ -331,3 +333,32 @@ def test_require_nonempty_tells_empty_from_solver_failure():
 
     with pytest.raises(RuntimeError):
         _require_nonempty(box, Failing())
+
+
+@pytest.mark.parametrize("backend", [None, LinprogBackend()],
+                         ids=["warm", "linprog"])
+def test_support_session_follows_the_support_function(backend):
+    # x1 <= 1, x2 <= 2, x1 + x2 >= 0: a triangle
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    session = _SupportSession(G, np.array([1.0, 2.0, 0.0]), backend)
+    val, x = session.maximize([1.0, 1.0])
+    assert val == pytest.approx(3.0) and x == pytest.approx([1.0, 2.0])
+    assert session.maximize([1.0, -1.0])[0] == pytest.approx(2.0)
+    session.set_upper(1, 5.0)
+    assert session.maximize([0.0, 1.0])[0] == pytest.approx(5.0)
+    session.set_upper(1, np.inf)
+    assert session.maximize([0.0, 1.0]) == (np.inf, None)
+    session.set_upper(2, -7.0)          # x1 + x2 >= 7 against x1 <= 1
+    session.set_upper(1, 2.0)
+    with pytest.raises(ValueError):
+        session.maximize([1.0, 0.0])
+
+
+def test_support_session_reports_solver_failure():
+    class Failing:
+        def solve(self, *args):
+            return "numerical-failure", None, None
+
+    session = _SupportSession(np.eye(2), np.ones(2), Failing())
+    with pytest.raises(SolverError):
+        session.maximize([1.0, 0.0])

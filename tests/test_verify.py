@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from quantstab import (
+    LinprogBackend,
     Polytope,
     QuantizerSpec,
     StabCertificate,
     build_polytope,
+    builtin_partition,
+    builtin_system,
     contains_plant,
     generate_dataset,
+    plant_vec,
     prune_redundant,
     robust_verify,
     synthesize_sign,
 )
+from quantstab.verify import _row_block
 
 from test_synth_sign import _scalar_box
 
@@ -36,18 +41,77 @@ def test_scalar_destabilizing_gain_fails():
     assert report.worst_margin == pytest.approx(-0.7, abs=1e-7)
 
 
-def test_worst_case_plant_is_consistent_and_tight():
+def _attained(report, v, S):
+    """Row value of the worst inequality at the reported plant."""
+    wc = report.worst_case
+    A, B = np.asarray(wc["A"]), np.asarray(wc["B"])
+    alpha, beta = np.asarray(wc["alpha"]), np.asarray(wc["beta"])
+    return float((A @ (alpha * v) + B @ (beta * (S @ alpha)))[wc["i"]])
+
+
+def test_worst_case_plant_is_consistent_and_tight(sys1, part1):
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     spec = QuantizerSpec.uniform(0.5, 1)
     report = robust_verify(poly, np.array([[-0.5]]), spec, eta=0.0)
     wc = report.worst_case
-    A = np.asarray(wc["A"])
-    B = np.asarray(wc["B"])
-    assert contains_plant(poly, A, B, tol=1e-6)
-    beta = np.asarray(wc["beta"])
-    alpha = np.asarray(wc["alpha"])
-    attained = float(((A + B @ (beta[:, None] * np.array([[-0.5]]))) @ alpha)[wc["i"]])
+    assert contains_plant(poly, wc["A"], wc["B"], tol=1e-6)
+    attained = _attained(report, np.ones(1), np.array([[-0.5]]))
     assert 1.0 - attained == pytest.approx(report.worst_margin, abs=1e-6)
+    # On a data polytope the maximizer spans one row of [A B]; the other
+    # rows must still come from a plant of the set.
+    ds = generate_dataset(sys1, part1, 100, seed=1)
+    poly = prune_redundant(build_polytope(ds))
+    spec = QuantizerSpec.uniform(0.7, 2)
+    cert = synthesize_sign(poly, spec, mode="ess").certificate
+    report = robust_verify(poly, cert, spec)
+    wc = report.worst_case
+    assert contains_plant(poly, wc["A"], wc["B"], tol=1e-6)
+    margin = cert.v[wc["i"]] - cert.eta - _attained(report, cert.v, cert.S)
+    assert margin == pytest.approx(report.worst_margin, abs=1e-6)
+
+
+def _dense_polytope(plant, faces=40, seed=0):
+    """A random bounded polytope around the plant whose every face touches
+    every column, so no row block splits off."""
+    rng = np.random.default_rng(seed)
+    z = plant_vec(plant.A, plant.B)
+    G = rng.normal(size=(faces, z.size))
+    return Polytope(G=G, h=G @ z + rng.uniform(0.01, 0.05, faces))
+
+
+DATA = {"sys1": ("p1", 100), "sys2": ("p2", 60)}
+
+
+@pytest.mark.parametrize("system,kind", [("sys1", "data"), ("sys2", "data"),
+                                         ("sys1", "dense")])
+def test_warm_sessions_match_fresh_linprog_solves(system, kind):
+    plant = builtin_system(system)
+    if kind == "dense":
+        poly = _dense_polytope(plant)
+    else:
+        partition, T = DATA[system]
+        ds = generate_dataset(plant, builtin_partition(partition), T, 1)
+        poly = prune_redundant(build_polytope(ds))
+    # the audit's own structure check: a block per row on data only
+    faces, _ = _row_block(poly, plant.n, plant.m, 0)
+    assert (faces.size == poly.num_faces) == (kind == "dense")
+    spec = QuantizerSpec.uniform(0.7, plant.m)
+    cert = synthesize_sign(poly, spec, mode="ess").certificate
+    warm = robust_verify(poly, cert, spec)
+    fresh = robust_verify(poly, cert, spec, backend=LinprogBackend())
+    assert warm.verified == fresh.verified
+    assert warm.worst_margin == pytest.approx(fresh.worst_margin, abs=1e-9)
+    for key in ("i", "alpha", "beta"):
+        np.testing.assert_array_equal(warm.worst_case[key],
+                                      fresh.worst_case[key])
+
+
+def test_empty_polytope_is_refused():
+    box = _scalar_box(0.4, 0.6, 0.9, 1.1)
+    empty = Polytope(G=np.vstack([box.G, [[1.0, 0.0]]]),
+                     h=np.append(box.h, 0.3))
+    with pytest.raises(ValueError):
+        robust_verify(empty, np.array([[-0.5]]), QuantizerSpec.uniform(0.5, 1))
 
 
 def test_accepts_certificate_and_tuple_candidates(sys1, part1):

@@ -9,6 +9,13 @@ in and are not hashed.  The last calls run known-plant `minrho` commands
 through `quantstab.cli.main`; their result is the exit code and summary
 line.
 
+Pruning and the robust audit solve their support LPs in warm HiGHS
+sessions that never reach LinprogBackend.solve, so after the patch is
+removed the script prints one result line for each of them instead: the
+kept face count and a sha256 of the kept (G, h) for the sys1/T=100 and
+sys2/T=60 prunes, and the verdict, worst margin and worst-case row of
+the audit of the sys2 certificate.
+
 Usage, from the repository root:
 
     python3 tools/lp_fingerprint.py > hashes.txt
@@ -54,13 +61,28 @@ def _dense(x):
     return [np.asarray(x.shape, dtype=np.int64).tobytes(), x.tobytes()]
 
 
-def fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def _digest(parts):
     h = hashlib.sha256()
-    for part in (_dense(c) + _canonical(A_ub) + _dense(b_ub)
-                 + _canonical(A_eq) + _dense(b_eq) + _dense(bounds)):
+    for part in parts:
         h.update(len(part).to_bytes(8, "little"))
         h.update(part)
     return h.hexdigest()
+
+
+def fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    return _digest(_dense(c) + _canonical(A_ub) + _dense(b_ub)
+                   + _canonical(A_eq) + _dense(b_eq) + _dense(bounds))
+
+
+def _faces(poly):
+    digest = _digest(_dense(poly.G) + _dense(poly.h))
+    return f"{poly.num_faces} faces sha256 {digest}"
+
+
+def _audit(poly, res, spec):
+    rep = qs.robust_verify(poly, res.certificate, spec)
+    return (f"verified={rep.verified} worst_margin={rep.worst_margin:.9f} "
+            f"i={rep.worst_case['i']}")
 
 
 def _pruned(system, partition, T):
@@ -87,10 +109,13 @@ def _cli(argv):
 
 
 def calls():
-    """(label, thunk) for every call whose LPs are hashed."""
+    """(label, thunk) for every call whose LPs are hashed, and (label,
+    thunk) for the unhashed checks run after them; a check's thunk takes
+    the hashed calls' results by label."""
     poly1, sys1 = _pruned("sys1", "p1", 100)
     poly2, _ = _pruned("sys2", "p2", 60)
     spec = qs.QuantizerSpec.uniform(RHO, sys1.m)
+    spec2 = qs.QuantizerSpec.uniform(RHO, 3)
     out = []
     for method, synth, mode, objective in (
             ("sign", qs.synthesize_sign, "ess", "min-lambda"),
@@ -104,8 +129,7 @@ def calls():
     out.append(("sys1 dense aarc ess feasibility",
                 lambda: qs.synthesize_aarc(dense, spec, mode="ess")))
     out.append(("sys2 sign ess feasibility",
-                lambda: qs.synthesize_sign(
-                    poly2, qs.QuantizerSpec.uniform(RHO, 3), mode="ess")))
+                lambda: qs.synthesize_sign(poly2, spec2, mode="ess")))
     for form, synth in (("sign", qs.synthesize_nominal_sign),
                         ("mform", qs.synthesize_nominal_mform)):
         for mode in ("ss", "ess"):
@@ -118,11 +142,16 @@ def calls():
         out.append((f"cli minrho sys1 {method} ss",
                     lambda mt=method: _cli(["minrho", "--system", "sys1",
                                             "--method", mt, "--mode", "ss"])))
-    return out
+    checks = [("sys1 prune T=100", lambda results: _faces(poly1)),
+              ("sys2 prune T=60", lambda results: _faces(poly2)),
+              ("sys2 audit", lambda results: _audit(
+                  poly2, results["sys2 sign ess feasibility"], spec2))]
+    return out, checks
 
 
 def main():
-    todo = calls()
+    todo, checks = calls()
+    results = {}
     original = lp_core.LinprogBackend.solve
     label, count = None, 0
     out = sys.stdout             # the CLI calls redirect sys.stdout
@@ -139,13 +168,15 @@ def main():
     try:
         for label, thunk in todo:
             count = 0
-            res = thunk()
+            res = results[label] = thunk()
             if not isinstance(res, str):
                 lam = res.certificate.lam if res.feasible else float("nan")
                 res = f"{res.status} lambda={lam:.9f}"
             print(f"{label} result {res}", file=out, flush=True)
     finally:
         lp_core.LinprogBackend.solve = original
+    for label, thunk in checks:
+        print(f"{label} result {thunk(results)}", flush=True)
 
 
 if __name__ == "__main__":
