@@ -25,8 +25,7 @@ print(f"max |z - g(z)| / |z| = {np.max(err / np.abs(z)):.6f}"
       f"  (bound delta = {delta:.6f})")
 
 # Vector inputs quantize per channel, each with its own density.
-spec = QuantizerSpec(rho=np.array([0.5, 1.0]),
-                     delta=np.array([delta_from_rho(0.5), 0.0]))
+spec = QuantizerSpec(rho=np.array([0.5, 1.0]))
 u = np.array([1.2, 1.2])
 print(f"\ng({u}) with densities (0.5, 1.0) = {log_quantize_vector(u, spec)}")
 

@@ -18,9 +18,9 @@ from .sysmodel import (LinearSystem, StabCertificate, SynthResult,
                        check_cert, decay_check)
 from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
                       solve, add_farkas_block, max_linear_over_polytope)
-from .consistency import (DataSample, Dataset, ExcitationConfig,
-                          generate_dataset, widen_noise, build_polytope,
-                          plant_vec, contains_plant, prune_redundant)
+from .consistency import (DataSample, Dataset, generate_dataset,
+                          build_polytope, plant_vec, contains_plant,
+                          prune_redundant)
 from .nominal import (NominalProblem, synthesize_nominal_mform,
                       synthesize_nominal_sign)
 from .synth_sign import (build_sign_polytope_rows, synthesize_sign,
@@ -41,9 +41,8 @@ __all__ = [
     "simulate_quantized", "check_cert", "decay_check",
     "Polytope", "AffExpr", "LPModel", "LPSolution", "LinprogBackend",
     "solve", "add_farkas_block", "max_linear_over_polytope",
-    "DataSample", "Dataset", "ExcitationConfig", "generate_dataset",
-    "widen_noise", "build_polytope", "plant_vec", "contains_plant",
-    "prune_redundant",
+    "DataSample", "Dataset", "generate_dataset", "build_polytope",
+    "plant_vec", "contains_plant", "prune_redundant",
     "NominalProblem", "synthesize_nominal_mform", "synthesize_nominal_sign",
     "build_sign_polytope_rows", "synthesize_sign", "count_constraints_sign",
     "AffineMParam", "eval_affine_M", "synthesize_aarc",

@@ -5,8 +5,9 @@ prune.  Exit codes are scriptable: 0 success/feasible, 2 infeasible,
 3 verification or solver failure (a failed LP ends any subcommand with
 exit 3 and its message), 4 configuration error.
 
-With --data, synthesis ranges over the data polytope; without it, and
-always for --method nominal, over the point plant_vec(A, B) of --system.
+Each subcommand accepts only the options it reads; any other is a usage
+error (exit 4).  With --data, synthesis ranges over the data polytope;
+without it, over the point plant_vec(A, B) of --system.
 
 Two systems are built in.  "sys1" is a 3-state 2-input open-loop unstable
 plant (eigenvalues -1.0185, -0.2613, 0.1236) with the unit-step partition
@@ -129,9 +130,8 @@ def _data_polytope(args):
 
 def _synthesis_set(args):
     """(set, input count m) that synthesis ranges over: the --data
-    polytope, or the point plant_vec(A, B) of --system for the nominal
-    method and without --data."""
-    if args.data and args.method != "nominal":
+    polytope, or without --data the point plant_vec(A, B) of --system."""
+    if args.data:
         return _data_polytope(args)
     sys = _system(args)
     return plant_vec(sys.A, sys.B), sys.m
@@ -139,7 +139,7 @@ def _synthesis_set(args):
 
 def _synthesize(args, target, m, rho, objective):
     """One synthesis call over target at density rho; returns (result,
-    spec).  The sign form serves the sign and nominal methods."""
+    spec)."""
     spec = QuantizerSpec.uniform(rho, m)
     synth = synthesize_aarc if args.method == "aarc" else synthesize_sign
     res = synth(target, spec, mode=args.mode, eta=args.eta,
@@ -340,57 +340,60 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--system", help="sys1 | sys2 | JSON file")
-    common.add_argument("--partition", help="p1 | p2 | JSON file")
-    common.add_argument("--data", help="Dataset or Polytope JSON file")
-    common.add_argument("--method", choices=["sign", "aarc", "nominal"],
-                        default="sign")
-    common.add_argument("--mode", choices=["ss", "ess"], default="ess")
-    common.add_argument("--rho", type=float)
-    common.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out")
-    common.add_argument("--tol", type=float, default=1e-4)
-    common.add_argument("--prune", action="store_true",
-                        help="prune the data polytope before synthesis")
+    """The quantstab parser.  Every option is declared once, in options;
+    each subcommand takes only the options its cmd_* function reads, so a
+    misplaced one is a usage error rather than silently ignored."""
+    options = {
+        "--system": dict(help="sys1 | sys2 | JSON file"),
+        "--partition": dict(help="p1 | p2 | JSON file"),
+        "--data": dict(help="Dataset or Polytope JSON file"),
+        "--prune": dict(action="store_true",
+                        help="prune the --data polytope first"),
+        "--method": dict(choices=["sign", "aarc"], default="sign"),
+        "--mode": dict(choices=["ss", "ess"], default="ess"),
+        "--rho": dict(type=float),
+        "--eta": dict(type=float, default=DEFAULT_ETA),
+        "--objective": dict(choices=["feasibility", "min-lambda"],
+                            default="feasibility"),
+        "--dump-z": dict(help="also write Farkas multipliers here"),
+        "--cert": dict(help="certificate JSON file"),
+        "--x0": dict(help="comma-separated initial state"),
+        "--T": dict(type=int, help="number of transitions or steps"),
+        "--seed": dict(type=int, default=0),
+        "--noise": dict(type=float, default=0.0),
+        "--tol": dict(type=float, default=1e-4),
+        "--points": dict(type=int, default=25),
+        "--rho-min": dict(type=float, default=0.05),
+        "--rho-max": dict(type=float, default=1.0),
+        "--out": dict(),
+    }
+    synthesis = "--system --data --prune --method --mode --eta"
+    commands = [
+        ("gendata", "simulate a plant and record quantized data",
+         "--system --partition --T --seed --noise --out", {"T": 100}),
+        ("synthesize", "solve for a robust certificate",
+         f"{synthesis} --rho --objective --dump-z --out", {}),
+        ("verify", "audit a certificate with support LPs",
+         "--system --data --prune --cert --rho --out", {}),
+        ("simulate", "run the nonlinear quantized closed loop",
+         "--system --cert --rho --x0 --T --out", {"T": 200}),
+        ("minrho", "bisect for the minimal feasible density",
+         f"{synthesis} --tol --out", {}),
+        ("sweep", "minimized gain across a density grid",
+         f"{synthesis} --points --rho-min --rho-max --out", {}),
+        ("prune", "drop redundant consistency polytope faces",
+         "--system --data --out", {}),
+    ]
 
     p = _Parser(prog="quantstab",
                 description="Robust controller synthesis from quantized "
                             "data under logarithmically quantized inputs")
     sub = p.add_subparsers(dest="command")
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
-        sp.set_defaults(func=globals()[f"cmd_{name}"])
-        return sp
-
-    sp = add("gendata", help="simulate a plant and record quantized data")
-    sp.add_argument("--T", type=int, default=100,
-                    help="number of transitions")
-    sp.add_argument("--noise", type=float, default=0.0)
-
-    sp = add("synthesize", help="solve for a robust certificate")
-    sp.add_argument("--objective", choices=["feasibility", "min-lambda"],
-                    default="feasibility")
-    sp.add_argument("--dump-z", help="also write Farkas multipliers here")
-
-    sp = add("verify", help="audit a certificate with support LPs")
-    sp.add_argument("--cert", help="certificate JSON file")
-
-    sp = add("simulate", help="run the nonlinear quantized closed loop")
-    sp.add_argument("--cert", help="certificate JSON file")
-    sp.add_argument("--x0", help="comma-separated initial state")
-    sp.add_argument("--T", type=int, default=200, help="number of steps")
-
-    add("minrho", help="bisect for the minimal feasible density")
-
-    sp = add("sweep", help="minimized gain across a density grid")
-    sp.add_argument("--points", type=int, default=25)
-    sp.add_argument("--rho-min", type=float, default=0.05)
-    sp.add_argument("--rho-max", type=float, default=1.0)
-
-    add("prune", help="drop redundant consistency polytope faces")
+    for name, summary, names, defaults in commands:
+        sp = sub.add_parser(name, help=summary)
+        for opt in names.split():
+            sp.add_argument(opt, **options[opt])
+        sp.set_defaults(func=globals()[f"cmd_{name}"], **defaults)
     return p
 
 

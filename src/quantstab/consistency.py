@@ -24,13 +24,14 @@ logger = logging.getLogger(__name__)
 
 PRUNE_TOL = 1e-8
 CONTAIN_TOL = 1e-9
+# generate_dataset draws states and inputs uniformly from [-HALFWIDTH,
+# HALFWIDTH].
+HALFWIDTH = 2.0
 
 __all__ = [
     "DataSample",
     "Dataset",
-    "ExcitationConfig",
     "generate_dataset",
-    "widen_noise",
     "build_polytope",
     "plant_vec",
     "contains_plant",
@@ -142,34 +143,21 @@ class Dataset:
             return cls.from_json_dict(json.load(f))
 
 
-@dataclass(frozen=True)
-class ExcitationConfig:
-    """Excitation for synthetic data: i.i.d. uniform states and inputs."""
-
-    x_halfwidth: float = 2.0
-    u_halfwidth: float = 2.0
-
-    def to_json_dict(self):
-        return {"x_halfwidth": self.x_halfwidth,
-                "u_halfwidth": self.u_halfwidth}
-
-
-def generate_dataset(sys, partition, T, seed, excitation=None, noise=0.0):
+def generate_dataset(sys, partition, T, seed, noise=0.0):
     """Draw T random transitions of sys and bin the next states.
 
-    States and inputs are i.i.d. uniform on [-halfwidth, halfwidth] from a
+    States and inputs are i.i.d. uniform on [-HALFWIDTH, HALFWIDTH] from a
     seeded generator, so the same seed reproduces the same dataset.  With
     noise > 0 a uniform disturbance w, |w|_inf <= noise, is added to each
     transition and recorded as the dataset's epsilon.
     """
     if T < 0:
         raise ValueError("sample count must be nonnegative")
-    exc = excitation or ExcitationConfig()
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(int(T)):
-        x = rng.uniform(-exc.x_halfwidth, exc.x_halfwidth, sys.n)
-        u = rng.uniform(-exc.u_halfwidth, exc.u_halfwidth, sys.m)
+        x = rng.uniform(-HALFWIDTH, HALFWIDTH, sys.n)
+        u = rng.uniform(-HALFWIDTH, HALFWIDTH, sys.m)
         xplus = sys.A @ x + sys.B @ u
         if noise > 0:
             xplus = xplus + rng.uniform(-noise, noise, sys.n)
@@ -178,21 +166,10 @@ def generate_dataset(sys, partition, T, seed, excitation=None, noise=0.0):
         q = np.array([b[1] for b in bounds])
         samples.append(DataSample(x, u, p, q))
     meta = {"seed": int(seed), "T": int(T), "noise": float(noise),
-            "excitation": exc.to_json_dict(),
+            "excitation": {"x_halfwidth": HALFWIDTH,
+                           "u_halfwidth": HALFWIDTH},
             "partition": partition.to_json_dict()}
     return Dataset(samples, epsilon=float(noise), meta=meta)
-
-
-def widen_noise(dataset, epsilon):
-    """Shift every finite interval bound outward by epsilon."""
-    if epsilon < 0:
-        raise ValueError("widening radius must be nonnegative")
-    widened = []
-    for s in dataset.samples:
-        p = np.where(np.isfinite(s.p), s.p - epsilon, s.p)
-        q = np.where(np.isfinite(s.q), s.q + epsilon, s.q)
-        widened.append(DataSample(s.x_hat, s.u_hat, p, q))
-    return Dataset(widened, dataset.epsilon, dataset.meta)
 
 
 def build_polytope(dataset):
@@ -240,16 +217,16 @@ def contains_plant(poly, A, B, tol=CONTAIN_TOL):
     z = plant_vec(A, B)
     if z.size != poly.dim:
         raise ValueError("plant dimensions do not match the polytope")
-    return bool(np.all(poly.G @ z <= poly.h + tol))
+    return poly.contains(z, tol)
 
 
-def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
+def prune_redundant(poly, backend=None):
     """Drop rows implied by the others, keeping the same feasible set.
 
     Sequential support-function test inside each component of the
     face-column pattern (Polytope.components), over that component's faces
     and columns only: row r is redundant when maximizing G_r x over the
-    component's remaining retained rows cannot exceed h_r + tol.  The
+    component's remaining retained rows cannot exceed h_r + PRUNE_TOL.  The
     polytope is the product of its components' sets, so on a nonempty
     polytope this is the test over all retained rows; an all-zero face
     (0 <= h_r) is always redundant.  Each component is one support session
@@ -274,7 +251,7 @@ def prune_redundant(poly, tol=PRUNE_TOL, backend=None):
         for r in range(faces.size):
             session.set_upper(r, h[r] + 1.0)
             support, _ = session.maximize(G[r])
-            if support <= h[r] + tol:
+            if support <= h[r] + PRUNE_TOL:
                 session.set_upper(r, np.inf)
                 logger.debug("pruned face %d (support %.3e <= %.3e)",
                              faces[r], support, h[r])

@@ -52,7 +52,7 @@ class QuantizerSpec:
     """
 
     rho: np.ndarray
-    delta: np.ndarray = field(default=None)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
@@ -60,13 +60,8 @@ class QuantizerSpec:
             raise ValueError("rho must be a nonempty vector")
         if np.any(rho <= 0.0) or np.any(rho > 1.0):
             raise ValueError("all densities must lie in (0, 1]")
-        delta = (1.0 - rho) / (1.0 + rho)
-        if self.delta is not None:
-            given = np.atleast_1d(np.asarray(self.delta, dtype=float))
-            if given.shape != rho.shape or not np.allclose(given, delta, atol=1e-12):
-                raise ValueError("delta does not match (1-rho)/(1+rho)")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", (1.0 - rho) / (1.0 + rho))
 
     @property
     def m(self):

@@ -216,7 +216,10 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     fixed-lam feasibility LPs.  Every mode and objective shares one
     verdict: 'feasible' only when the certified lam < 1.  An optimum with
     lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
-    lam and extras["optimum"] its (v, S) as a StabCertificate."""
+    lam and extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
+    bisection counts a lam probe whose LP ends in a numerical failure as
+    infeasible and lists its lam in extras["failed_lam"], on whatever
+    result it returns."""
     if mode not in ("ss", "ess"):
         raise ValueError("mode must be 'ss' or 'ess'")
     if objective not in ("feasibility", "min-lambda"):
@@ -233,16 +236,25 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
         model = build(poly, spec, n, mode, eta, **kw)
         return model, solve(model, backend)
 
+    extras = {}
     if objective == "min-lambda" and mode == "ess":
-        _, (model, sol) = bisect_least(lambda lam: run(lam_fixed=lam),
-                                       lambda r: r[1].optimal,
+        failed = extras["failed_lam"] = []
+
+        def probe(lam):
+            model, sol = run(lam_fixed=lam)
+            if sol.status == "numerical-failure":
+                failed.append(lam)
+            return model, sol
+
+        _, (model, sol) = bisect_least(probe, lambda r: r[1].optimal,
                                        LAMBDA_BISECT_TOL)
     else:
         model, sol = run(minimize_lam=objective == "min-lambda")
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
-                           else "numerical-failure")
+                           else "numerical-failure", None, extras)
     res = extract(model, sol, poly, spec, n, mode, eta)
+    res.extras.update(extras)
     if res.certificate.lam >= 1.0:
         # A gain of 1 or more certifies no stability: the optimum stays in
         # the extras, for plots and comparisons, but no certificate.
@@ -260,13 +272,15 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     plant_vec(A, B), whose rows are then substituted (the known-plant
     case).  spec fixes the sector vertices.  mode 'ss' pins v = 1, 'ess'
     searches v > 0.  objective 'min-lambda' minimizes the certified gain
-    (direct LP for 'ss', bisection to 1e-4 for 'ess').  The status is
-    'feasible' only when the certified gain is below 1; an optimum at or
-    above 1 is 'infeasible' and keeps its gain in extras["lam"].  Returns
-    a SynthResult whose extras["Z"] carries the Farkas multipliers for
-    audit, {"Z": array of shape (n 2^(n+m), L)} with rows ordered as in
-    build_sign_polytope_rows (none on a point).  An empty polytope raises
-    ValueError, and a failed nonemptiness LP SolverError.
+    (direct LP for 'ss', bisection to 1e-4 for 'ess', which lists the gain
+    of every probe that failed numerically in extras["failed_lam"]).  The
+    status is 'feasible' only when the certified gain is below 1; an
+    optimum at or above 1 is 'infeasible' and keeps its gain in
+    extras["lam"].  Returns a SynthResult whose extras["Z"] carries the
+    Farkas multipliers for audit, {"Z": array of shape (n 2^(n+m), L)}
+    with rows ordered as in build_sign_polytope_rows (none on a point).
+    An empty polytope raises ValueError, and a failed nonemptiness LP
+    SolverError.
     """
     return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
                        objective, backend)

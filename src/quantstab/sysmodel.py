@@ -83,7 +83,7 @@ class StabCertificate:
     eta: float
     mode: str = "ess"
     M: np.ndarray = None
-    K: np.ndarray = field(default=None)
+    K: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
@@ -96,11 +96,6 @@ class StabCertificate:
             raise ValueError("superstability mode requires v = 1 exactly")
         if S.shape[1] != v.size:
             raise ValueError("S must be m x n with n = len(v)")
-        K = S / v[None, :]
-        if self.K is not None:
-            given = np.atleast_2d(np.asarray(self.K, dtype=float))
-            if given.shape != K.shape or not np.allclose(given, K, atol=1e-9):
-                raise ValueError("K does not equal S diag(1/v)")
         M = self.M
         if M is not None:
             M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -109,7 +104,7 @@ class StabCertificate:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "K", S / v[None, :])
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "eta", float(self.eta))
 

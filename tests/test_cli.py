@@ -2,15 +2,17 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
                        builtin_partition, builtin_system, synthesize_sign)
-from quantstab.cli import main
+from quantstab.cli import build_parser, main
 
-from test_synth_sign import _FailsFirstLP
+from test_synth_sign import _StatusOnCall
 
 OK, INFEASIBLE, UNVERIFIED, CONFIG = 0, 2, 3, 4
 
@@ -124,18 +126,18 @@ def test_synthesize_withholds_unverified_certificate(tmp_path, monkeypatch):
                         lambda *args, **kw: VerificationReport(
                             verified=False, worst_margin=-1.0))
     out = tmp_path / "cert.json"
-    assert run("synthesize", "--system", "sys1", "--method", "nominal",
+    assert run("synthesize", "--system", "sys1", "--method", "sign",
                "--rho", "0.7", "--out", str(out)) == UNVERIFIED
     assert not out.exists()
     # the audit cannot be skipped
-    assert run("synthesize", "--system", "sys1", "--method", "nominal",
+    assert run("synthesize", "--system", "sys1", "--method", "sign",
                "--rho", "0.7", "--unchecked", "--out", str(out)) == CONFIG
     assert not out.exists()
 
 
 def test_failed_nonemptiness_lp_is_a_solver_failure(tmp_path, monkeypatch,
                                                      capsys, data_file):
-    monkeypatch.setattr("quantstab.lp_core.DEFAULT_BACKEND", _FailsFirstLP())
+    monkeypatch.setattr("quantstab.lp_core.DEFAULT_BACKEND", _StatusOnCall())
     out = tmp_path / "cert.json"
     assert run("synthesize", "--system", "sys1", "--data", data_file,
                "--rho", "0.7", "--out", str(out)) == UNVERIFIED
@@ -147,7 +149,7 @@ def test_failed_nonemptiness_lp_is_a_solver_failure(tmp_path, monkeypatch,
 
 def test_nominal_synthesis_needs_no_data(tmp_path):
     out = tmp_path / "nom.json"
-    assert run("synthesize", "--system", "sys1", "--method", "nominal",
+    assert run("synthesize", "--system", "sys1", "--method", "sign",
                "--mode", "ss", "--rho", "0.5", "--out", str(out)) == OK
     with open(out) as f:
         assert json.load(f)["mode"] == "ss"
@@ -210,15 +212,15 @@ def test_simulate_writes_decaying_csv(tmp_path, cert_file):
 
 def test_minrho_matches_frozen_reference(tmp_path, capsys):
     out = tmp_path / "minrho.json"
-    assert run("minrho", "--system", "sys1", "--method", "nominal",
+    assert run("minrho", "--system", "sys1", "--method", "sign",
                "--mode", "ss", "--out", str(out)) == OK
     with open(out) as f:
         d = json.load(f)
     assert d["min_rho"] == pytest.approx(0.31146240234375, abs=1e-9)
-    assert capsys.readouterr().out.strip().endswith("(nominal, ss)")
+    assert capsys.readouterr().out.strip().endswith("(sign, ss)")
 
 
-@pytest.mark.parametrize("method", ["nominal", "sign", "aarc"])
+@pytest.mark.parametrize("method", ["sign", "aarc"])
 @pytest.mark.parametrize("mode, reference", [("ss", 0.31146240234375),
                                              ("ess", 0.01385498046875)])
 def test_minrho_without_data_synthesizes_at_the_plant(tmp_path, method, mode,
@@ -240,19 +242,19 @@ def test_minrho_lists_failed_probes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("quantstab.cli.synthesize_sign", fails_at_quarter)
     out = tmp_path / "minrho.json"
-    assert run("minrho", "--system", "sys1", "--method", "nominal",
+    assert run("minrho", "--system", "sys1", "--method", "sign",
                "--mode", "ss", "--out", str(out)) == OK
     d = json.loads(out.read_text())
     assert d["min_rho"] == pytest.approx(0.31146240234375, abs=1e-9)
     assert d["failed_rho"] == [0.25]
     line = capsys.readouterr().out.strip()
-    assert line.startswith("minrho: 0.3115 (nominal, ss)")
+    assert line.startswith("minrho: 0.3115 (sign, ss)")
     assert line.endswith("counted infeasible after a solver failure: "
                          "rho = 0.25")
 
 
 def test_minrho_rejects_nonpositive_tolerance():
-    assert run("minrho", "--system", "sys1", "--method", "nominal",
+    assert run("minrho", "--system", "sys1", "--method", "sign",
                "--tol", "0") == CONFIG
 
 
@@ -261,13 +263,13 @@ def test_minrho_reports_total_infeasibility(tmp_path):
     sysfile = tmp_path / "hopeless.json"
     sysfile.write_text(json.dumps(
         {"A": [[2.0, 0.0], [0.0, 2.0]], "B": [[0.0], [0.0]]}))
-    assert run("minrho", "--system", str(sysfile), "--method", "nominal",
+    assert run("minrho", "--system", str(sysfile), "--method", "sign",
                "--mode", "ess") == INFEASIBLE
 
 
 def test_sweep_produces_monotone_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert run("sweep", "--system", "sys1", "--method", "nominal", "--mode",
+    assert run("sweep", "--system", "sys1", "--method", "sign", "--mode",
                "ss", "--points", "6", "--rho-min", "0.2", "--rho-max",
                "1.0", "--out", str(out)) == OK
     with open(out) as f:
@@ -286,10 +288,10 @@ def test_sweep_produces_monotone_csv(tmp_path):
 
 
 def test_sweep_keeps_the_gain_of_an_unstable_optimum(tmp_path):
-    # nominal sys1 has its SS threshold near 0.311: at 0.2 the least gain
+    # the sys1 plant has its SS threshold near 0.311: at 0.2 the least gain
     # is about 1.066, printed with status infeasible
     out = tmp_path / "sweep.csv"
-    assert run("sweep", "--system", "sys1", "--method", "nominal", "--mode",
+    assert run("sweep", "--system", "sys1", "--method", "sign", "--mode",
                "ss", "--points", "1", "--rho-min", "0.2", "--rho-max",
                "0.2", "--out", str(out)) == OK
     with open(out) as f:
@@ -335,6 +337,39 @@ def test_bad_subcommand_is_config_error():
 def test_bad_flag_value_is_config_error():
     assert run("synthesize", "--system", "sys1", "--rho", "not-a-number") \
         == CONFIG
+
+
+@pytest.mark.parametrize("valid, unread", [
+    ("gendata --system sys1 --T 5", "--prune"),
+    ("synthesize --system sys1 --rho 0.7", "--seed 3"),
+    ("verify --system sys1 --cert {cert}", "--mode ss"),
+    ("simulate --system sys1 --cert {cert}", "--data d.json"),
+    ("minrho --system sys1", "--rho 0.5"),
+    ("sweep --system sys1 --points 1", "--tol 1e-3"),
+    ("prune --data {data}", "--method aarc"),
+    ("minrho --system sys1 --mode ss", "--method nominal"),
+])
+def test_option_a_command_does_not_read_is_config_error(
+        valid, unread, capsys, data_file, cert_file):
+    argv = valid.format(cert=cert_file, data=data_file).split()
+    assert run(*argv) == OK
+    capsys.readouterr()
+    assert run(*argv, *unread.split()) == CONFIG
+    assert unread.split()[0] in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # the "Command line" block of the README, continuation lines joined
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "quantstab"
+        args = build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
 
 
 def test_missing_file_is_config_error():

@@ -20,7 +20,6 @@ from quantstab import (
     plant_vec,
     prune_redundant,
     solve,
-    widen_noise,
 )
 
 from conftest import (box_polytope, random_separable_polytope,
@@ -54,38 +53,38 @@ def test_generated_data_always_contains_truth(sys1, sys2, part1, part2):
 
 
 def test_noise_widening_keeps_truth_under_noisy_data(sys1, part1):
+    # generate_dataset records the noise as epsilon, which build_polytope
+    # adds to every finite bound
     noise = 0.05
     ds = generate_dataset(sys1, part1, 60, seed=2, noise=noise)
-    wide = widen_noise(ds, noise)
-    assert contains_plant(build_polytope(wide), sys1.A, sys1.B)
+    assert ds.epsilon == noise
+    assert contains_plant(build_polytope(ds), sys1.A, sys1.B)
 
 
 def test_widen_examples():
     s = _scalar_sample(1.0, 0.0, 0.3, 0.4)
-    ds = Dataset(samples=[s], epsilon=0.0)
-    same = widen_noise(ds, 0.0)
-    np.testing.assert_allclose(same.samples[0].p, [0.3])
-    np.testing.assert_allclose(same.samples[0].q, [0.4])
-    wide = widen_noise(ds, 0.05)
-    np.testing.assert_allclose(wide.samples[0].p, [0.25])
-    np.testing.assert_allclose(wide.samples[0].q, [0.45])
+    same = build_polytope(Dataset(samples=[s], epsilon=0.0))
+    np.testing.assert_allclose(same.h, [0.4, -0.3])
+    wide = build_polytope(Dataset(samples=[s], epsilon=0.05))
+    np.testing.assert_allclose(wide.h, [0.4 + 0.05, -(0.3 - 0.05)])
+    np.testing.assert_array_equal(wide.G, same.G)
 
-    unbounded = Dataset(samples=[_scalar_sample(1.0, 0.0, 4.0, np.inf)],
-                        epsilon=0.0)
-    w = widen_noise(unbounded, 0.1)
-    np.testing.assert_allclose(w.samples[0].p, [3.9])
-    assert np.isposinf(w.samples[0].q[0])
+    # the face of the infinite upper bound stays omitted
+    unbounded = _scalar_sample(1.0, 0.0, 4.0, np.inf)
+    w = build_polytope(Dataset(samples=[unbounded], epsilon=0.1))
+    np.testing.assert_array_equal(w.G, [[-1.0, 0.0]])
+    np.testing.assert_allclose(w.h, [-(4.0 - 0.1)])
 
     with pytest.raises(ValueError):
-        widen_noise(ds, -0.01)
+        Dataset(samples=[s], epsilon=-0.01)
 
 
 def test_widening_only_relaxes(sys1, part1):
     ds = generate_dataset(sys1, part1, 30, seed=5)
     base = build_polytope(ds)
-    wide = build_polytope(widen_noise(ds, 0.2))
-    np.testing.assert_allclose(wide.G, base.G)
-    assert np.all(wide.h >= base.h - 1e-12)
+    wide = build_polytope(Dataset(ds.samples, ds.epsilon + 0.2))
+    np.testing.assert_array_equal(wide.G, base.G)
+    assert np.all(wide.h >= base.h)
 
 
 # ---------------------------------------------------------------------------

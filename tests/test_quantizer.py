@@ -179,7 +179,7 @@ def test_vector_quantizer_dim_mismatch():
 def test_spec_enforces_density_sector_coupling():
     ok = QuantizerSpec.uniform(0.5, 3)
     np.testing.assert_allclose(ok.delta, np.full(3, 1.0 / 3.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):      # delta is derived, never given
         QuantizerSpec(rho=np.array([0.5]), delta=np.array([0.5]))
 
 

@@ -15,6 +15,7 @@ from quantstab import (
     closed_loop_vertex_gain,
     count_constraints_sign,
     generate_dataset,
+    plant_vec,
     prune_redundant,
     robust_verify,
     sign_vectors,
@@ -168,18 +169,19 @@ def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
     np.testing.assert_allclose(got, np.concatenate(expect), atol=1e-12)
 
 
-class _FailsFirstLP:
-    """Backend reporting a numerical failure on its first LP (the
-    nonemptiness check) and solving every later one."""
+class _StatusOnCall:
+    """Backend answering its k-th LP with status and no point, and solving
+    every other one; by default a numerical failure on the first LP (the
+    nonemptiness check on a polytope)."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, k=1, status="numerical-failure"):
+        self.k, self.status, self.calls = k, status, 0
         self.inner = LinprogBackend()
 
     def solve(self, *args):
         self.calls += 1
-        if self.calls == 1:
-            return "numerical-failure", None, None
+        if self.calls == self.k:
+            return self.status, None, None
         return self.inner.solve(*args)
 
 
@@ -187,9 +189,29 @@ def test_failed_nonemptiness_lp_is_not_taken_for_nonempty():
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     with pytest.raises(RuntimeError):
         synthesize_sign(poly, QuantizerSpec.uniform(1.0, 1),
-                        backend=_FailsFirstLP())
+                        backend=_StatusOnCall())
     with pytest.raises(RuntimeError):
-        prune_redundant(poly, backend=_FailsFirstLP())
+        prune_redundant(poly, backend=_StatusOnCall())
+
+
+def test_failed_lambda_probe_is_listed_and_counted_infeasible(sys1):
+    # On the sys1 point at rho = 0.7 the ESS min-lambda probes run 1, 0.5,
+    # 0.75, ...; the third is feasible, so refusing it moves the bisection
+    # above 0.75.
+    z = plant_vec(sys1.A, sys1.B)
+    spec = QuantizerSpec.uniform(0.7, sys1.m)
+
+    def least_gain(backend):
+        return synthesize_sign(z, spec, mode="ess", objective="min-lambda",
+                               backend=backend)
+
+    assert least_gain(None).extras["failed_lam"] == []
+    failed = least_gain(_StatusOnCall(3, "numerical-failure"))
+    refused = least_gain(_StatusOnCall(3, "infeasible"))
+    assert failed.extras["failed_lam"] == [0.75]
+    assert refused.extras["failed_lam"] == []
+    assert failed.status == refused.status == "feasible"
+    assert failed.certificate.lam == refused.certificate.lam > 0.75
 
 
 # ---------------------------------------------------------------------------
