@@ -10,26 +10,25 @@ every certificate can be audited by an independent support-function
 oracle.
 """
 
-from .quantizer import (QuantizerSpec, Partition, delta_from_rho,
-                        log_quantize, log_quantize_vector, interval_quantize)
-from .sysmodel import (LinearSystem, StabCertificate, SynthResult,
-                       sign_vectors, recover_controller, scaled_infty_norm,
-                       closed_loop_vertex_gain, simulate_quantized,
-                       check_cert, decay_check)
+from .quantizer import (QuantizerSpec, Partition, builtin_partition,
+                        delta_from_rho, log_quantize, log_quantize_vector,
+                        interval_quantize)
+from .sysmodel import (LinearSystem, builtin_system, StabCertificate,
+                       SynthResult, sign_vectors, recover_controller,
+                       scaled_infty_norm, closed_loop_vertex_gain,
+                       simulate_quantized, check_cert, decay_check)
 from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
                       solve, add_farkas_block, max_linear_over_polytope)
 from .consistency import (DataSample, Dataset, generate_dataset,
-                          build_polytope, plant_vec, contains_plant,
-                          prune_redundant)
+                          build_polytope, plant_vec, singleton_polytope,
+                          contains_plant, prune_redundant)
 from .nominal import (NominalProblem, synthesize_nominal_mform,
                       synthesize_nominal_sign)
 from .synth_sign import (build_sign_polytope_rows, synthesize_sign,
-                         count_constraints_sign)
+                         count_constraints_sign, min_feasible_rho)
 from .synth_aarc import (AffineMParam, eval_affine_M, synthesize_aarc,
                          count_constraints_aarc)
 from .verify import VerificationReport, robust_verify
-from .cli import (builtin_system, builtin_partition, singleton_polytope,
-                  min_feasible_rho, main)
 
 __version__ = "0.1.0"
 
@@ -49,6 +48,6 @@ __all__ = [
     "count_constraints_aarc",
     "VerificationReport", "robust_verify",
     "builtin_system", "builtin_partition",
-    "singleton_polytope", "min_feasible_rho", "main",
+    "singleton_polytope", "min_feasible_rho",
     "__version__",
 ]

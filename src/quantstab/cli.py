@@ -25,20 +25,16 @@ import sys as _sys
 import numpy as np
 
 from .consistency import (Dataset, build_polytope, generate_dataset,
-                          plant_vec, prune_redundant)
+                          plant_vec, prune_redundant, singleton_polytope)
 from .lp_core import Polytope, SolverError
-from .quantizer import Partition, QuantizerSpec
+from .quantizer import QuantizerSpec, builtin_partition
 from .synth_aarc import synthesize_aarc
-from .synth_sign import DEFAULT_ETA, bisect_least, synthesize_sign
-from .sysmodel import (LinearSystem, StabCertificate, decay_check,
+from .synth_sign import DEFAULT_ETA, min_feasible_rho, synthesize_sign
+from .sysmodel import (StabCertificate, builtin_system, decay_check,
                        simulate_quantized)
 from .verify import robust_verify
 
 __all__ = [
-    "builtin_system",
-    "builtin_partition",
-    "singleton_polytope",
-    "min_feasible_rho",
     "cmd_gendata",
     "cmd_synthesize",
     "cmd_verify",
@@ -59,68 +55,33 @@ EXIT_CONFIG = 4
 DEFAULT_PARTITION = {"sys1": "p1", "sys2": "p2"}
 
 
-def builtin_system(name):
-    """A named built-in plant, or one loaded from a JSON file path."""
-    if name == "sys1":
-        A = np.array([[-0.1300, -0.3974, 0.2030],
-                      [-0.3974, -0.5000, 0.2990],
-                      [0.2030, 0.2990, -0.5262]])
-        B = np.array([[0.2179, 1.2300],
-                      [0.3592, 0.0],
-                      [-1.1553, 0.0]])
-        return LinearSystem(A=A, B=B)
-    if name == "sys2":
-        idx = np.arange(1.0, 6.0)
-        ratio = idx[:, None] / idx[None, :]
-        A = 0.2 * np.minimum(ratio, 1.0 / ratio) + 0.45 * np.eye(5)
-        B = np.vstack([np.eye(3), np.zeros((2, 3))])
-        return LinearSystem(A=A, B=B)
-    with open(name) as f:
-        return LinearSystem.from_json_dict(json.load(f))
-
-
-def builtin_partition(name):
-    """A named built-in partition, or one loaded from a JSON file path."""
-    if name in ("p1", "partition1"):
-        return Partition.regular(-4.0, 4.0, 1.0)
-    if name in ("p2", "partition2"):
-        return Partition.regular(-6.0, 6.0, 0.5)
-    with open(name) as f:
-        return Partition.from_json_dict(json.load(f))
-
-
-def singleton_polytope(sys):
-    """Equality-tight polytope pinning exactly one plant."""
-    z = plant_vec(sys.A, sys.B)
-    eye = np.eye(z.size)
-    return Polytope(G=np.vstack([eye, -eye]), h=np.concatenate([z, -z]))
-
-
 def _system(args):
     if not args.system:
         raise ValueError("a plant is required; pass --system")
     return builtin_system(args.system)
 
 
-def _load_data(args):
-    """(polytope, input count m) of --data: a Dataset JSON, whose
-    consistency polytope is built here, or a bare Polytope JSON, whose
-    input count --system supplies (None without it)."""
-    with open(args.data) as f:
+def _load_data(path):
+    """(polytope, input count m) of a data file: a Dataset JSON, whose
+    consistency polytope is built here, or a bare Polytope JSON, which
+    does not fix m (None)."""
+    with open(path) as f:
         d = json.load(f)
     if "G" not in d:
         ds = Dataset.from_json_dict(d)
         return build_polytope(ds), ds.m
-    poly = Polytope.from_json_dict(d)
-    return poly, builtin_system(args.system).m if args.system else None
+    return Polytope.from_json_dict(d), None
 
 
 def _data_polytope(args):
-    """The --data polytope and its input count, pruned on --prune."""
-    poly, m = _load_data(args)
+    """The --data polytope and its input count, which --system supplies
+    for a bare polytope; pruned on --prune."""
+    poly, m = _load_data(args.data)
     if m is None:
-        raise ValueError("a bare polytope does not fix the input count; "
-                         "pass --system as well")
+        if not args.system:
+            raise ValueError("a bare polytope does not fix the input count; "
+                             "pass --system as well")
+        m = builtin_system(args.system).m
     if args.prune:
         before = poly.num_faces
         poly = prune_redundant(poly)
@@ -164,23 +125,13 @@ def _write_csv(path, rows):
         csv.writer(_sys.stdout).writerows(rows)
 
 
-def min_feasible_rho(probe, tol=1e-4):
-    """Smallest density with a feasible probe, by bisection on (0, 1].
-
-    probe(rho) returns a SynthResult; feasibility is monotone in rho (finer
-    quantization only shrinks the sector).  A probe reporting a solver
-    failure is logged and counted infeasible.  Returns (rho, result) or
-    (None, None) when even rho = 1 is infeasible.
-    """
-
-    def logged(r):
-        res = probe(r)
-        if res.status == "numerical-failure":
-            log.warning("solver failure at rho=%.6f, counted infeasible", r)
-        return res
-
-    rho, res = bisect_least(logged, lambda res: res.feasible, tol)
-    return (None, None) if rho is None else (rho, res)
+def _failures(name, values):
+    """Summary-line suffix naming the probes a solver failure counted
+    infeasible, empty when there are none."""
+    if not values:
+        return ""
+    return (f"; counted infeasible after a solver failure: {name} = "
+            + ", ".join(f"{x:.6g}" for x in values))
 
 
 def cmd_gendata(args):
@@ -201,12 +152,13 @@ def cmd_synthesize(args):
         raise ValueError("synthesize requires --rho")
     target, m = _synthesis_set(args)
     res, spec = _synthesize(args, target, m, args.rho, args.objective)
+    failures = _failures("lambda", res.extras.get("failed_lam"))
     if res.status == "numerical-failure":
         print("synthesize: solver failure", file=_sys.stderr)
         return EXIT_UNVERIFIED
     if not res.feasible:
         print(f"synthesize: infeasible ({args.method}, {args.mode}, "
-              f"rho={args.rho})")
+              f"rho={args.rho}){failures}")
         return EXIT_INFEASIBLE
     cert = res.certificate
     audit_set = target if isinstance(target, Polytope) \
@@ -225,7 +177,7 @@ def cmd_synthesize(args):
         _write_json(args.dump_z,
                     {k: z.tolist() for k, z in res.extras["Z"].items()})
     print(f"synthesize: feasible, lambda={cert.lam:.6f}"
-          + (f" -> {args.out}" if args.out else ""))
+          + (f" -> {args.out}" if args.out else "") + failures)
     return EXIT_OK
 
 
@@ -285,8 +237,7 @@ def cmd_minrho(args):
         return res
 
     rho_star, res = min_feasible_rho(probe, tol=args.tol)
-    failures = ("; counted infeasible after a solver failure: rho = "
-                + ", ".join(f"{r:.6g}" for r in failed)) if failed else ""
+    failures = _failures("rho", failed)
     if rho_star is None:
         print(f"minrho: infeasible for all rho <= 1 ({args.method}, "
               f"{args.mode}){failures}")
@@ -308,22 +259,26 @@ def cmd_sweep(args):
     if not (np.all(grid > 0) and np.all(grid <= 1)):
         raise ValueError("sweep grid must lie in (0, 1]")
     target, m = _synthesis_set(args)
-    rows = []
+    rows, failed = [], []
     for rho in grid:
         res, _ = _synthesize(args, target, m, rho, "min-lambda")
         lam = res.certificate.lam if res.feasible else res.extras.get("lam")
         rows.append([f"{rho:.6f}", "" if lam is None else f"{lam:.6f}",
                      res.status])
+        if res.extras.get("failed_lam"):
+            failed.append(rho)
     _write_csv(args.out, [["rho", "lambda", "status"]] + rows)
     n_feas = sum(1 for r in rows if r[2] == "feasible")
-    print(f"sweep: {n_feas}/{len(rows)} grid points feasible")
+    failures = ("; lambda probes failed in the solver at rho = "
+                + ", ".join(f"{r:.6g}" for r in failed)) if failed else ""
+    print(f"sweep: {n_feas}/{len(rows)} grid points feasible{failures}")
     return EXIT_OK
 
 
 def cmd_prune(args):
     if not args.data:
         raise ValueError("prune requires --data")
-    poly, _ = _load_data(args)
+    poly, _ = _load_data(args.data)
     pruned = prune_redundant(poly)
     _write_json(args.out, pruned.to_json_dict())
     print(f"prune: {poly.num_faces} -> {pruned.num_faces} faces")
@@ -382,7 +337,7 @@ def build_parser():
         ("sweep", "minimized gain across a density grid",
          f"{synthesis} --points --rho-min --rho-max --out", {}),
         ("prune", "drop redundant consistency polytope faces",
-         "--system --data --out", {}),
+         "--data --out", {}),
     ]
 
     p = _Parser(prog="quantstab",

@@ -34,6 +34,7 @@ __all__ = [
     "generate_dataset",
     "build_polytope",
     "plant_vec",
+    "singleton_polytope",
     "contains_plant",
     "prune_redundant",
 ]
@@ -210,6 +211,13 @@ def plant_vec(A, B):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     return np.concatenate([A.flatten(order="F"), B.flatten(order="F")])
+
+
+def singleton_polytope(sys):
+    """Equality-tight polytope pinning exactly one plant."""
+    z = plant_vec(sys.A, sys.B)
+    eye = np.eye(z.size)
+    return Polytope(G=np.vstack([eye, -eye]), h=np.concatenate([z, -z]))
 
 
 def contains_plant(poly, A, B, tol=CONTAIN_TOL):

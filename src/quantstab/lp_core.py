@@ -25,10 +25,14 @@ touching every component, as with a dense G1, gets the full L2 x L1
 block.  Multipliers are laid out row after row, so a caller stacks every
 robust row of a constraint family into one G2 and gets one block.
 
-Sequences of support LPs over one polytope (pruning, the audit) run in a
-_SupportSession: one persistent HiGHS model whose costs and row bounds
-change between warm re-solves, with a fresh solve per LP through an
-explicitly passed backend as the reference.
+Sequences of LPs that differ in a few numbers run in one persistent
+HiGHS model, a _WarmLP, whose costs, row bounds and single coefficients
+change between warm re-solves.  The support LPs of pruning and of the
+audit use it through _SupportSession (new costs, one changed row bound),
+and the ESS min-lambda bisection through param_solver: a model built
+with a scalar parameter (LPModel.param_expr) is assembled once, and each
+probe rewrites only the entries the parameter scales.  A fresh solve per
+LP through an explicitly passed backend is the reference for both.
 """
 
 from dataclasses import dataclass
@@ -55,6 +59,7 @@ __all__ = [
     "add_farkas_block",
     "add_robust_rows",
     "max_linear_over_polytope",
+    "param_solver",
 ]
 
 
@@ -226,6 +231,7 @@ class LPModel:
         self._objective = None     # scalar AffExpr, minimized
         self.farkas_blocks = []    # (zname, L2, L1, rows, faces) bookkeeping
         self.row_sups = {}         # robust row name -> values -> sup_z G z
+        self.params = {}           # parameter name -> value (param_expr)
 
     def add_block(self, name, size, lb=None, ub=None):
         if name in self.blocks:
@@ -242,6 +248,16 @@ class LPModel:
     def identity_expr(self, name):
         size = self.blocks[name][0]
         return AffExpr(size, {name: sp.eye(size, format="csr")})
+
+    def param_expr(self, param, block, value):
+        """The AffExpr param * block for a scalar parameter param, set to
+        value.  Its terms are keyed (param, block): assemble() multiplies
+        them by the current self.params[param], and param_entries(param)
+        lists the matrix entries they reach, so the parameter can change
+        without a rebuild."""
+        self.params[param] = float(value)
+        size = self.blocks[block][0]
+        return AffExpr(size, {(param, block): sp.eye(size, format="csr")})
 
     def add_eq(self, expr):
         self._eqs.append(expr)
@@ -273,26 +289,39 @@ class LPModel:
             at += self.blocks[name][0]
         return offsets, at
 
+    @staticmethod
+    def _terms(exprs, offsets):
+        """(rows, cols, vals, param) of every term of exprs as COO
+        triplets, shifted to its expression's first row and its block's
+        first column; param is the parameter scaling it, or None."""
+        at = 0
+        for e in exprs:
+            for key, coeff in e.terms.items():
+                param, block = key if isinstance(key, tuple) else (None, key)
+                coo = coeff.tocoo()
+                yield coo.row + at, coo.col + offsets[block], coo.data, param
+            at += e.rows
+
+    def _csr(self, terms, shape):
+        """One CSR matrix summing the triplets of terms, each scaled by
+        the current value of its parameter."""
+        rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
+        vals = [np.zeros(0)]
+        for r, c, v, param in terms:
+            rows.append(r)
+            cols.append(c)
+            vals.append(v if param is None else v * self.params[param])
+        return sp.csr_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))),
+                             shape=shape)
+
     def _stack(self, exprs, nvar, offsets):
-        """One CSR matrix from every expression's COO triplets, each term
-        shifted to its expression's first row and its block's first
-        column, plus the stacked constants."""
+        """One CSR matrix of every expression's terms, plus the stacked
+        constants."""
         nrows = sum(e.rows for e in exprs)
         if nrows == 0:
             return None, None
-        rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
-        vals = [np.zeros(0)]
-        at = 0
-        for e in exprs:
-            for name, coeff in e.terms.items():
-                coo = coeff.tocoo()
-                rows.append(coo.row + at)
-                cols.append(coo.col + offsets[name])
-                vals.append(coo.data)
-            at += e.rows
-        A = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nrows, nvar))
+        A = self._csr(self._terms(exprs, offsets), (nrows, nvar))
         return A, np.concatenate([e.const for e in exprs])
 
     def assemble(self):
@@ -313,6 +342,22 @@ class LPModel:
             bounds[offsets[name]:offsets[name] + size, 0] = lbv
             bounds[offsets[name]:offsets[name] + size, 1] = ubv
         return c, A_ub, b_ub, A_eq, b_eq, bounds
+
+    def param_entries(self, param):
+        """(rows, cols, base, slope) of every constraint matrix entry that
+        parameter param scales: at parameter value p the entry is
+        base + slope * p, base being the sum of its other terms.  Rows
+        count the A_ub rows of assemble() first, then its A_eq rows."""
+        offsets, nvar = self._offsets()
+        exprs = self._ineqs + self._eqs
+        shape = (sum(e.rows for e in exprs), nvar)
+        terms = list(self._terms(exprs, offsets))
+        slope = self._csr([(r, c, v, None) for r, c, v, p in terms
+                           if p == param], shape)
+        base = self._csr([t for t in terms if t[3] != param], shape)
+        rows, cols = slope.nonzero()
+        return (rows, cols, np.asarray(base[rows, cols]).ravel(),
+                np.asarray(slope[rows, cols]).ravel())
 
     def split(self, x):
         offsets, _ = self._offsets()
@@ -451,18 +496,32 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
         model.row_sups[name] = Gz.value
 
 
+def _free(d):
+    """linprog bounds of d free variables."""
+    return np.column_stack([np.full(d, -np.inf), np.full(d, np.inf)])
+
+
 def _require_nonempty(poly, backend=None):
     """Check {G x <= h} nonempty, as the Farkas rule needs, by one
     zero-cost LP over free x: ValueError when empty, SolverError on any
     other non-optimal status, so a solver failure never passes."""
-    bounds = np.column_stack([np.full(poly.dim, -np.inf),
-                              np.full(poly.dim, np.inf)])
     status, _, _ = (backend or DEFAULT_BACKEND).solve(
-        np.zeros(poly.dim), poly.G, poly.h, None, None, bounds)
+        np.zeros(poly.dim), poly.G, poly.h, None, None, _free(poly.dim))
     if status == "infeasible":
         raise ValueError("polytope is empty")
     if status != "optimal":
         raise SolverError(f"nonemptiness LP failed with status {status}")
+
+
+def _support(status, x, obj):
+    """(value, maximizer) of a solved min -c^T x support LP."""
+    if status == "optimal":
+        return -obj, x
+    if status == "unbounded":
+        return np.inf, None
+    if status == "infeasible":
+        raise ValueError("support function of an empty polytope")
+    raise SolverError(f"support LP failed with status {status}")
 
 
 def max_linear_over_polytope(c, poly, backend=None, return_point=False):
@@ -473,27 +532,85 @@ def max_linear_over_polytope(c, poly, backend=None, return_point=False):
     return_point the maximizer is returned alongside the value (None when
     unbounded).
     """
-    backend = backend or DEFAULT_BACKEND
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    bounds = np.column_stack([np.full(poly.dim, -np.inf),
-                              np.full(poly.dim, np.inf)])
-    status, x, obj = backend.solve(-c, poly.G, poly.h, None, None, bounds)
-    if status == "optimal":
-        return (-obj, x) if return_point else -obj
-    if status == "unbounded":
-        return (np.inf, None) if return_point else np.inf
-    if status == "infeasible":
-        raise ValueError("support function of an empty polytope")
-    raise SolverError(f"support LP failed with status {status}")
+    value, x = _support(*(backend or DEFAULT_BACKEND).solve(
+        -c, poly.G, poly.h, None, None, _free(poly.dim)))
+    return (value, x) if return_point else value
+
+
+class _WarmLP:
+    """One assembled LP in a persistent HiGHS model, re-solved warm.
+
+    Built from linprog's arrays (c, A_ub, b_ub, A_eq, b_eq, bounds) and
+    held as the A_ub rows, bounded above by b_ub, followed by the A_eq
+    rows, fixed at b_eq.  set_costs, set_row_bounds and set_coeffs change
+    the model in place; run() re-solves it from the last basis and
+    returns (status, x, objective) as a backend's solve does, x a copy.
+    A call costs a few simplex iterations instead of a fresh linprog
+    setup.  Needs scipy's HiGHS module (_highs not None).
+    """
+
+    def __init__(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
+        nvar = len(c)
+        mats = [sp.csc_matrix((0, nvar))]
+        lower, upper = [np.zeros(0)], [np.zeros(0)]
+        if A_ub is not None:
+            mats.append(sp.csc_matrix(A_ub))
+            lower.append(np.full(len(b_ub), -np.inf))
+            upper.append(b_ub)
+        if A_eq is not None:
+            mats.append(sp.csc_matrix(A_eq))
+            lower.append(b_eq)
+            upper.append(b_eq)
+        A = sp.vstack(mats, format="csc")
+        bounds = np.asarray(bounds, dtype=float)
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = nvar
+        lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = np.asarray(c, dtype=float)
+        lp.col_lower_ = bounds[:, 0]
+        lp.col_upper_ = bounds[:, 1]
+        lp.row_lower_ = np.concatenate(lower)
+        lp.row_upper_ = np.concatenate(upper)
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the model")
+
+    def set_costs(self, cols, values):
+        self._highs.changeColsCost(len(cols), cols, values)
+
+    def set_row_bounds(self, r, lower, upper):
+        self._highs.changeRowBounds(int(r), float(lower), float(upper))
+
+    def set_coeffs(self, rows, cols, values):
+        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            self._highs.changeCoeff(r, c, v)
+
+    def run(self):
+        highs = self._highs
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return ("optimal", np.array(highs.getSolution().col_value),
+                    highs.getInfo().objective_function_value)
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return "infeasible", None, None
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return "unbounded", None, None
+        return "numerical-failure", None, None
 
 
 class _SupportSession:
     """Repeated support LPs max c^T x over {G x <= h, x free}, built once.
 
-    The LP lives in one persistent HiGHS model: maximize(c) changes only
-    the costs and re-solves from the last basis, and set_upper(r, value)
-    changes the bound of row r (+inf frees it).  A call costs a few
-    simplex iterations instead of a fresh linprog setup.  maximize follows
+    The LP is one _WarmLP: maximize(c) changes only the costs and
+    re-solves from the last basis, and set_upper(r, value) changes the
+    bound of row r (+inf frees it).  maximize follows
     max_linear_over_polytope: (value, point) when optimal, (+inf, None)
     when unbounded, ValueError when infeasible and SolverError on any
     other status.  With a backend, every maximize is that function on the
@@ -507,32 +624,16 @@ class _SupportSession:
         if backend is None and _highs is None:
             backend = DEFAULT_BACKEND
         self._backend = backend
-        if backend is not None:
-            return
-        L, d = self._G.shape
-        self._cols = np.arange(d, dtype=np.int32)
-        A = sp.csc_matrix(self._G)
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = d
-        lp.num_row_ = lp.a_matrix_.num_row_ = L
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_cost_ = np.zeros(d)
-        lp.col_lower_ = np.full(d, -np.inf)
-        lp.col_upper_ = np.full(d, np.inf)
-        lp.row_lower_ = np.full(L, -np.inf)
-        lp.row_upper_ = self._upper
-        self._highs = _highs._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the support model")
+        if backend is None:
+            d = self._G.shape[1]
+            self._cols = np.arange(d, dtype=np.int32)
+            self._lp = _WarmLP(np.zeros(d), self._G, self._upper, None, None,
+                               _free(d))
 
     def set_upper(self, r, value):
         self._upper[r] = value
         if self._backend is None:
-            self._highs.changeRowBounds(int(r), -np.inf, float(value))
+            self._lp.set_row_bounds(r, -np.inf, value)
 
     def maximize(self, c):
         c = np.asarray(c, dtype=float)
@@ -541,16 +642,41 @@ class _SupportSession:
             return max_linear_over_polytope(
                 c, Polytope(self._G[rows], self._upper[rows]),
                 self._backend, return_point=True)
-        highs = self._highs
-        highs.changeColsCost(c.size, self._cols, -c)
-        highs.run()
-        status = highs.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
-            return (-highs.getInfo().objective_function_value,
-                    np.array(highs.getSolution().col_value))
-        if status == _highs.HighsModelStatus.kUnbounded:
-            return np.inf, None
-        if status == _highs.HighsModelStatus.kInfeasible:
-            raise ValueError("support function of an empty polytope")
-        raise SolverError("support LP failed with status "
-                          + highs.modelStatusToString(status))
+        self._lp.set_costs(self._cols, -c)
+        return _support(*self._lp.run())
+
+
+def param_solver(model, param, backend=None):
+    """solve(model, backend) as a function of the value of parameter param
+    (LPModel.param_expr).
+
+    Without a backend the model is assembled once into a _WarmLP, and a
+    call rewrites the entries param scales (LPModel.param_entries) and
+    re-solves from the last basis.  A warm solve that ends neither optimal
+    nor infeasible is solved once more by solve(model), the reference
+    path.  With a backend, or without scipy's HiGHS module, every call is
+    that fresh solve through the backend: it sets model.params[param] and
+    assembles the model anew.
+    """
+    if backend is None and _highs is None:
+        backend = DEFAULT_BACKEND
+
+    def fresh(value):
+        model.params[param] = value
+        return solve(model, backend)
+
+    if backend is not None:
+        return fresh
+    lp = _WarmLP(*model.assemble())
+    rows, cols, base, slope = model.param_entries(param)
+
+    def warm(value):
+        lp.set_coeffs(rows, cols, base + slope * value)
+        status, x, obj = lp.run()
+        if status == "optimal":
+            return LPSolution(status, model.split(x), obj)
+        if status == "infeasible":
+            return LPSolution(status, None, None)
+        return fresh(value)
+
+    return warm

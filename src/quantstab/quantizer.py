@@ -11,6 +11,7 @@ contains it, giving lower/upper bounds (possibly infinite) instead of a
 point value.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 from math import floor, isfinite, log2
@@ -20,6 +21,7 @@ import numpy as np
 __all__ = [
     "QuantizerSpec",
     "Partition",
+    "builtin_partition",
     "delta_from_rho",
     "log_quantize",
     "log_quantize_vector",
@@ -270,6 +272,18 @@ class Partition:
     @classmethod
     def from_json_dict(cls, d):
         return cls(edges=np.asarray(d["edges"], dtype=float))
+
+
+def builtin_partition(name):
+    """A named built-in partition, or one loaded from a JSON file path:
+    "p1" is the unit-step partition on [-4, 4], "p2" the half-step one on
+    [-6, 6]."""
+    if name in ("p1", "partition1"):
+        return Partition.regular(-4.0, 4.0, 1.0)
+    if name in ("p2", "partition2"):
+        return Partition.regular(-6.0, 6.0, 0.5)
+    with open(name) as f:
+        return Partition.from_json_dict(json.load(f))
 
 
 def interval_quantize(value, partition):

@@ -24,11 +24,13 @@ each row is substituted instead, G z0 <= h, with no multipliers: the
 known-plant sign form.
 """
 
+import logging
+
 import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import (AffExpr, LPModel, Polytope, _require_nonempty,
-                      add_robust_rows, solve)
+                      add_robust_rows, param_solver, solve)
 from .quantizer import cube_vertices
 from .sysmodel import StabCertificate, SynthResult
 
@@ -36,7 +38,10 @@ __all__ = [
     "build_sign_polytope_rows",
     "synthesize_sign",
     "count_constraints_sign",
+    "min_feasible_rho",
 ]
+
+logger = logging.getLogger(__name__)
 
 ENUM_GUARD = 20
 DEFAULT_ETA = 1e-6
@@ -109,10 +114,12 @@ def _search_blocks(model, n, m, mode):
 
 
 def _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam):
-    """Right-hand side of the gain rows: lam * v for a fixed lam, a free
-    minimized lam (adds its block and the objective), else v - eta."""
+    """Right-hand side of the gain rows: lam * v for a fixed lam, the
+    model parameter "lam" (LPModel.param_expr) set to lam_fixed, which
+    needs the 'ess' block v; a free minimized lam (adds its block and the
+    objective); else v - eta."""
     if lam_fixed is not None:
-        return v_expr * lam_fixed
+        return model.param_expr("lam", "v", lam_fixed)
     if minimize_lam:
         model.add_block("lam", 1)
         model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
@@ -206,6 +213,26 @@ def bisect_least(probe, ok, tol):
     return best
 
 
+def min_feasible_rho(probe, tol=1e-4):
+    """Smallest density with a feasible probe, by bisection on (0, 1].
+
+    probe(rho) returns a SynthResult; feasibility is monotone in rho (finer
+    quantization only shrinks the sector).  A probe reporting a solver
+    failure is logged and counted infeasible.  Returns (rho, result) or
+    (None, None) when even rho = 1 is infeasible.
+    """
+
+    def logged(r):
+        res = probe(r)
+        if res.status == "numerical-failure":
+            logger.warning("solver failure at rho=%.6f, counted infeasible",
+                           r)
+        return res
+
+    rho, res = bisect_least(logged, lambda res: res.feasible, tol)
+    return (None, None) if rho is None else (rho, res)
+
+
 def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     """The objective dispatch shared by every synthesizer.
 
@@ -213,7 +240,9 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     LPModel and extract(model, sol, poly, spec, n, mode, eta) the
     SynthResult of its solution.  'min-lambda' is one LP in 'ss'; in 'ess'
     the bound lam * v_i is bilinear, so lam is bisected over (0, 1] with
-    fixed-lam feasibility LPs.  Every mode and objective shares one
+    fixed-lam feasibility LPs: one model built with lam as its parameter
+    and re-solved at each probe by lp_core.param_solver, warm unless a
+    backend is given.  Every mode and objective shares one
     verdict: 'feasible' only when the certified lam < 1.  An optimum with
     lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
     lam and extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
@@ -232,24 +261,23 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     else:
         poly = np.asarray(poly, dtype=float).ravel()
 
-    def run(**kw):
-        model = build(poly, spec, n, mode, eta, **kw)
-        return model, solve(model, backend)
-
     extras = {}
     if objective == "min-lambda" and mode == "ess":
+        model = build(poly, spec, n, mode, eta, lam_fixed=1.0)
+        solve_at = param_solver(model, "lam", backend)
         failed = extras["failed_lam"] = []
 
         def probe(lam):
-            model, sol = run(lam_fixed=lam)
+            sol = solve_at(lam)
             if sol.status == "numerical-failure":
                 failed.append(lam)
-            return model, sol
+            return sol
 
-        _, (model, sol) = bisect_least(probe, lambda r: r[1].optimal,
-                                       LAMBDA_BISECT_TOL)
+        _, sol = bisect_least(probe, lambda s: s.optimal, LAMBDA_BISECT_TOL)
     else:
-        model, sol = run(minimize_lam=objective == "min-lambda")
+        model = build(poly, spec, n, mode, eta,
+                      minimize_lam=objective == "min-lambda")
+        sol = solve(model, backend)
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure", None, extras)

@@ -7,6 +7,7 @@ store the weights v, the matrix S with K = S diag(1/v), an optional
 envelope matrix M, and the certified gain lambda.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ from .quantizer import QuantizerSpec, cube_vertices, log_quantize_vector
 
 __all__ = [
     "LinearSystem",
+    "builtin_system",
     "StabCertificate",
     "SynthResult",
     "sign_vectors",
@@ -64,6 +66,31 @@ class LinearSystem:
     def from_json_dict(cls, d):
         return cls(A=np.asarray(d["A"], dtype=float),
                    B=np.asarray(d["B"], dtype=float))
+
+
+def builtin_system(name):
+    """A named built-in plant, or one loaded from a JSON file path.
+
+    "sys1" is a 3-state 2-input open-loop unstable plant (eigenvalues
+    -1.0185, -0.2613, 0.1236); "sys2" is A = 0.2 [min(i/j, j/i)]_{ij} +
+    0.45 I_5 (1-based indices; spectral radius 1.0633), B = [I_3; 0_{2x3}].
+    """
+    if name == "sys1":
+        A = np.array([[-0.1300, -0.3974, 0.2030],
+                      [-0.3974, -0.5000, 0.2990],
+                      [0.2030, 0.2990, -0.5262]])
+        B = np.array([[0.2179, 1.2300],
+                      [0.3592, 0.0],
+                      [-1.1553, 0.0]])
+        return LinearSystem(A=A, B=B)
+    if name == "sys2":
+        idx = np.arange(1.0, 6.0)
+        ratio = idx[:, None] / idx[None, :]
+        A = 0.2 * np.minimum(ratio, 1.0 / ratio) + 0.45 * np.eye(5)
+        B = np.vstack([np.eye(3), np.zeros((2, 3))])
+        return LinearSystem(A=A, B=B)
+    with open(name) as f:
+        return LinearSystem.from_json_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantstab
 from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
                        builtin_partition, builtin_system, synthesize_sign)
 from quantstab.cli import build_parser, main
@@ -267,6 +271,41 @@ def test_minrho_reports_total_infeasibility(tmp_path):
                "--mode", "ess") == INFEASIBLE
 
 
+def _third_lp_fails(rho_above=0.0):
+    """A stand-in for synthesize_sign whose backend fails the third LP of
+    every call at a density above rho_above: on a point, the lambda = 0.75
+    probe of an ESS min-lambda bisection."""
+    def synth(target, spec, **kw):
+        backend = _StatusOnCall(3) if spec.rho[0] > rho_above else None
+        return synthesize_sign(target, spec, backend=backend, **kw)
+    return synth
+
+
+def test_synthesize_lists_failed_lambda_probes(monkeypatch, capsys):
+    monkeypatch.setattr("quantstab.cli.synthesize_sign", _third_lp_fails())
+    assert run("synthesize", "--system", "sys1", "--rho", "0.7",
+               "--objective", "min-lambda") == OK
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("synthesize: feasible, lambda=")
+    assert line.endswith("; counted infeasible after a solver failure: "
+                         "lambda = 0.75")
+
+
+def test_sweep_names_densities_with_failed_lambda_probes(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr("quantstab.cli.synthesize_sign",
+                        _third_lp_fails(rho_above=0.5))
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--system", "sys1", "--points", "2", "--rho-min",
+               "0.4", "--rho-max", "0.7", "--out", str(out)) == OK
+    assert capsys.readouterr().out.strip() == (
+        "sweep: 2/2 grid points feasible; lambda probes failed in the "
+        "solver at rho = 0.7")
+    with open(out) as f:
+        assert next(csv.reader(f)) == ["rho", "lambda", "status"]
+
+
 def test_sweep_produces_monotone_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--system", "sys1", "--method", "sign", "--mode",
@@ -306,7 +345,7 @@ def test_sweep_keeps_the_gain_of_an_unstable_optimum(tmp_path):
 
 def test_prune_writes_smaller_equivalent_polytope(tmp_path, data_file):
     out = tmp_path / "pruned.json"
-    assert run("prune", "--data", data_file, "--system", "sys1", "--out",
+    assert run("prune", "--data", data_file, "--out",
                str(out)) == OK
     with open(out) as f:
         pruned = Polytope.from_json_dict(json.load(f))
@@ -347,6 +386,7 @@ def test_bad_flag_value_is_config_error():
     ("minrho --system sys1", "--rho 0.5"),
     ("sweep --system sys1 --points 1", "--tol 1e-3"),
     ("prune --data {data}", "--method aarc"),
+    ("prune --data {data}", "--system sys1"),
     ("minrho --system sys1 --mode ss", "--method nominal"),
 ])
 def test_option_a_command_does_not_read_is_config_error(
@@ -356,6 +396,18 @@ def test_option_a_command_does_not_read_is_config_error(
     capsys.readouterr()
     assert run(*argv, *unread.split()) == CONFIG
     assert unread.split()[0] in capsys.readouterr().err
+
+
+def test_module_run_prints_no_runtime_warning(tmp_path):
+    src = str(Path(quantstab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantstab.cli", "gendata", "--system",
+         "sys1", "--T", "5", "--out", str(tmp_path / "d.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == OK
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_readme_command_lines_parse():

@@ -13,7 +13,8 @@ from quantstab import (
     solve,
 )
 from quantstab.lp_core import (SolverError, _require_nonempty,
-                               _SupportSession, add_robust_rows)
+                               _SupportSession, add_robust_rows,
+                               param_solver)
 
 from conftest import box_polytope, random_separable_polytope
 from oracles import check_containment_bruteforce, enumerate_vertices
@@ -362,3 +363,48 @@ def test_support_session_reports_solver_failure():
     session = _SupportSession(np.eye(2), np.ones(2), Failing())
     with pytest.raises(SolverError):
         session.maximize([1.0, 0.0])
+
+
+def _param_model(p):
+    """min -x1 over 0 <= x <= 10 with x0 + x1 <= 1, x0 + x1 >= 1/2 and
+    p x0 - x1 == 0, p a model parameter: x1 = p x0, so the optimum is
+    -p / (1 + p) for p >= 0 and the LP is infeasible for p < 0."""
+    model = LPModel()
+    model.add_block("x", 2, lb=0.0, ub=10.0)
+    total = AffExpr(1, {"x": np.ones((1, 2))})
+    model.add_ineq(total - 1.0)
+    model.add_ineq(-total + 0.5)
+    px = model.param_expr("p", "x", p)
+    model.add_eq(AffExpr(1, {"x": [[0.0, -1.0]]})
+                 + px.premul(np.array([[1.0, 0.0]])))
+    model.set_objective(AffExpr(1, {"x": [[0.0, -1.0]]}))
+    return model
+
+
+def test_param_entries_locate_the_parameter_in_the_assembled_rows():
+    model = _param_model(2.0)
+    rows, cols, base, slope = model.param_entries("p")
+    # the equality row follows the two inequality rows
+    assert rows.tolist() == [2] and cols.tolist() == [0]
+    assert base.tolist() == [0.0] and slope.tolist() == [1.0]
+    for p in (2.0, -0.5, 3.25):
+        model.params["p"] = p
+        _, A_ub, _, A_eq, _, _ = model.assemble()
+        assert A_eq.toarray().tolist() == [[base[0] + slope[0] * p, -1.0]]
+        assert A_ub.toarray().tolist() == [[1.0, 1.0], [-1.0, -1.0]]
+
+
+def test_param_solver_warm_matches_fresh_solves():
+    warm = param_solver(_param_model(1.0), "p")
+    fresh = param_solver(_param_model(1.0), "p", LinprogBackend())
+    for p in (1.0, 3.0, -2.0, 1.5):
+        a, b = warm(p), fresh(p)
+        assert a.status == b.status
+        if p < 0:
+            assert a.status == "infeasible"
+        else:
+            assert a.objective == pytest.approx(-p / (1 + p))
+            assert b.objective == pytest.approx(-p / (1 + p))
+            np.testing.assert_allclose(a.values["x"], b.values["x"],
+                                       atol=1e-9)
+

@@ -1,0 +1,103 @@
+"""The warm ESS min-lambda bisection against fresh solves through a backend.
+
+Without a backend= argument every synthesizer bisects lambda in one HiGHS
+model whose gain-row coefficients of v change between probes
+(lp_core.param_solver); with one, each probe is a fresh solve through it.
+"""
+
+import pytest
+
+from quantstab import (QuantizerSpec, build_polytope, generate_dataset,
+                       plant_vec, prune_redundant, synthesize_aarc,
+                       synthesize_sign)
+from quantstab import lp_core, synth_sign
+from quantstab.lp_core import LinprogBackend
+
+
+@pytest.fixture(scope="module")
+def pruned_sys1(sys1, part1):
+    """The sys1/T=100, dataset seed 1 polytope, pruned to 48 faces."""
+    return prune_redundant(build_polytope(generate_dataset(sys1, part1, 100,
+                                                           seed=1)))
+
+
+def _min_lambda(monkeypatch, synth, target, backend=None):
+    """(result, [(lam, verdict) of every probe], linprog solve count) of
+    one ESS min-lambda bisection at rho = 0.7."""
+    probes, fresh = [], []
+    bisect, linprog_solve = synth_sign.bisect_least, LinprogBackend.solve
+
+    def recording(probe, ok, tol):
+        def seen(lam):
+            res = probe(lam)
+            probes.append((lam, ok(res)))
+            return res
+        return bisect(seen, ok, tol)
+
+    def counted(self, *args):
+        fresh.append(None)
+        return linprog_solve(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synth_sign, "bisect_least", recording)
+        patch.setattr(LinprogBackend, "solve", counted)
+        res = synth(target, QuantizerSpec.uniform(0.7, 2), mode="ess",
+                    objective="min-lambda", backend=backend)
+    return res, probes, len(fresh)
+
+
+@pytest.mark.parametrize("synth", [synthesize_sign, synthesize_aarc],
+                         ids=["sign", "aarc"])
+@pytest.mark.parametrize("where", ["polytope", "point"])
+def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
+                                             pruned_sys1, sys1):
+    target = pruned_sys1 if where == "polytope" \
+        else plant_vec(sys1.A, sys1.B)
+    warm, warm_probes, warm_fresh = _min_lambda(monkeypatch, synth, target)
+    ref, ref_probes, _ = _min_lambda(monkeypatch, synth, target,
+                                     LinprogBackend())
+    assert len(warm_probes) == 15
+    assert warm_probes == ref_probes
+    assert warm.status == ref.status == "feasible"
+    assert warm.certificate.lam == pytest.approx(ref.certificate.lam,
+                                                 abs=1e-6)
+    # only the nonemptiness LP of a polytope is a fresh linprog solve
+    assert warm_fresh == (1 if where == "polytope" else 0)
+
+
+def _third_warm_run_fails(monkeypatch):
+    """Make the third warm solve report a numerical failure."""
+    runs = []
+    run = lp_core._WarmLP.run
+
+    def failing(self):
+        runs.append(None)
+        out = run(self)
+        return ("numerical-failure", None, None) if len(runs) == 3 else out
+
+    monkeypatch.setattr(lp_core._WarmLP, "run", failing)
+
+
+def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
+                                                               sys1):
+    # the third probe of the sys1 point at rho = 0.7 is lambda = 0.75
+    z = plant_vec(sys1.A, sys1.B)
+    clean, clean_probes, _ = _min_lambda(monkeypatch, synthesize_sign, z)
+    _third_warm_run_fails(monkeypatch)
+    res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+    assert probes[2] == (0.75, True)
+    assert fresh == 1
+    assert probes == clean_probes
+    assert res.extras["failed_lam"] == []
+    assert res.certificate.lam == pytest.approx(clean.certificate.lam,
+                                                abs=1e-9)
+
+    # when the reference solve fails too, the probe is listed and counted
+    # infeasible
+    _third_warm_run_fails(monkeypatch)
+    monkeypatch.setattr(LinprogBackend, "solve",
+                        lambda self, *args: ("numerical-failure", None, None))
+    res = synthesize_sign(z, QuantizerSpec.uniform(0.7, 2), mode="ess",
+                          objective="min-lambda")
+    assert res.extras["failed_lam"] == [0.75]
+    assert res.feasible and res.certificate.lam > 0.75

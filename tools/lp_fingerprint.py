@@ -10,6 +10,15 @@ in and are not hashed.  The last calls run the known-plant command
 `--method sign` and once with `--method aarc`; their result is the exit
 code and summary line.
 
+The ESS min-lambda bisections solve their probes in one warm HiGHS model
+each (lp_core._WarmLP), whose probes never reach LinprogBackend.solve.
+The script patches that class too, where it exists, and prints one line
+per warm model after its call's result: the sha256 of the model it was
+built from, the fixed-lambda LP at lambda = 1 (the first probe's LP in a
+fresh solve), and its verdicts in probe order, "+" optimal, "-"
+infeasible and "!" any other status.  A warm probe that fails is solved
+again through LinprogBackend.solve and hashed as usual.
+
 Pruning and the robust audit solve their support LPs in warm HiGHS
 sessions that never reach LinprogBackend.solve, so after the patch is
 removed the script prints one result line for each of them instead: the
@@ -21,8 +30,9 @@ Usage, from the repository root:
 
     python3 tools/lp_fingerprint.py > hashes.txt
 
-and diff the output of two checkouts.  Only public quantstab calls are
-used, so the script runs against older versions of the package too.
+and diff the output of two checkouts.  Apart from the warm model class,
+only public quantstab calls are used, so the script runs against older
+versions of the package too.
 """
 
 import contextlib
@@ -41,6 +51,7 @@ from quantstab import cli, lp_core                  # noqa: E402
 
 RHO = 0.7
 DENSE_FACES = 40
+VERDICT = {"optimal": "+", "infeasible": "-"}
 
 
 def _canonical(A):
@@ -165,17 +176,40 @@ def main():
         count += 1
         return original(self, c, A_ub, b_ub, A_eq, b_eq, bounds)
 
+    warm = []           # [base hash, verdicts] of each warm model of a call
+    warm_lp = getattr(lp_core, "_WarmLP", None)
+    if warm_lp is not None:
+        warm_init, warm_run = warm_lp.__init__, warm_lp.run
+
+        def hashed_init(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
+            warm_init(self, c, A_ub, b_ub, A_eq, b_eq, bounds)
+            self.fingerprint = [fingerprint(c, A_ub, b_ub, A_eq, b_eq,
+                                            bounds), ""]
+            warm.append(self.fingerprint)
+
+        def recorded_run(self):
+            status, x, obj = warm_run(self)
+            self.fingerprint[1] += VERDICT.get(status, "!")
+            return status, x, obj
+
+        warm_lp.__init__, warm_lp.run = hashed_init, recorded_run
     lp_core.LinprogBackend.solve = hashed
     try:
         for label, thunk in todo:
             count = 0
+            warm.clear()
             res = results[label] = thunk()
             if not isinstance(res, str):
                 lam = res.certificate.lam if res.feasible else float("nan")
                 res = f"{res.status} lambda={lam:.9f}"
             print(f"{label} result {res}", file=out, flush=True)
+            for k, (digest, verdicts) in enumerate(warm):
+                print(f"{label} warm #{k} base {digest} probes {verdicts}",
+                      file=out, flush=True)
     finally:
         lp_core.LinprogBackend.solve = original
+        if warm_lp is not None:
+            warm_lp.__init__, warm_lp.run = warm_init, warm_run
     for label, thunk in checks:
         print(f"{label} result {thunk(results)}", flush=True)
 
