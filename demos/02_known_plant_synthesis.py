@@ -7,12 +7,12 @@ quantized loop and checks the certified decay rate.
 
 import numpy as np
 
-from quantstab import (NominalProblem, QuantizerSpec, builtin_system,
-                       closed_loop_vertex_gain, decay_check,
-                       min_feasible_rho, scaled_infty_norm,
-                       simulate_quantized, synthesize_nominal_sign)
+from quantstab import (QuantizerSpec, builtin_system, closed_loop_vertex_gain,
+                       decay_check, min_feasible_rho, plant_vec,
+                       scaled_infty_norm, simulate_quantized, synthesize_sign)
 
 sys = builtin_system("sys1")
+z = plant_vec(sys.A, sys.B)   # the known plant: a one-point plant set
 print("A =\n", sys.A)
 print("open-loop ||A||_inf =", f"{scaled_infty_norm(sys.A, np.ones(3)):.4f}",
       " eigenvalues:", np.round(np.sort(np.linalg.eigvals(sys.A).real), 4))
@@ -21,8 +21,7 @@ print("open-loop ||A||_inf =", f"{scaled_infty_norm(sys.A, np.ones(3)):.4f}",
 
 rho = 0.5
 spec = QuantizerSpec.uniform(rho, sys.m)
-res = synthesize_nominal_sign(NominalProblem(
-    sys=sys, spec=spec, mode="ess", objective="min-lambda"))
+res = synthesize_sign(z, spec, mode="ess", objective="min-lambda")
 cert = res.certificate
 print(f"\nrho = {rho}: lambda = {cert.lam:.4f}")
 print("K =\n", np.round(cert.K, 4))
@@ -44,8 +43,7 @@ print("decay bound respected:", decay_check(traj, cert.v, cert.lam))
 
 for mode in ("ss", "ess"):
     def probe(r, mode=mode):
-        return synthesize_nominal_sign(NominalProblem(
-            sys=sys, spec=QuantizerSpec.uniform(r, sys.m), mode=mode))
+        return synthesize_sign(z, QuantizerSpec.uniform(r, sys.m), mode=mode)
 
     rho_star, _ = min_feasible_rho(probe, tol=1e-4)
     print(f"minimal density ({mode}): {rho_star:.4f}")

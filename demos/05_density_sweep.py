@@ -8,24 +8,24 @@ counterpart on the same data.
 
 import numpy as np
 
-from quantstab import (NominalProblem, QuantizerSpec, build_polytope,
-                       builtin_partition, builtin_system, generate_dataset,
-                       min_feasible_rho, prune_redundant, synthesize_aarc,
-                       synthesize_nominal_sign, synthesize_sign)
+from quantstab import (QuantizerSpec, build_polytope, builtin_partition,
+                       builtin_system, generate_dataset, min_feasible_rho,
+                       plant_vec, prune_redundant, synthesize_aarc,
+                       synthesize_sign)
 
 sys = builtin_system("sys1")
 part = builtin_partition("p1")
 ds = generate_dataset(sys, part, T=100, seed=1)
 poly = prune_redundant(build_polytope(ds))
 m = sys.m
+z = plant_vec(sys.A, sys.B)   # the known plant: a one-point plant set
 
 # --- lambda vs rho ----------------------------------------------------------
 
 print("rho     known-plant   data-driven")
 for rho in np.linspace(1.0, 0.3, 8):
     spec = QuantizerSpec.uniform(rho, m)
-    nom = synthesize_nominal_sign(NominalProblem(
-        sys=sys, spec=spec, mode="ess", objective="min-lambda"))
+    nom = synthesize_sign(z, spec, mode="ess", objective="min-lambda")
     dat = synthesize_sign(poly, spec, mode="ess", objective="min-lambda")
     nl = f"{nom.certificate.lam:.4f}" if nom.feasible else "  -   "
     dl = f"{dat.certificate.lam:.4f}" if dat.feasible else "  -   "
@@ -38,8 +38,7 @@ for rho in np.linspace(1.0, 0.3, 8):
 
 
 def nominal_probe(r):
-    return synthesize_nominal_sign(NominalProblem(
-        sys=sys, spec=QuantizerSpec.uniform(r, m), mode="ess"))
+    return synthesize_sign(z, QuantizerSpec.uniform(r, m), mode="ess")
 
 
 def sign_probe(r):

@@ -22,8 +22,7 @@ from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
 from .consistency import (DataSample, Dataset, generate_dataset,
                           build_polytope, plant_vec, singleton_polytope,
                           contains_plant, prune_redundant)
-from .nominal import (NominalProblem, synthesize_nominal_mform,
-                      synthesize_nominal_sign)
+from .nominal import NominalProblem, synthesize_nominal_sign
 from .synth_sign import (build_sign_polytope_rows, synthesize_sign,
                          count_constraints_sign, min_feasible_rho)
 from .synth_aarc import (AffineMParam, eval_affine_M, synthesize_aarc,
@@ -42,7 +41,7 @@ __all__ = [
     "solve", "add_farkas_block", "max_linear_over_polytope",
     "DataSample", "Dataset", "generate_dataset", "build_polytope",
     "plant_vec", "contains_plant", "prune_redundant",
-    "NominalProblem", "synthesize_nominal_mform", "synthesize_nominal_sign",
+    "NominalProblem", "synthesize_nominal_sign",
     "build_sign_polytope_rows", "synthesize_sign", "count_constraints_sign",
     "AffineMParam", "eval_affine_M", "synthesize_aarc",
     "count_constraints_aarc",

@@ -150,6 +150,9 @@ def cmd_gendata(args):
 def cmd_synthesize(args):
     if args.rho is None:
         raise ValueError("synthesize requires --rho")
+    if args.dump_z and not args.data:
+        raise ValueError("--dump-z requires --data: a known plant has no "
+                         "Farkas multipliers")
     target, m = _synthesis_set(args)
     res, spec = _synthesize(args, target, m, args.rho, args.objective)
     failures = _failures("lambda", res.extras.get("failed_lam"))
@@ -173,7 +176,7 @@ def cmd_synthesize(args):
     if "m_param" in res.extras:
         payload.update(res.extras["m_param"].to_json_dict())
     _write_json(args.out, payload)
-    if args.dump_z and res.extras.get("Z"):
+    if args.dump_z:
         _write_json(args.dump_z,
                     {k: z.tolist() for k, z in res.extras["Z"].items()})
     print(f"synthesize: feasible, lambda={cert.lam:.6f}"
@@ -254,10 +257,12 @@ def cmd_minrho(args):
 def cmd_sweep(args):
     """One CSV row per grid density: the minimized gain, also that of an
     optimum whose gain of 1 or more makes it infeasible, and the status."""
+    if args.points < 1:
+        raise ValueError("sweep requires --points >= 1")
+    if not (0 < args.rho_min <= 1 and 0 < args.rho_max <= 1):
+        raise ValueError("sweep grid must lie in (0, 1]")
     grid = np.logspace(np.log10(args.rho_min), np.log10(args.rho_max),
                        args.points)
-    if not (np.all(grid > 0) and np.all(grid <= 1)):
-        raise ValueError("sweep grid must lie in (0, 1]")
     target, m = _synthesis_set(args)
     rows, failed = [], []
     for rho in grid:
@@ -310,7 +315,8 @@ def build_parser():
         "--eta": dict(type=float, default=DEFAULT_ETA),
         "--objective": dict(choices=["feasibility", "min-lambda"],
                             default="feasibility"),
-        "--dump-z": dict(help="also write Farkas multipliers here"),
+        "--dump-z": dict(help="also write Farkas multipliers here "
+                              "(needs --data)"),
         "--cert": dict(help="certificate JSON file"),
         "--x0": dict(help="comma-separated initial state"),
         "--T": dict(type=int, help="number of transitions or steps"),

@@ -266,7 +266,10 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
     the AffineMParam.  On a plant vector the envelope is a constant matrix
     M, returned in the certificate (the known-plant envelope form).
     Conservative by construction: an infeasible result here does not
-    preclude sign-based feasibility.
+    preclude sign-based feasibility.  Even on a point, M bounds each entry
+    by its own worst sector vertex before the row sum, so it can be strictly
+    more conservative than the sign form whenever different vertices
+    maximize different entries of one row.
     """
     return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode, eta,
                        objective, backend)

@@ -231,8 +231,10 @@ def simulate_quantized(sys, K, spec, x0, T):
 
     Returns (trajectory, status) where trajectory has T+1 rows (fewer when
     the state exceeds the divergence guard) and status is 'ok' or
-    'diverged'.
+    'diverged'.  A negative T raises ValueError.
     """
+    if T < 0:
+        raise ValueError("step count must be nonnegative")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape != (sys.n,):

@@ -12,7 +12,6 @@ import pytest
 from quantstab import (
     LinearSystem,
     LPModel,
-    NominalProblem,
     Polytope,
     QuantizerSpec,
     add_farkas_block,
@@ -27,13 +26,12 @@ from quantstab import (
     generate_dataset,
     log_quantize,
     min_feasible_rho,
+    plant_vec,
     prune_redundant,
     robust_verify,
     simulate_quantized,
     solve,
     synthesize_aarc,
-    synthesize_nominal_mform,
-    synthesize_nominal_sign,
     synthesize_sign,
 )
 from quantstab.synth_aarc import _aarc_model
@@ -44,10 +42,10 @@ from oracles import check_containment_bruteforce
 from test_synth_sign import _singleton
 
 
-def _nominal_min_rho(sys, mode, synth=synthesize_nominal_sign):
+def _nominal_min_rho(sys, mode, synth=synthesize_sign):
     def probe(r):
-        return synth(NominalProblem(
-            sys=sys, spec=QuantizerSpec.uniform(r, sys.m), mode=mode))
+        return synth(plant_vec(sys.A, sys.B), QuantizerSpec.uniform(r, sys.m),
+                     mode=mode)
 
     rho, _ = min_feasible_rho(probe, tol=1e-4)
     return rho
@@ -112,8 +110,8 @@ def test_criterion_2_reference_minimal_densities(sys1):
 def test_criterion_3_second_benchmark_thresholds(sys1, sys2):
     """Feasibility from rho = 0.2245 up, plus the reference spectra."""
     for rho in (0.2245 - 5e-4, 0.2245 + 5e-4, 0.5, 1.0):
-        res = synthesize_nominal_sign(NominalProblem(
-            sys=sys2, spec=QuantizerSpec.uniform(rho, 3), mode="ess"))
+        res = synthesize_sign(plant_vec(sys2.A, sys2.B),
+                              QuantizerSpec.uniform(rho, 3), mode="ess")
         assert res.feasible, f"expected feasible at rho={rho}"
     radius = float(np.max(np.abs(np.linalg.eigvals(sys2.A))))
     assert radius == pytest.approx(1.0633, abs=1e-3)
@@ -159,10 +157,10 @@ def test_criterion_4_form_equivalence_and_counts():
         sys = LinearSystem(A=0.6 * rng.uniform(-1, 1, size=(n, n)),
                            B=rng.uniform(-1, 1, size=(n, m)))
         rho = float(rng.uniform(0.05, 1.0))
-        prob = NominalProblem(sys=sys, spec=QuantizerSpec.uniform(rho, m),
-                              mode="ss", objective="min-lambda")
-        a = synthesize_nominal_mform(prob)
-        b = synthesize_nominal_sign(prob)
+        spec = QuantizerSpec.uniform(rho, m)
+        z = plant_vec(sys.A, sys.B)
+        a = synthesize_aarc(z, spec, mode="ss", objective="min-lambda")
+        b = synthesize_sign(z, spec, mode="ss", objective="min-lambda")
         opt_env = a.certificate or a.extras.get("optimum")
         opt_sign = b.certificate or b.extras.get("optimum")
         if (opt_env is None or opt_sign is None
@@ -174,11 +172,10 @@ def test_criterion_4_form_equivalence_and_counts():
             lam_env, K_env = opt_env.lam, opt_env.K
             lam_sign, K_sign = opt_sign.lam, opt_sign.K
             ones = np.ones(n)
-            gain = {"env": closed_loop_vertex_gain(sys, K_env, ones, prob.spec),
-                    "sign": closed_loop_vertex_gain(sys, K_sign, ones,
-                                                    prob.spec)}
-            bound = {"env": _envelope_bound(sys, K_env, prob.spec),
-                     "sign": _envelope_bound(sys, K_sign, prob.spec)}
+            gain = {"env": closed_loop_vertex_gain(sys, K_env, ones, spec),
+                    "sign": closed_loop_vertex_gain(sys, K_sign, ones, spec)}
+            bound = {"env": _envelope_bound(sys, K_env, spec),
+                     "sign": _envelope_bound(sys, K_sign, spec)}
             checks = {
                 "envelope below sign": lam_env >= lam_sign - 1e-6,
                 "sign not its vertex gain":
@@ -290,8 +287,7 @@ def test_criterion_7_conservatism_and_monotonicity(sys1, part1):
     for rho_finer in (0.8, 0.9, 1.0):
         finer = QuantizerSpec.uniform(rho_finer, 2)
         assert robust_verify(prefixes[100], res.certificate, finer).verified
-    nom = synthesize_nominal_mform(NominalProblem(
-        sys=sys1, spec=spec, mode="ess"))
+    nom = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec, mode="ess")
     for rho_finer in (0.8, 1.0):
         ok, _ = check_cert(sys1, nom.certificate,
                            QuantizerSpec.uniform(rho_finer, 2))

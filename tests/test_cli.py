@@ -25,6 +25,10 @@ def run(*args):
     return main(list(args))
 
 
+def _never_solved(*args, **kw):
+    pytest.fail("a synthesis LP was solved")
+
+
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "d100.json"
@@ -159,6 +163,16 @@ def test_nominal_synthesis_needs_no_data(tmp_path):
         assert json.load(f)["mode"] == "ss"
 
 
+def test_dump_z_without_data_is_config_error(tmp_path, monkeypatch, capsys):
+    # a point has no Farkas multipliers; rejected before anything is solved
+    monkeypatch.setattr("quantstab.cli.synthesize_sign", _never_solved)
+    zfile = tmp_path / "z.json"
+    assert run("synthesize", "--system", "sys1", "--rho", "0.7",
+               "--dump-z", str(zfile)) == CONFIG
+    assert not zfile.exists()
+    assert "--dump-z requires --data" in capsys.readouterr().err
+
+
 def test_aarc_without_data_writes_the_plant_envelope(tmp_path):
     # on the known plant the envelope is a constant M, with no m0/ma/mb
     out = tmp_path / "aarc.json"
@@ -208,6 +222,14 @@ def test_simulate_writes_decaying_csv(tmp_path, cert_file):
     last = np.array([float(c) for c in rows[-1][1:]])
     np.testing.assert_allclose(first, [1.0, -1.0, 0.5])
     assert np.max(np.abs(last)) < np.max(np.abs(first))
+
+
+def test_simulate_rejects_negative_step_count(tmp_path, cert_file, capsys):
+    out = tmp_path / "traj.csv"
+    assert run("simulate", "--system", "sys1", "--cert", cert_file, "--T",
+               "-5", "--out", str(out)) == CONFIG
+    assert not out.exists()
+    assert "step count must be nonnegative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +346,20 @@ def test_sweep_produces_monotone_csv(tmp_path):
     statuses = [r[2] for r in rows[1:]]
     if "infeasible" in statuses:
         assert statuses.index("feasible") > statuses.index("infeasible")
+
+
+@pytest.mark.parametrize("bad", ["--points 0", "--rho-min 0",
+                                 "--rho-max 1.5"])
+def test_sweep_rejects_a_bad_grid_before_building_it(bad, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     recwarn):
+    monkeypatch.setattr("quantstab.cli.synthesize_sign", _never_solved)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--system", "sys1", *bad.split(),
+               "--out", str(out)) == CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: sweep ")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sweep_keeps_the_gain_of_an_unstable_optimum(tmp_path):

@@ -11,10 +11,12 @@ from quantstab import (
     check_cert,
     closed_loop_vertex_gain,
     min_feasible_rho,
+    plant_vec,
     robust_verify,
     singleton_polytope,
-    synthesize_nominal_mform,
+    synthesize_aarc,
     synthesize_nominal_sign,
+    synthesize_sign,
 )
 
 from quantstab.synth_sign import bisect_least
@@ -22,36 +24,34 @@ from quantstab.synth_sign import bisect_least
 from conftest import random_stabilizable_system
 
 
-def _problem(sys, rho, mode="ess", objective="feasibility"):
-    return NominalProblem(sys=sys, spec=QuantizerSpec.uniform(rho, sys.m),
-                          mode=mode, objective=objective)
+def _at_plant(synth, sys, rho, mode="ess", objective="feasibility"):
+    """synth on the known plant: the one-point set plant_vec(A, B)."""
+    return synth(plant_vec(sys.A, sys.B), QuantizerSpec.uniform(rho, sys.m),
+                 mode=mode, objective=objective)
 
 
-@pytest.mark.parametrize("synth", [synthesize_nominal_mform,
-                                   synthesize_nominal_sign])
+@pytest.mark.parametrize("synth", [synthesize_aarc, synthesize_sign])
 def test_benchmark_feasible_above_threshold(sys1, synth):
-    res = synth(_problem(sys1, 0.5, mode="ss"))
+    res = _at_plant(synth, sys1, 0.5, mode="ss")
     assert res.feasible
     assert res.certificate.lam < 1.0
     np.testing.assert_array_equal(res.certificate.v, np.ones(3))
 
 
-@pytest.mark.parametrize("synth", [synthesize_nominal_mform,
-                                   synthesize_nominal_sign])
+@pytest.mark.parametrize("synth", [synthesize_aarc, synthesize_sign])
 def test_benchmark_infeasible_below_threshold(sys1, synth):
-    res = synth(_problem(sys1, 0.2, mode="ss"))
+    res = _at_plant(synth, sys1, 0.2, mode="ss")
     assert res.status == "infeasible"
     assert res.certificate is None
 
 
-@pytest.mark.parametrize("synth", [synthesize_nominal_mform,
-                                   synthesize_nominal_sign])
+@pytest.mark.parametrize("synth", [synthesize_aarc, synthesize_sign])
 def test_min_lambda_at_or_above_one_is_infeasible(sys1, synth):
     # between the ESS (~0.014) and SS (~0.311) thresholds of sys1 the
     # least SS gain is about 1.0662: no certificate, only the optimum,
     # whose audit fails; ESS certifies a gain below 1
     spec = QuantizerSpec.uniform(0.2, 2)
-    res = synth(_problem(sys1, 0.2, mode="ss", objective="min-lambda"))
+    res = _at_plant(synth, sys1, 0.2, mode="ss", objective="min-lambda")
     assert res.status == "infeasible"
     assert res.certificate is None
     assert res.extras["lam"] == pytest.approx(1.0662, abs=1e-4)
@@ -59,14 +59,14 @@ def test_min_lambda_at_or_above_one_is_infeasible(sys1, synth):
     report = robust_verify(singleton_polytope(sys1), res.extras["optimum"],
                            spec)
     assert not report.verified
-    ess = synth(_problem(sys1, 0.2, mode="ess", objective="min-lambda"))
+    ess = _at_plant(synth, sys1, 0.2, mode="ess", objective="min-lambda")
     assert ess.feasible and ess.certificate.lam < 1.0
 
 
 def test_trivial_plant_gets_zero_gain():
     sys = LinearSystem(A=np.zeros((2, 2)), B=np.eye(2))
-    res = synthesize_nominal_mform(_problem(sys, 1.0, mode="ss",
-                                            objective="min-lambda"))
+    res = _at_plant(synthesize_aarc, sys, 1.0, mode="ss",
+                    objective="min-lambda")
     assert res.feasible
     assert res.certificate.lam == pytest.approx(0.0, abs=1e-8)
     np.testing.assert_allclose(res.certificate.S, np.zeros((2, 2)),
@@ -74,15 +74,15 @@ def test_trivial_plant_gets_zero_gain():
 
 
 def test_benchmark_ess_feasible_at_half_density(sys1):
-    res = synthesize_nominal_sign(_problem(sys1, 0.5, mode="ess"))
+    res = _at_plant(synthesize_sign, sys1, 0.5, mode="ess")
     assert res.feasible
     assert np.all(res.certificate.v > 0)
 
 
 def test_zero_sector_reduces_to_linear_design(sys1, rng):
     # at unit density both synthesis paths see a single vertex
-    res = synthesize_nominal_sign(_problem(sys1, 1.0, mode="ss",
-                                           objective="min-lambda"))
+    res = _at_plant(synthesize_sign, sys1, 1.0, mode="ss",
+                    objective="min-lambda")
     assert res.feasible
     cert = res.certificate
     Acl = sys1.A + sys1.B @ cert.K
@@ -92,8 +92,8 @@ def test_zero_sector_reduces_to_linear_design(sys1, rng):
 
 def test_certificates_pass_independent_checks(sys1):
     for mode in ("ss", "ess"):
-        for synth in (synthesize_nominal_mform, synthesize_nominal_sign):
-            res = synth(_problem(sys1, 0.6, mode=mode))
+        for synth in (synthesize_aarc, synthesize_sign):
+            res = _at_plant(synth, sys1, 0.6, mode=mode)
             assert res.feasible
             cert = res.certificate
             spec = QuantizerSpec.uniform(0.6, 2)
@@ -106,9 +106,9 @@ def test_certificates_pass_independent_checks(sys1):
 
 
 def test_min_lambda_improves_on_feasibility(sys1):
-    feas = synthesize_nominal_sign(_problem(sys1, 0.5, mode="ess"))
-    best = synthesize_nominal_sign(_problem(sys1, 0.5, mode="ess",
-                                            objective="min-lambda"))
+    feas = _at_plant(synthesize_sign, sys1, 0.5, mode="ess")
+    best = _at_plant(synthesize_sign, sys1, 0.5, mode="ess",
+                     objective="min-lambda")
     assert best.certificate.lam <= feas.certificate.lam + 1e-6
 
 
@@ -119,9 +119,10 @@ def test_forms_agree_on_small_random_problems(rng):
         m = int(rng.integers(1, 3))
         sys = random_stabilizable_system(rng, n, m)
         rho = float(rng.uniform(0.3, 1.0))
-        prob = _problem(sys, rho, mode="ss", objective="min-lambda")
-        a = synthesize_nominal_mform(prob)
-        b = synthesize_nominal_sign(prob)
+        a = _at_plant(synthesize_aarc, sys, rho, mode="ss",
+                      objective="min-lambda")
+        b = _at_plant(synthesize_sign, sys, rho, mode="ss",
+                      objective="min-lambda")
         assert a.feasible == b.feasible
         if a.feasible:
             # the single-envelope form can only be more conservative
@@ -131,7 +132,7 @@ def test_forms_agree_on_small_random_problems(rng):
 
 
 def test_sector_shrink_keeps_certificate_valid(sys1):
-    res = synthesize_nominal_mform(_problem(sys1, 0.5, mode="ess"))
+    res = _at_plant(synthesize_aarc, sys1, 0.5, mode="ess")
     cert = res.certificate
     for rho in (0.6, 0.8, 1.0):
         ok, _ = check_cert(sys1, cert, QuantizerSpec.uniform(rho, 2))
@@ -141,14 +142,26 @@ def test_sector_shrink_keeps_certificate_valid(sys1):
 def test_guard_on_enumeration_size():
     sys = LinearSystem(A=np.zeros((18, 18)), B=np.ones((18, 3)))
     with pytest.raises(ValueError):
-        synthesize_nominal_sign(_problem(sys, 0.5))
+        _at_plant(synthesize_sign, sys, 0.5)
 
 
 def test_mode_invariants():
-    with pytest.raises(ValueError):
-        NominalProblem(sys=LinearSystem(A=np.eye(1), B=np.eye(1)),
-                       spec=QuantizerSpec.uniform(0.5, 1), mode="weird")
-    with pytest.raises(ValueError):
+    z = plant_vec(np.eye(1), np.eye(1))
+    with pytest.raises(ValueError, match="mode"):
+        synthesize_sign(z, QuantizerSpec.uniform(0.5, 1), mode="weird")
+    # dim 2 is n(n+2) for no n: the channel count does not fit the plant
+    with pytest.raises(ValueError, match="dimension"):
+        synthesize_sign(z, QuantizerSpec.uniform(0.5, 2))
+
+
+def test_nominal_shim_is_sign_synthesis_at_the_point(sys1):
+    # the benchmark's known-plant call: synthesize_sign on plant_vec(A, B)
+    spec = QuantizerSpec.uniform(0.5, 2)
+    shim = synthesize_nominal_sign(NominalProblem(sys1, spec, mode="ess"))
+    direct = synthesize_sign(plant_vec(sys1.A, sys1.B), spec, mode="ess")
+    assert shim.status == direct.status == "feasible"
+    assert shim.certificate.lam == direct.certificate.lam
+    with pytest.raises(ValueError, match="channel"):
         NominalProblem(sys=LinearSystem(A=np.eye(1), B=np.eye(1)),
                        spec=QuantizerSpec.uniform(0.5, 2))
 
@@ -217,9 +230,9 @@ def test_min_rho_counts_solver_failure_infeasible_without_retry():
     assert rho == 0.5 and res.feasible
 
 
-def _min_rho(sys, mode, synth=synthesize_nominal_sign):
+def _min_rho(sys, mode, synth=synthesize_sign):
     def probe(r):
-        return synth(_problem(sys, r, mode=mode))
+        return _at_plant(synth, sys, r, mode=mode)
 
     rho, _ = min_feasible_rho(probe, tol=1e-4)
     return rho

@@ -7,7 +7,6 @@ from quantstab import (
     AffineMParam,
     LinearSystem,
     LPModel,
-    NominalProblem,
     Polytope,
     QuantizerSpec,
     build_polytope,
@@ -20,7 +19,6 @@ from quantstab import (
     robust_verify,
     scaled_infty_norm,
     synthesize_aarc,
-    synthesize_nominal_mform,
     synthesize_sign,
 )
 from quantstab.synth_aarc import _aarc_model, _envelope_pattern, _envelope_rows
@@ -215,9 +213,8 @@ def test_singleton_matches_single_plant_envelope_form(sys1):
     spec = QuantizerSpec.uniform(0.7, 2)
     data = synthesize_aarc(_singleton(sys1), spec, mode="ess",
                            objective="min-lambda")
-    nominal = synthesize_nominal_mform(
-        NominalProblem(sys=sys1, spec=spec, mode="ess",
-                       objective="min-lambda"))
+    nominal = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec, mode="ess",
+                              objective="min-lambda")
     assert data.feasible and nominal.feasible
     assert data.certificate.lam == pytest.approx(nominal.certificate.lam,
                                                  abs=3e-4)

@@ -6,7 +6,6 @@ import pytest
 from quantstab import (
     LinearSystem,
     LPModel,
-    NominalProblem,
     Partition,
     Polytope,
     QuantizerSpec,
@@ -19,7 +18,6 @@ from quantstab import (
     prune_redundant,
     robust_verify,
     sign_vectors,
-    synthesize_nominal_sign,
     synthesize_sign,
 )
 from quantstab.lp_core import LinprogBackend
@@ -244,9 +242,8 @@ def test_singleton_reduces_to_nominal(sys1):
     for mode in ("ss", "ess"):
         spec = QuantizerSpec.uniform(0.7, 2)
         data = synthesize_sign(poly, spec, mode=mode, objective="min-lambda")
-        nominal = synthesize_nominal_sign(
-            NominalProblem(sys=sys1, spec=spec, mode=mode,
-                           objective="min-lambda"))
+        nominal = synthesize_sign(plant_vec(sys1.A, sys1.B), spec,
+                                  mode=mode, objective="min-lambda")
         assert data.feasible and nominal.feasible
         tol = 1e-6 if mode == "ss" else 3e-4
         assert data.certificate.lam == pytest.approx(nominal.certificate.lam,
@@ -303,6 +300,20 @@ def test_multiplier_blocks_certify_lambda(sys1, part1):
     # weak duality: every row's certified rowsum stays below lam * v_i,
     # rows ordered (pair, i)
     assert np.all(z @ poly.h <= cert.lam * np.tile(cert.v, pairs) + 1e-7)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="linprog's 'highs' and 'highs-ds' end in a "
+                          "numerical failure; 'highs-ipm' answers infeasible")
+def test_sys2_ess_feasibility_at_coarse_density_is_answered(sys2, part2):
+    # sys2/T=60, dataset seed 1, pruned: ESS feasibility at rho = 0.35 has
+    # a clear answer that the default solver path does not reach
+    poly = prune_redundant(build_polytope(generate_dataset(sys2, part2, 60,
+                                                           seed=1)))
+    if poly.num_faces != 163:
+        pytest.fail(f"pruned to {poly.num_faces} faces, not 163")
+    res = synthesize_sign(poly, QuantizerSpec.uniform(0.35, 3), mode="ess")
+    assert res.status == "infeasible"
 
 
 # ---------------------------------------------------------------------------

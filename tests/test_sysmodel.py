@@ -5,17 +5,17 @@ import pytest
 
 from quantstab import (
     LinearSystem,
-    NominalProblem,
     QuantizerSpec,
     StabCertificate,
     check_cert,
     closed_loop_vertex_gain,
     decay_check,
+    plant_vec,
     recover_controller,
     scaled_infty_norm,
     sign_vectors,
     simulate_quantized,
-    synthesize_nominal_mform,
+    synthesize_aarc,
 )
 
 from conftest import random_stabilizable_system
@@ -175,9 +175,16 @@ def test_check_cert_rejects_expanding_plant():
     assert margin < -0.9
 
 
+def test_simulation_rejects_negative_step_count(sys1):
+    # a one-row "ok" trajectory would pass any decay check vacuously
+    with pytest.raises(ValueError, match="step count"):
+        simulate_quantized(sys1, np.zeros((2, 3)),
+                           QuantizerSpec.uniform(0.5, 2), np.ones(3), -5)
+
+
 def test_check_cert_round_trip_with_synthesis(sys1):
     spec = QuantizerSpec.uniform(0.5, 2)
-    res = synthesize_nominal_mform(NominalProblem(sys=sys1, spec=spec))
+    res = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec)
     assert res.feasible
     ok, margin = check_cert(sys1, res.certificate, spec)
     assert ok

@@ -142,14 +142,14 @@ def calls():
                 lambda: qs.synthesize_aarc(dense, spec, mode="ess")))
     out.append(("sys2 sign ess feasibility",
                 lambda: qs.synthesize_sign(poly2, spec2, mode="ess")))
-    for form, synth in (("sign", qs.synthesize_nominal_sign),
-                        ("mform", qs.synthesize_nominal_mform)):
+    z1 = qs.plant_vec(sys1.A, sys1.B)
+    for form, synth in (("sign", qs.synthesize_sign),
+                        ("mform", qs.synthesize_aarc)):
         for mode in ("ss", "ess"):
             for objective in ("feasibility", "min-lambda"):
-                prob = qs.NominalProblem(sys1, spec, mode=mode,
-                                         objective=objective)
                 out.append((f"nominal {form} {mode} {objective}",
-                            lambda s=synth, p=prob: s(p)))
+                            lambda s=synth, mo=mode, ob=objective:
+                            s(z1, spec, mode=mo, objective=ob)))
     for method in ("sign", "aarc"):
         out.append((f"cli minrho sys1 {method} ss",
                     lambda mt=method: _cli(["minrho", "--system", "sys1",
