@@ -19,7 +19,6 @@ partition on [-6, 6].
 import argparse
 import csv
 import json
-import logging
 import sys as _sys
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "main",
 ]
 
-log = logging.getLogger("quantstab")
-
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_UNVERIFIED = 3
@@ -62,40 +59,42 @@ def _system(args):
 
 
 def _load_data(path):
-    """(polytope, input count m) of a data file: a Dataset JSON, whose
-    consistency polytope is built here, or a bare Polytope JSON, which
-    does not fix m (None)."""
+    """(polytope, plant shape) of a data file: a Dataset JSON, whose
+    consistency polytope is built here and whose samples fix (n, m), or a
+    bare Polytope JSON, which fixes neither (None)."""
     with open(path) as f:
         d = json.load(f)
     if "G" not in d:
         ds = Dataset.from_json_dict(d)
-        return build_polytope(ds), ds.m
+        return build_polytope(ds), (ds.n, ds.m)
     return Polytope.from_json_dict(d), None
 
 
-def _data_polytope(args):
-    """The --data polytope and its input count, which --system supplies
-    for a bare polytope; pruned on --prune."""
-    poly, m = _load_data(args.data)
-    if m is None:
-        if not args.system:
-            raise ValueError("a bare polytope does not fix the input count; "
-                             "pass --system as well")
-        m = builtin_system(args.system).m
-    if args.prune:
-        before = poly.num_faces
+def _resolve(args, prune=False):
+    """(synthesis set, input count m, audit polytope) of a command: the
+    --data polytope (pruned on prune) in both roles, or without --data the
+    point plant_vec(A, B) of --system, audited as its singleton_polytope.
+    A Dataset fixes n and m, a bare polytope takes m from --system, and a
+    --system of another shape is a usage error, raised before any LP."""
+    if not args.data:
+        sys = _system(args)
+        return plant_vec(sys.A, sys.B), sys.m, singleton_polytope(sys)
+    poly, shape = _load_data(args.data)
+    if args.system:
+        sys = builtin_system(args.system)
+        d = sys.n * (sys.n + sys.m)
+        if shape not in (None, (sys.n, sys.m)) or poly.dim != d:
+            held = (f"n = {shape[0]}, m = {shape[1]}" if shape else
+                    f"a polytope over {poly.dim} plant entries, not {d}")
+            raise ValueError(f"--system {args.system} has n = {sys.n}, "
+                             f"m = {sys.m}, but --data holds {held}")
+        shape = sys.n, sys.m
+    elif shape is None:
+        raise ValueError("a bare polytope does not fix the input count; "
+                         "pass --system as well")
+    if prune:
         poly = prune_redundant(poly)
-        log.info("pruned polytope: %d -> %d faces", before, poly.num_faces)
-    return poly, m
-
-
-def _synthesis_set(args):
-    """(set, input count m) that synthesis ranges over: the --data
-    polytope, or without --data the point plant_vec(A, B) of --system."""
-    if args.data:
-        return _data_polytope(args)
-    sys = _system(args)
-    return plant_vec(sys.A, sys.B), sys.m
+    return poly, shape[1], poly
 
 
 def _synthesize(args, target, m, rho, objective):
@@ -153,7 +152,7 @@ def cmd_synthesize(args):
     if args.dump_z and not args.data:
         raise ValueError("--dump-z requires --data: a known plant has no "
                          "Farkas multipliers")
-    target, m = _synthesis_set(args)
+    target, m, audit_set = _resolve(args, args.prune)
     res, spec = _synthesize(args, target, m, args.rho, args.objective)
     failures = _failures("lambda", res.extras.get("failed_lam"))
     if res.status == "numerical-failure":
@@ -164,8 +163,6 @@ def cmd_synthesize(args):
               f"rho={args.rho}){failures}")
         return EXIT_INFEASIBLE
     cert = res.certificate
-    audit_set = target if isinstance(target, Polytope) \
-        else singleton_polytope(_system(args))
     report = robust_verify(audit_set, cert, spec)
     if not report.verified:
         print(f"synthesize: certificate failed verification "
@@ -198,11 +195,7 @@ def _load_cert(args):
 
 def cmd_verify(args):
     cert, rho = _load_cert(args)
-    if args.data:
-        poly, m = _data_polytope(args)
-    else:
-        sys = _system(args)
-        poly, m = singleton_polytope(sys), sys.m
+    _, m, poly = _resolve(args)
     report = robust_verify(poly, cert, QuantizerSpec.uniform(rho, m))
     _write_json(args.out, report.to_json_dict())
     print(f"verify: {'verified' if report.verified else 'NOT verified'}, "
@@ -230,7 +223,7 @@ def cmd_simulate(args):
 
 
 def cmd_minrho(args):
-    target, m = _synthesis_set(args)
+    target, m, _ = _resolve(args, args.prune)
     failed = []
 
     def probe(r):
@@ -263,7 +256,7 @@ def cmd_sweep(args):
         raise ValueError("sweep grid must lie in (0, 1]")
     grid = np.logspace(np.log10(args.rho_min), np.log10(args.rho_max),
                        args.points)
-    target, m = _synthesis_set(args)
+    target, m, _ = _resolve(args, args.prune)
     rows, failed = [], []
     for rho in grid:
         res, _ = _synthesize(args, target, m, rho, "min-lambda")
@@ -335,7 +328,7 @@ def build_parser():
         ("synthesize", "solve for a robust certificate",
          f"{synthesis} --rho --objective --dump-z --out", {}),
         ("verify", "audit a certificate with support LPs",
-         "--system --data --prune --cert --rho --out", {}),
+         "--system --data --cert --rho --out", {}),
         ("simulate", "run the nonlinear quantized closed loop",
          "--system --cert --rho --x0 --T --out", {"T": 200}),
         ("minrho", "bisect for the minimal feasible density",

@@ -210,15 +210,22 @@ def scaled_infty_norm(Acl, v):
     return float(np.max((np.abs(Acl) @ v) / v))
 
 
+def _gain(sys, K):
+    """K as an m x n array of sys; a ValueError names both shapes."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.shape != (sys.m, sys.n):
+        raise ValueError(f"K is {K.shape[0]} x {K.shape[1]}, but the plant "
+                         f"needs m x n = {sys.m} x {sys.n}")
+    return K
+
+
 def closed_loop_vertex_gain(sys, K, v, spec):
     """Worst scaled norm of A + B diag(beta) K over all sector vertices beta.
 
     A value below one certifies extended superstability of every closed loop
     in the sector family, hence of the quantized loop itself.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape != (sys.m, sys.n):
-        raise ValueError("K must be m x n")
+    K = _gain(sys, K)
     worst = 0.0
     for beta in spec.beta_vertices():
         Acl = sys.A + sys.B @ (beta[:, None] * K)
@@ -231,11 +238,11 @@ def simulate_quantized(sys, K, spec, x0, T):
 
     Returns (trajectory, status) where trajectory has T+1 rows (fewer when
     the state exceeds the divergence guard) and status is 'ok' or
-    'diverged'.  A negative T raises ValueError.
+    'diverged'.  A negative T or a K that is not m x n raises ValueError.
     """
     if T < 0:
         raise ValueError("step count must be nonnegative")
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    K = _gain(sys, K)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape != (sys.n,):
         raise ValueError("x0 has wrong dimension")

@@ -13,7 +13,8 @@ import pytest
 
 import quantstab
 from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
-                       builtin_partition, builtin_system, synthesize_sign)
+                       builtin_partition, builtin_system, lp_core,
+                       synthesize_sign)
 from quantstab.cli import build_parser, main
 
 from test_synth_sign import _StatusOnCall
@@ -27,6 +28,16 @@ def run(*args):
 
 def _never_solved(*args, **kw):
     pytest.fail("a synthesis LP was solved")
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Fail the test on any LP solve, fresh or warm: pruning, the
+    nonemptiness check, synthesis and the audit alike."""
+    def solved(*args, **kw):
+        pytest.fail("an LP was solved")
+    monkeypatch.setattr(lp_core.LinprogBackend, "solve", solved)
+    monkeypatch.setattr(lp_core._WarmLP, "run", solved)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +54,14 @@ def cert_file(tmp_path_factory, data_file):
     assert run("synthesize", "--system", "sys1", "--data", data_file,
                "--method", "sign", "--mode", "ess", "--rho", "0.7",
                "--prune", "--out", str(path)) == OK
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def pruned_file(tmp_path_factory, data_file):
+    """The fixture data as a bare polytope, pruned to 48 faces."""
+    path = tmp_path_factory.mktemp("cli") / "pruned.json"
+    assert run("prune", "--data", data_file, "--out", str(path)) == OK
     return str(path)
 
 
@@ -163,7 +182,8 @@ def test_nominal_synthesis_needs_no_data(tmp_path):
         assert json.load(f)["mode"] == "ss"
 
 
-def test_dump_z_without_data_is_config_error(tmp_path, monkeypatch, capsys):
+def test_dump_z_without_data_is_config_error(tmp_path, monkeypatch, capsys,
+                                            no_lp):
     # a point has no Farkas multipliers; rejected before anything is solved
     monkeypatch.setattr("quantstab.cli.synthesize_sign", _never_solved)
     zfile = tmp_path / "z.json"
@@ -192,7 +212,7 @@ def test_aarc_without_data_writes_the_plant_envelope(tmp_path):
 def test_verify_round_trip(tmp_path, data_file, cert_file):
     out = tmp_path / "report.json"
     assert run("verify", "--system", "sys1", "--data", data_file, "--cert",
-               cert_file, "--prune", "--out", str(out)) == OK
+               cert_file, "--out", str(out)) == OK
     with open(out) as f:
         rep = json.load(f)
     assert rep["verified"] is True
@@ -208,6 +228,23 @@ def test_verify_rejects_tampered_certificate(tmp_path, data_file, cert_file):
     bad.write_text(json.dumps(d))
     assert run("verify", "--system", "sys1", "--data", data_file, "--cert",
                str(bad)) == UNVERIFIED
+
+
+def test_verify_of_a_dataset_agrees_with_its_pruned_polytope(
+        tmp_path, capsys, data_file, pruned_file, cert_file):
+    # pruning keeps the set, so verify audits a Dataset unpruned
+    reports = []
+    for data in (data_file, pruned_file):
+        out = tmp_path / "report.json"
+        assert run("verify", "--system", "sys1", "--data", data, "--cert",
+                   cert_file, "--out", str(out)) == OK
+        reports.append(json.loads(out.read_text()))
+    whole, pruned = reports
+    assert whole["worst_margin"] == pytest.approx(pruned["worst_margin"],
+                                                  abs=1e-9)
+    assert whole["worst_case"]["i"] == pruned["worst_case"]["i"]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "verify: verified, worst margin 4.021882e-02")
 
 
 def test_simulate_writes_decaying_csv(tmp_path, cert_file):
@@ -230,6 +267,16 @@ def test_simulate_rejects_negative_step_count(tmp_path, cert_file, capsys):
                "-5", "--out", str(out)) == CONFIG
     assert not out.exists()
     assert "step count must be nonnegative" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_gain_of_another_plant(tmp_path, cert_file,
+                                                  capsys):
+    out = tmp_path / "traj.csv"
+    assert run("simulate", "--system", "sys2", "--cert", cert_file, "--T",
+               "0", "--out", str(out)) == CONFIG
+    assert not out.exists()
+    assert "K is 2 x 3, but the plant needs m x n = 3 x 5" \
+        in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +399,7 @@ def test_sweep_produces_monotone_csv(tmp_path):
                                  "--rho-max 1.5"])
 def test_sweep_rejects_a_bad_grid_before_building_it(bad, tmp_path,
                                                      monkeypatch, capsys,
-                                                     recwarn):
+                                                     recwarn, no_lp):
     monkeypatch.setattr("quantstab.cli.synthesize_sign", _never_solved)
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--system", "sys1", *bad.split(),
@@ -402,6 +449,50 @@ def test_prune_of_a_bare_polytope_needs_no_system(tmp_path, data_file,
 
 
 # ---------------------------------------------------------------------------
+# --system against --data
+
+
+@pytest.mark.parametrize("command", [
+    "synthesize --rho 0.7 --prune",
+    "verify --cert {cert}",
+    "minrho --prune",
+    "sweep --points 1 --prune",
+])
+@pytest.mark.parametrize("data, held", [
+    ("dataset", "n = 3, m = 2"),
+    ("polytope", "a polytope over 15 plant entries, not 40"),
+])
+def test_system_of_another_shape_than_the_data_is_config_error(
+        command, data, held, capsys, data_file, pruned_file, cert_file,
+        no_lp):
+    path = data_file if data == "dataset" else pruned_file
+    name, *rest = command.format(cert=cert_file).split()
+    assert run(name, "--system", "sys2", "--data", path, *rest) == CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --system sys2 has n = 5, m = 3, but --data holds {held}\n")
+
+
+def test_a_dataset_fixes_the_plant_shape_without_system(tmp_path, data_file,
+                                                        cert_file):
+    out = tmp_path / "cert.json"
+    assert run("synthesize", "--data", data_file, "--method", "sign",
+               "--mode", "ess", "--rho", "0.7", "--prune",
+               "--out", str(out)) == OK
+    assert out.read_bytes() == Path(cert_file).read_bytes()
+
+
+def test_empty_dataset_is_config_error_before_its_shape_is_read(
+        tmp_path, capsys, no_lp):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(Dataset(()).to_json_dict()))
+    for system in ([], ["--system", "sys2"]):
+        assert run("synthesize", *system, "--data", str(empty),
+                   "--rho", "0.7") == CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot build a polytope from an empty dataset\n")
+
+
+# ---------------------------------------------------------------------------
 # config errors
 
 
@@ -418,6 +509,7 @@ def test_bad_flag_value_is_config_error():
     ("gendata --system sys1 --T 5", "--prune"),
     ("synthesize --system sys1 --rho 0.7", "--seed 3"),
     ("verify --system sys1 --cert {cert}", "--mode ss"),
+    ("verify --system sys1 --data {data} --cert {cert}", "--prune"),
     ("simulate --system sys1 --cert {cert}", "--data d.json"),
     ("minrho --system sys1", "--rho 0.5"),
     ("sweep --system sys1 --points 1", "--tol 1e-3"),

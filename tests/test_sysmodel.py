@@ -182,6 +182,14 @@ def test_simulation_rejects_negative_step_count(sys1):
                            QuantizerSpec.uniform(0.5, 2), np.ones(3), -5)
 
 
+def test_simulation_rejects_a_gain_of_the_wrong_shape(sys1):
+    # checked before the loop, so also when no step would use K
+    with pytest.raises(ValueError, match="K is 3 x 2, but the plant needs "
+                                         "m x n = 2 x 3"):
+        simulate_quantized(sys1, np.zeros((3, 2)),
+                           QuantizerSpec.uniform(0.5, 2), np.ones(3), 0)
+
+
 def test_check_cert_round_trip_with_synthesis(sys1):
     spec = QuantizerSpec.uniform(0.5, 2)
     res = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec)

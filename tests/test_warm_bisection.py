@@ -5,11 +5,12 @@ model whose gain-row coefficients of v change between probes
 (lp_core.param_solver); with one, each probe is a fresh solve through it.
 """
 
+import numpy as np
 import pytest
 
 from quantstab import (QuantizerSpec, build_polytope, generate_dataset,
-                       plant_vec, prune_redundant, synthesize_aarc,
-                       synthesize_sign)
+                       plant_vec, prune_redundant, robust_verify,
+                       synthesize_aarc, synthesize_sign)
 from quantstab import lp_core, synth_sign
 from quantstab.lp_core import LinprogBackend
 
@@ -101,3 +102,38 @@ def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
                           objective="min-lambda")
     assert res.extras["failed_lam"] == [0.75]
     assert res.feasible and res.certificate.lam > 0.75
+
+
+def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
+                                                            sys1, part1):
+    # scipy's HiGHS module is private, so optional: without it pruning,
+    # the bisection and the audit solve each LP with linprog
+    poly = build_polytope(generate_dataset(sys1, part1, 20, seed=5))
+    spec = QuantizerSpec.uniform(0.7, 2)
+    pruned = prune_redundant(poly)
+    warm, warm_probes, _ = _min_lambda(monkeypatch, synthesize_sign, pruned)
+    report = robust_verify(pruned, warm.certificate, spec)
+
+    monkeypatch.setattr(lp_core, "_highs", None)
+    fresh_pruned = prune_redundant(poly)
+    np.testing.assert_array_equal(fresh_pruned.G, pruned.G)
+    np.testing.assert_array_equal(fresh_pruned.h, pruned.h)
+    res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, pruned)
+    assert probes == warm_probes
+    assert fresh == 1 + len(probes)
+    assert res.certificate.lam == pytest.approx(warm.certificate.lam,
+                                                abs=1e-6)
+    fresh_report = robust_verify(pruned, warm.certificate, spec)
+    assert fresh_report.worst_margin == pytest.approx(report.worst_margin,
+                                                      abs=1e-9)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a near-boundary probe ends in a numerical failure "
+                          "warm and fresh; 'highs-ipm' answers it")
+def test_aarc_min_lambda_at_unit_density_answers_every_probe(pruned_sys1):
+    # the probe lambda = 0.48980712890625 fails on the default solver path,
+    # so the bisection counts it infeasible
+    res = synthesize_aarc(pruned_sys1, QuantizerSpec.uniform(1.0, 2),
+                          mode="ess", objective="min-lambda")
+    assert res.extras["failed_lam"] == []
