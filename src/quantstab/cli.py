@@ -6,8 +6,8 @@ prune.  Exit codes are scriptable: 0 success/feasible, 2 infeasible,
 exit 3 and its message), 4 configuration error.
 
 Each subcommand accepts only the options it reads; any other is a usage
-error (exit 4).  With --data, synthesis ranges over the data polytope;
-without it, over the point plant_vec(A, B) of --system.
+error (exit 4).  Synthesis ranges over the pruned --data polytope and
+the audit over it as given, or both over the point of --system.
 
 Two systems are built in.  "sys1" is a 3-state 2-input open-loop unstable
 plant (eigenvalues -1.0185, -0.2613, 0.1236) with the unit-step partition
@@ -70,15 +70,15 @@ def _load_data(path):
     return Polytope.from_json_dict(d), None
 
 
-def _resolve(args, prune=False):
-    """(synthesis set, input count m, audit polytope) of a command: the
-    --data polytope (pruned on prune) in both roles, or without --data the
-    point plant_vec(A, B) of --system, audited as its singleton_polytope.
-    A Dataset fixes n and m, a bare polytope takes m from --system, and a
-    --system of another shape is a usage error, raised before any LP."""
+def _given(args):
+    """(audit polytope, input count m, point) of a command: the --data
+    polytope as given and no point, or the singleton_polytope of the
+    --system plant and its point plant_vec(A, B).  A Dataset fixes n and m,
+    a bare polytope takes m from --system, and a --system of another shape
+    is a usage error, raised before any LP."""
     if not args.data:
         sys = _system(args)
-        return plant_vec(sys.A, sys.B), sys.m, singleton_polytope(sys)
+        return singleton_polytope(sys), sys.m, plant_vec(sys.A, sys.B)
     poly, shape = _load_data(args.data)
     if args.system:
         sys = builtin_system(args.system)
@@ -92,9 +92,16 @@ def _resolve(args, prune=False):
     elif shape is None:
         raise ValueError("a bare polytope does not fix the input count; "
                          "pass --system as well")
-    if prune:
-        poly = prune_redundant(poly)
-    return poly, shape[1], poly
+    return poly, shape[1], None
+
+
+def _resolve(args):
+    """(synthesis set, m, audit polytope) of a synthesis command, after
+    checking --eta: the --data polytope pruned, or the point of --system."""
+    if args.eta <= 0:
+        raise ValueError("stability tolerance eta must be positive")
+    poly, m, point = _given(args)
+    return (prune_redundant(poly) if args.data else point), m, poly
 
 
 def _synthesize(args, target, m, rho, objective):
@@ -147,12 +154,12 @@ def cmd_gendata(args):
 
 
 def cmd_synthesize(args):
-    if args.rho is None:
-        raise ValueError("synthesize requires --rho")
+    if args.rho is None or not 0 < args.rho <= 1:
+        raise ValueError("synthesize requires --rho in (0, 1]")
     if args.dump_z and not args.data:
         raise ValueError("--dump-z requires --data: a known plant has no "
                          "Farkas multipliers")
-    target, m, audit_set = _resolve(args, args.prune)
+    target, m, audit_set = _resolve(args)
     res, spec = _synthesize(args, target, m, args.rho, args.objective)
     failures = _failures("lambda", res.extras.get("failed_lam"))
     if res.status == "numerical-failure":
@@ -195,7 +202,7 @@ def _load_cert(args):
 
 def cmd_verify(args):
     cert, rho = _load_cert(args)
-    _, m, poly = _resolve(args)
+    poly, m, _ = _given(args)
     report = robust_verify(poly, cert, QuantizerSpec.uniform(rho, m))
     _write_json(args.out, report.to_json_dict())
     print(f"verify: {'verified' if report.verified else 'NOT verified'}, "
@@ -223,7 +230,9 @@ def cmd_simulate(args):
 
 
 def cmd_minrho(args):
-    target, m, _ = _resolve(args, args.prune)
+    if args.tol <= 0:
+        raise ValueError("bisection tolerance must be positive")
+    target, m, _ = _resolve(args)
     failed = []
 
     def probe(r):
@@ -256,7 +265,7 @@ def cmd_sweep(args):
         raise ValueError("sweep grid must lie in (0, 1]")
     grid = np.logspace(np.log10(args.rho_min), np.log10(args.rho_max),
                        args.points)
-    target, m, _ = _resolve(args, args.prune)
+    target, m, _ = _resolve(args)
     rows, failed = [], []
     for rho in grid:
         res, _ = _synthesize(args, target, m, rho, "min-lambda")
@@ -283,7 +292,7 @@ def cmd_prune(args):
     return EXIT_OK
 
 
-class _ArgError(Exception):
+class _ArgError(ValueError):
     pass
 
 
@@ -300,8 +309,6 @@ def build_parser():
         "--system": dict(help="sys1 | sys2 | JSON file"),
         "--partition": dict(help="p1 | p2 | JSON file"),
         "--data": dict(help="Dataset or Polytope JSON file"),
-        "--prune": dict(action="store_true",
-                        help="prune the --data polytope first"),
         "--method": dict(choices=["sign", "aarc"], default="sign"),
         "--mode": dict(choices=["ss", "ess"], default="ess"),
         "--rho": dict(type=float),
@@ -321,7 +328,7 @@ def build_parser():
         "--rho-max": dict(type=float, default=1.0),
         "--out": dict(),
     }
-    synthesis = "--system --data --prune --method --mode --eta"
+    synthesis = "--system --data --method --mode --eta"
     commands = [
         ("gendata", "simulate a plant and record quantized data",
          "--system --partition --T --seed --noise --out", {"T": 100}),
@@ -355,13 +362,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _ArgError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return EXIT_CONFIG
-    try:
+        if getattr(args, "func", None) is None:
+            parser.print_help()
+            return EXIT_CONFIG
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=_sys.stderr)

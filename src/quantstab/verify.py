@@ -114,12 +114,14 @@ def robust_verify(poly, candidate, spec, eta=None, backend=None):
     v, S = _candidate_vS(candidate)
     n = v.size
     m = S.shape[0]
+    shape = f"the certificate has n = {n}, m = {m}, but"
     if spec.m != m:
-        raise ValueError("quantizer channel count must match S")
+        raise ValueError(f"{shape} the quantizer has {spec.m} channels")
     if n + m > ENUM_GUARD:
         raise ValueError(f"sign enumeration limited to n + m <= {ENUM_GUARD}")
     if poly.dim != n * (n + m):
-        raise ValueError("polytope dimension is not n(n+m)")
+        raise ValueError(f"{shape} the polytope has dimension {poly.dim}, "
+                         f"not n(n+m) = {n * (n + m)}")
     if eta is None:
         eta = candidate.eta if isinstance(candidate, StabCertificate) \
             else DEFAULT_ETA

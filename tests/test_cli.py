@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
 import os
@@ -53,7 +54,7 @@ def cert_file(tmp_path_factory, data_file):
     path = tmp_path_factory.mktemp("cli") / "cert.json"
     assert run("synthesize", "--system", "sys1", "--data", data_file,
                "--method", "sign", "--mode", "ess", "--rho", "0.7",
-               "--prune", "--out", str(path)) == OK
+               "--out", str(path)) == OK
     return str(path)
 
 
@@ -123,7 +124,7 @@ def test_synthesize_aarc_records_envelope(tmp_path, data_file):
     out = tmp_path / "aarc.json"
     code = run("synthesize", "--system", "sys1", "--data", data_file,
                "--method", "aarc", "--mode", "ess", "--rho", "0.8",
-               "--prune", "--out", str(out))
+               "--out", str(out))
     assert code == OK
     with open(out) as f:
         d = json.load(f)
@@ -453,10 +454,10 @@ def test_prune_of_a_bare_polytope_needs_no_system(tmp_path, data_file,
 
 
 @pytest.mark.parametrize("command", [
-    "synthesize --rho 0.7 --prune",
+    "synthesize --rho 0.7",
     "verify --cert {cert}",
-    "minrho --prune",
-    "sweep --points 1 --prune",
+    "minrho",
+    "sweep --points 1",
 ])
 @pytest.mark.parametrize("data, held", [
     ("dataset", "n = 3, m = 2"),
@@ -472,11 +473,19 @@ def test_system_of_another_shape_than_the_data_is_config_error(
         f"error: --system sys2 has n = 5, m = 3, but --data holds {held}\n")
 
 
+def test_certificate_of_another_shape_than_the_plant_is_config_error(
+        capsys, cert_file, no_lp):
+    assert run("verify", "--system", "sys2", "--cert", cert_file) == CONFIG
+    assert capsys.readouterr().err == (
+        "error: the certificate has n = 3, m = 2, but the quantizer has 3 "
+        "channels\n")
+
+
 def test_a_dataset_fixes_the_plant_shape_without_system(tmp_path, data_file,
                                                         cert_file):
     out = tmp_path / "cert.json"
     assert run("synthesize", "--data", data_file, "--method", "sign",
-               "--mode", "ess", "--rho", "0.7", "--prune",
+               "--mode", "ess", "--rho", "0.7",
                "--out", str(out)) == OK
     assert out.read_bytes() == Path(cert_file).read_bytes()
 
@@ -496,6 +505,20 @@ def test_empty_dataset_is_config_error_before_its_shape_is_read(
 # config errors
 
 
+@pytest.mark.parametrize("command, message", [
+    ("synthesize --rho 1.5", "synthesize requires --rho in (0, 1]"),
+    ("synthesize --rho 0.7 --eta 0",
+     "stability tolerance eta must be positive"),
+    ("minrho --tol 0", "bisection tolerance must be positive"),
+    ("sweep --eta -1", "stability tolerance eta must be positive"),
+])
+def test_bad_value_is_config_error_before_the_data_is_pruned(
+        command, message, capsys, data_file, no_lp):
+    name, *rest = command.split()
+    assert run(name, "--data", data_file, *rest) == CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_subcommand_is_config_error():
     assert run("explode") == CONFIG
 
@@ -510,6 +533,11 @@ def test_bad_flag_value_is_config_error():
     ("synthesize --system sys1 --rho 0.7", "--seed 3"),
     ("verify --system sys1 --cert {cert}", "--mode ss"),
     ("verify --system sys1 --data {data} --cert {cert}", "--prune"),
+    ("synthesize --system sys1 --rho 0.7", "--prune"),
+    ("simulate --system sys1 --cert {cert}", "--prune"),
+    ("minrho --system sys1", "--prune"),
+    ("sweep --system sys1 --points 1", "--prune"),
+    ("prune --data {data}", "--prune"),
     ("simulate --system sys1 --cert {cert}", "--data d.json"),
     ("minrho --system sys1", "--rho 0.5"),
     ("sweep --system sys1 --points 1", "--tol 1e-3"),
@@ -524,6 +552,17 @@ def test_option_a_command_does_not_read_is_config_error(
     capsys.readouterr()
     assert run(*argv, *unread.split()) == CONFIG
     assert unread.split()[0] in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_its_own_options_only():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    slots = {name: sum(1 for action in parser._actions
+                       if action.option_strings and action.dest != "help")
+             for name, parser in sub.choices.items()}
+    assert slots == {"gendata": 6, "synthesize": 9, "verify": 5,
+                     "simulate": 6, "minrho": 7, "sweep": 9, "prune": 2}
+    assert sum(slots.values()) == 44
 
 
 def test_module_run_prints_no_runtime_warning(tmp_path):

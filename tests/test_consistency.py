@@ -17,8 +17,10 @@ from quantstab import (
     builtin_system,
     contains_plant,
     generate_dataset,
+    lp_core,
     plant_vec,
     prune_redundant,
+    singleton_polytope,
     solve,
 )
 
@@ -274,10 +276,35 @@ def test_prune_per_component_matches_whole_polytope_on_random_products():
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         sys = random_stabilizable_system(rng, n, m)
         poly = random_separable_polytope(rng, sys.A, sys.B)
-        # a repeated face and a slack one, so some faces must go
-        G = np.vstack([poly.G, poly.G[:1], poly.G[1:2]])
-        h = np.concatenate([poly.h, poly.h[:1], poly.h[1:2] + 0.5])
+        # a repeated face and a slack one, so some faces must go, then a
+        # scaled duplicate and a duplicate looser by less than PRUNE_TOL
+        G = np.vstack([poly.G, poly.G[:1], poly.G[1:2], 2 * poly.G[2:3],
+                       poly.G[3:4]])
+        h = np.concatenate([poly.h, poly.h[:1], poly.h[1:2] + 0.5,
+                            2 * poly.h[2:3], poly.h[3:4] + 1e-10])
         _assert_prunes_like_whole_polytope(Polytope(G=G, h=h))
+
+
+def test_prune_of_a_flat_component_matches_whole_polytope(sys1):
+    # one slack face joins the singleton's columns into one component
+    point = singleton_polytope(sys1)
+    G = np.vstack([point.G, np.ones(point.dim)])
+    h = np.append(point.h, plant_vec(sys1.A, sys1.B).sum() + 1.0)
+    _assert_prunes_like_whole_polytope(Polytope(G=G, h=h))
+
+
+def test_dual_hull_leaves_few_faces_to_the_lp_test(monkeypatch, sys1, part1):
+    runs = []
+    warm_run = lp_core._WarmLP.run
+
+    def counted(self):
+        runs.append(1)
+        return warm_run(self)
+
+    monkeypatch.setattr(lp_core._WarmLP, "run", counted)
+    poly = build_polytope(generate_dataset(sys1, part1, 100, 1))
+    assert prune_redundant(poly).num_faces == 48
+    assert len(runs) < 100
 
 
 def test_prune_drops_an_all_zero_face():

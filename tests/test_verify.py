@@ -16,6 +16,7 @@ from quantstab import (
     plant_vec,
     prune_redundant,
     robust_verify,
+    singleton_polytope,
     synthesize_sign,
 )
 from quantstab.verify import _row_block
@@ -167,6 +168,19 @@ def test_dimension_guards(sys1):
     with pytest.raises(ValueError):
         robust_verify(poly, (np.array([1.0, -1.0]), np.array([[0.5, 0.5]])),
                       QuantizerSpec.uniform(0.5, 1))
+
+
+def test_shape_errors_name_the_certificate_and_the_mismatch(sys1):
+    cert = (np.ones(3), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^the certificate has n = 3, "
+                       r"m = 2, but the quantizer has 3 channels$"):
+        robust_verify(singleton_polytope(sys1), cert,
+                      QuantizerSpec.uniform(0.5, 3))
+    with pytest.raises(ValueError, match=r"^the certificate has n = 3, "
+                       r"m = 2, but the polytope has dimension 2, "
+                       r"not n\(n\+m\) = 15$"):
+        robust_verify(_scalar_box(0.0, 1.0, 0.0, 1.0), cert,
+                      QuantizerSpec.uniform(0.5, 2))
 
 
 def test_margin_tightens_with_sector(sys1, part1):
