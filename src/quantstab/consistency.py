@@ -233,7 +233,7 @@ def contains_plant(poly, A, B, tol=CONTAIN_TOL):
     return poly.contains(z, tol)
 
 
-def _hull_redundant(G, h, backend):
+def _hull_redundant(G, h):
     """Mask of the faces of a nonempty {G x <= h} whose support over the
     others, G_r x0 + s_r g_r, is below h_r by more than HULL_MARGIN: x0 is
     the Chebyshev centre (one LP), s_r = h_r - G_r x0, and g_r the gauge of
@@ -247,7 +247,7 @@ def _hull_redundant(G, h, backend):
         return none
     lifted = Polytope(G=np.block([[G, np.linalg.norm(G, axis=1)[:, None]],
                                   [np.zeros(d), 1.0]]), h=np.append(h, 1.0))
-    _, x = max_linear_over_polytope(np.eye(d + 1)[d], lifted, backend,
+    _, x = max_linear_over_polytope(np.eye(d + 1)[d], lifted,
                                     return_point=True)
     slack = h - G @ x[:d]
     if slack.min() <= PRUNE_TOL:
@@ -266,7 +266,7 @@ def _hull_redundant(G, h, backend):
     return slack * (1.0 - gauge) > HULL_MARGIN
 
 
-def prune_redundant(poly, backend=None):
+def prune_redundant(poly):
     """Drop rows implied by the others, keeping the same feasible set.
 
     Sequential support-function test inside each component of the
@@ -289,16 +289,16 @@ def prune_redundant(poly, backend=None):
     if L == 0:
         return poly
     # Pruning an empty polytope is a caller error.
-    _require_nonempty(poly, backend)
+    _require_nonempty(poly)
     face_comp, col_comp = poly.components
     keep = np.zeros(L, dtype=bool)
     for k in range(col_comp.max(initial=-1) + 1):
         faces = np.flatnonzero(face_comp == k)
         G, h = poly.G[np.ix_(faces, col_comp == k)], poly.h[faces]
-        rest = ~_hull_redundant(G, h, backend)
+        rest = ~_hull_redundant(G, h)
         logger.debug("dual hull dropped %d faces", rest.size - rest.sum())
         faces, G, h = faces[rest], G[rest], h[rest]
-        session = _SupportSession(G, h, backend)
+        session = _SupportSession(G, h)
         for r in range(faces.size):
             session.set_upper(r, h[r] + 1.0)
             support, _ = session.maximize(G[r])

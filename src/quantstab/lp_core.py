@@ -1,8 +1,8 @@
-"""LP model assembly, solver backend contract, and polytope containment.
+"""LP model assembly, the solver path, and polytope containment.
 
 Every optimization problem in this package is assembled as an LPModel over
-named variable blocks and handed to a pluggable backend (the default wraps
-scipy's HiGHS interface).  The module also provides the containment
+named variable blocks and solved fresh by DEFAULT_BACKEND, which wraps
+scipy's HiGHS interface.  The module also provides the containment
 machinery used by the synthesizers: add_farkas_block encodes the extended
 Farkas condition
 
@@ -31,8 +31,9 @@ change between warm re-solves.  The support LPs of pruning and of the
 audit use it through _SupportSession (new costs, one changed row bound),
 and the ESS min-lambda bisection through param_solver: a model built
 with a scalar parameter (LPModel.param_expr) is assembled once, and each
-probe rewrites only the entries the parameter scales.  A fresh solve per
-LP through an explicitly passed backend is the reference for both.
+probe rewrites only the entries the parameter scales.  This module alone
+picks the path: without scipy's private HiGHS module (_highs None) every
+LP is a fresh solve through DEFAULT_BACKEND, the reference path.
 """
 
 from dataclasses import dataclass
@@ -366,14 +367,11 @@ class LPModel:
 
 
 class LinprogBackend:
-    """Default backend: scipy.optimize.linprog with the HiGHS solver."""
-
-    def __init__(self, method="highs"):
-        self.method = method
+    """The fresh solve of one LP: scipy.optimize.linprog with HiGHS."""
 
     def solve(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
         res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method=self.method)
+                      bounds=bounds, method="highs")
         status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
             res.status, "numerical-failure")
         x = res.x if status == "optimal" else None
@@ -388,13 +386,11 @@ class SolverError(RuntimeError):
     """An LP whose status (a numerical failure, say) gives no answer."""
 
 
-def solve(model, backend=None):
-    """Solve an LPModel, returning an LPSolution.  Solver trouble arrives
-    as the backend's status ('numerical-failure' and so on); an exception
-    the backend raises is a fault and propagates."""
-    backend = backend or DEFAULT_BACKEND
-    c, A_ub, b_ub, A_eq, b_eq, bounds = model.assemble()
-    status, x, obj = backend.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+def solve(model):
+    """Solve an LPModel fresh, returning an LPSolution.  Solver trouble
+    arrives as DEFAULT_BACKEND's status ('numerical-failure' and so on);
+    an exception it raises is a fault and propagates."""
+    status, x, obj = DEFAULT_BACKEND.solve(*model.assemble())
     if status != "optimal":
         return LPSolution(status, None, None)
     return LPSolution("optimal", model.split(x), obj)
@@ -501,11 +497,11 @@ def _free(d):
     return np.column_stack([np.full(d, -np.inf), np.full(d, np.inf)])
 
 
-def _require_nonempty(poly, backend=None):
+def _require_nonempty(poly):
     """Check {G x <= h} nonempty, as the Farkas rule needs, by one
     zero-cost LP over free x: ValueError when empty, SolverError on any
     other non-optimal status, so a solver failure never passes."""
-    status, _, _ = (backend or DEFAULT_BACKEND).solve(
+    status, _, _ = DEFAULT_BACKEND.solve(
         np.zeros(poly.dim), poly.G, poly.h, None, None, _free(poly.dim))
     if status == "infeasible":
         raise ValueError("polytope is empty")
@@ -524,7 +520,7 @@ def _support(status, x, obj):
     raise SolverError(f"support LP failed with status {status}")
 
 
-def max_linear_over_polytope(c, poly, backend=None, return_point=False):
+def max_linear_over_polytope(c, poly, return_point=False):
     """Support value max c^T x over the polytope.
 
     Returns +inf when the maximization is unbounded; raises ValueError on an
@@ -533,7 +529,7 @@ def max_linear_over_polytope(c, poly, backend=None, return_point=False):
     unbounded).
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    value, x = _support(*(backend or DEFAULT_BACKEND).solve(
+    value, x = _support(*DEFAULT_BACKEND.solve(
         -c, poly.G, poly.h, None, None, _free(poly.dim)))
     return (value, x) if return_point else value
 
@@ -545,9 +541,9 @@ class _WarmLP:
     held as the A_ub rows, bounded above by b_ub, followed by the A_eq
     rows, fixed at b_eq.  set_costs, set_row_bounds and set_coeffs change
     the model in place; run() re-solves it from the last basis and
-    returns (status, x, objective) as a backend's solve does, x a copy.
-    A call costs a few simplex iterations instead of a fresh linprog
-    setup.  Needs scipy's HiGHS module (_highs not None).
+    returns (status, x, objective) as LinprogBackend.solve does, x a
+    copy.  A call costs a few simplex iterations instead of a fresh
+    linprog setup.  Needs scipy's HiGHS module (_highs not None).
     """
 
     def __init__(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
@@ -613,18 +609,15 @@ class _SupportSession:
     bound of row r (+inf frees it).  maximize follows
     max_linear_over_polytope: (value, point) when optimal, (+inf, None)
     when unbounded, ValueError when infeasible and SolverError on any
-    other status.  With a backend, every maximize is that function on the
-    current rows through the backend instead: the reference path, also
-    taken when scipy lacks the HiGHS module.
+    other status.  Without scipy's HiGHS module every maximize is that
+    function on the current rows, a fresh solve: the reference path.
     """
 
-    def __init__(self, G, h, backend=None):
+    def __init__(self, G, h):
         self._G = np.atleast_2d(np.asarray(G, dtype=float))
         self._upper = np.array(h, dtype=float)
-        if backend is None and _highs is None:
-            backend = DEFAULT_BACKEND
-        self._backend = backend
-        if backend is None:
+        self._lp = None
+        if _highs is not None:
             d = self._G.shape[1]
             self._cols = np.arange(d, dtype=np.int32)
             self._lp = _WarmLP(np.zeros(d), self._G, self._upper, None, None,
@@ -632,40 +625,36 @@ class _SupportSession:
 
     def set_upper(self, r, value):
         self._upper[r] = value
-        if self._backend is None:
+        if self._lp is not None:
             self._lp.set_row_bounds(r, -np.inf, value)
 
     def maximize(self, c):
         c = np.asarray(c, dtype=float)
-        if self._backend is not None:
+        if self._lp is None:
             rows = np.isfinite(self._upper)
             return max_linear_over_polytope(
                 c, Polytope(self._G[rows], self._upper[rows]),
-                self._backend, return_point=True)
+                return_point=True)
         self._lp.set_costs(self._cols, -c)
         return _support(*self._lp.run())
 
 
-def param_solver(model, param, backend=None):
-    """solve(model, backend) as a function of the value of parameter param
+def param_solver(model, param):
+    """solve(model) as a function of the value of parameter param
     (LPModel.param_expr).
 
-    Without a backend the model is assembled once into a _WarmLP, and a
-    call rewrites the entries param scales (LPModel.param_entries) and
-    re-solves from the last basis.  A warm solve that ends neither optimal
-    nor infeasible is solved once more by solve(model), the reference
-    path.  With a backend, or without scipy's HiGHS module, every call is
-    that fresh solve through the backend: it sets model.params[param] and
-    assembles the model anew.
+    The model is assembled once into a _WarmLP, and a call rewrites the
+    entries param scales (LPModel.param_entries) and re-solves from the
+    last basis.  A warm solve that ends neither optimal nor infeasible is
+    solved once more fresh (the reference path, and without scipy's HiGHS
+    module every call): set model.params[param], then solve(model).
     """
-    if backend is None and _highs is None:
-        backend = DEFAULT_BACKEND
 
     def fresh(value):
         model.params[param] = value
-        return solve(model, backend)
+        return solve(model)
 
-    if backend is not None:
+    if _highs is None:
         return fresh
     lp = _WarmLP(*model.assemble())
     rows, cols, base, slope = model.param_entries(param)

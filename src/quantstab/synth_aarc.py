@@ -257,7 +257,7 @@ def _built_sizes(model, n, m):
 
 
 def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
-                    objective="feasibility", backend=None):
+                    objective="feasibility"):
     """Affine-envelope robust synthesis over a consistency polytope.
 
     Same calling convention and certificate semantics as the sign-based
@@ -272,7 +272,7 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
     maximize different entries of one row.
     """
     return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode, eta,
-                       objective, backend)
+                       objective)
 
 
 def count_constraints_aarc(n, m, L):

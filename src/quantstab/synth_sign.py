@@ -233,7 +233,7 @@ def min_feasible_rho(probe, tol=1e-4):
     return (None, None) if rho is None else (rho, res)
 
 
-def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
+def _synthesize(build, extract, poly, spec, mode, eta, objective):
     """The objective dispatch shared by every synthesizer.
 
     build(poly, spec, n, mode, eta, lam_fixed=, minimize_lam=) returns an
@@ -241,8 +241,8 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     SynthResult of its solution.  'min-lambda' is one LP in 'ss'; in 'ess'
     the bound lam * v_i is bilinear, so lam is bisected over (0, 1] with
     fixed-lam feasibility LPs: one model built with lam as its parameter
-    and re-solved at each probe by lp_core.param_solver, warm unless a
-    backend is given.  Every mode and objective shares one
+    and re-solved at each probe by lp_core.param_solver, warm whenever
+    scipy's HiGHS module is present.  Every mode and objective shares one
     verdict: 'feasible' only when the certified lam < 1.  An optimum with
     lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
     lam and extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
@@ -257,14 +257,14 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
         raise ValueError("stability tolerance eta must be positive")
     n = _infer_state_dim(poly, spec.m)
     if isinstance(poly, Polytope):
-        _require_nonempty(poly, backend)
+        _require_nonempty(poly)
     else:
         poly = np.asarray(poly, dtype=float).ravel()
 
     extras = {}
     if objective == "min-lambda" and mode == "ess":
         model = build(poly, spec, n, mode, eta, lam_fixed=1.0)
-        solve_at = param_solver(model, "lam", backend)
+        solve_at = param_solver(model, "lam")
         failed = extras["failed_lam"] = []
 
         def probe(lam):
@@ -277,7 +277,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
     else:
         model = build(poly, spec, n, mode, eta,
                       minimize_lam=objective == "min-lambda")
-        sol = solve(model, backend)
+        sol = solve(model)
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure", None, extras)
@@ -293,7 +293,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective, backend):
 
 
 def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
-                    objective="feasibility", backend=None):
+                    objective="feasibility"):
     """Controller synthesis over every plant in a consistency polytope.
 
     poly is the data polytope over [vec(A); vec(B)], or one plant vector
@@ -311,7 +311,7 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     SolverError.
     """
     return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
-                       objective, backend)
+                       objective)
 
 
 def count_constraints_sign(n, m, L):

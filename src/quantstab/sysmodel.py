@@ -219,15 +219,24 @@ def _gain(sys, K):
     return K
 
 
+def _betas(sys, spec):
+    """spec's sector vertices; a ValueError unless spec has sys.m channels."""
+    if spec.m != sys.m:
+        raise ValueError(f"the plant has m = {sys.m} inputs, but the spec "
+                         f"quantizes {spec.m}")
+    return spec.beta_vertices()
+
+
 def closed_loop_vertex_gain(sys, K, v, spec):
     """Worst scaled norm of A + B diag(beta) K over all sector vertices beta.
 
     A value below one certifies extended superstability of every closed loop
-    in the sector family, hence of the quantized loop itself.
+    in the sector family, hence of the quantized loop itself.  A K that is
+    not m x n, or a spec without m channels, raises ValueError.
     """
     K = _gain(sys, K)
     worst = 0.0
-    for beta in spec.beta_vertices():
+    for beta in _betas(sys, spec):
         Acl = sys.A + sys.B @ (beta[:, None] * K)
         worst = max(worst, scaled_infty_norm(Acl, v))
     return worst
@@ -264,12 +273,13 @@ def check_cert(sys, cert, spec):
     the minimal envelope max_beta |A Y + B diag(beta) S| is used, which is a
     conservative test (row sums of entrywise maxima can exceed the true
     worst row sum).  Returns (ok, margin) with margin the least row-sum
-    slack; envelope entries exceeding M count against the row sums.
+    slack; envelope entries exceeding M count against the row sums.  A
+    spec without the plant's m channels raises ValueError.
     """
     v, S = cert.v, cert.S
     Y = np.diag(v)
     envelopes = []
-    for beta in spec.beta_vertices():
+    for beta in _betas(sys, spec):
         envelopes.append(np.abs(sys.A @ Y + sys.B @ (beta[:, None] * S)))
     envelope = np.max(envelopes, axis=0)
     dominated = cert.M is None or bool(

@@ -101,15 +101,15 @@ def _row_block(poly, n, m, i):
     return faces, np.flatnonzero(inside)
 
 
-def robust_verify(poly, candidate, spec, eta=None, backend=None):
+def robust_verify(poly, candidate, spec, eta=None):
     """Audit a candidate controller against every plant consistent with P.
 
     candidate may be a StabCertificate, a (v, S) pair, or a bare gain
     matrix K (then v = 1 and S = K).  Runs one nonemptiness LP and
     n * 2^(n+m) support LPs, each over its row's block of P (see the module
     docstring), and aggregates the margins; never consults the synthesis
-    code path.  An empty P raises ValueError.  With a backend every LP is
-    a fresh solve through it, the reference for the warm sessions.
+    code path.  An empty P raises ValueError.  The LPs are warm unless
+    scipy lacks its HiGHS module (see lp_core).
     """
     v, S = _candidate_vS(candidate)
     n = v.size
@@ -129,11 +129,10 @@ def robust_verify(poly, candidate, spec, eta=None, backend=None):
         raise ValueError("weights v must be positive")
 
     # Raises ValueError on an empty polytope, as every support LP would.
-    _, point = _SupportSession(poly.G, poly.h, backend).maximize(
-        np.zeros(poly.dim))
+    _, point = _SupportSession(poly.G, poly.h).maximize(np.zeros(poly.dim))
     blocks = [_row_block(poly, n, m, i) for i in range(n)]
-    sessions = [_SupportSession(poly.G[np.ix_(faces, cols)], poly.h[faces],
-                                backend) for faces, cols in blocks]
+    sessions = [_SupportSession(poly.G[np.ix_(faces, cols)], poly.h[faces])
+                for faces, cols in blocks]
     worst = np.inf
     worst_case = {}
     betas = spec.beta_vertices()

@@ -1,5 +1,7 @@
 """Shared fixtures: the two built-in benchmark plants and small helpers."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from quantstab import (
     Polytope,
     builtin_partition,
     builtin_system,
+    lp_core,
 )
 
 
@@ -39,6 +42,19 @@ def part2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@contextmanager
+def fresh_solves(backend=None):
+    """Inside, every LP is a fresh solve through lp_core.DEFAULT_BACKEND,
+    as on a scipy without its HiGHS module (lp_core._highs None): the
+    reference path of the warm models.  A backend given is installed as
+    DEFAULT_BACKEND, so that it sees every LP."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_core, "_highs", None)
+        if backend is not None:
+            patch.setattr(lp_core, "DEFAULT_BACKEND", backend)
+        yield
 
 
 def random_stabilizable_system(rng, n, m, scale=0.6):

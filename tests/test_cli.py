@@ -18,6 +18,7 @@ from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
                        synthesize_sign)
 from quantstab.cli import build_parser, main
 
+from conftest import fresh_solves
 from test_synth_sign import _StatusOnCall
 
 OK, INFEASIBLE, UNVERIFIED, CONFIG = 0, 2, 3, 4
@@ -342,12 +343,14 @@ def test_minrho_reports_total_infeasibility(tmp_path):
 
 
 def _third_lp_fails(rho_above=0.0):
-    """A stand-in for synthesize_sign whose backend fails the third LP of
-    every call at a density above rho_above: on a point, the lambda = 0.75
-    probe of an ESS min-lambda bisection."""
+    """A stand-in for synthesize_sign that fails the third LP of every
+    call at a density above rho_above, on the fresh path: on a point, the
+    lambda = 0.75 probe of an ESS min-lambda bisection."""
     def synth(target, spec, **kw):
-        backend = _StatusOnCall(3) if spec.rho[0] > rho_above else None
-        return synthesize_sign(target, spec, backend=backend, **kw)
+        if spec.rho[0] <= rho_above:
+            return synthesize_sign(target, spec, **kw)
+        with fresh_solves(_StatusOnCall(3)):
+            return synthesize_sign(target, spec, **kw)
     return synth
 
 

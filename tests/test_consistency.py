@@ -7,7 +7,6 @@ from quantstab import (
     DataSample,
     Dataset,
     LinearSystem,
-    LinprogBackend,
     LPModel,
     Partition,
     Polytope,
@@ -24,7 +23,7 @@ from quantstab import (
     solve,
 )
 
-from conftest import (box_polytope, random_separable_polytope,
+from conftest import (box_polytope, fresh_solves, random_separable_polytope,
                       random_stabilizable_system)
 from oracles import prune_whole_polytope
 
@@ -252,11 +251,13 @@ def test_nested_prefix_polytopes_shrink(sys1, part1):
 
 
 def _assert_prunes_like_whole_polytope(poly):
-    """The warm session and a fresh linprog per face (an explicit backend)
+    """The warm session and a fresh linprog per face (the reference path)
     keep exactly the oracle's faces, in order."""
     keep = prune_whole_polytope(poly)
-    for backend in (None, LinprogBackend()):
-        pruned = prune_redundant(poly, backend=backend)
+    warm = prune_redundant(poly)
+    with fresh_solves():
+        fresh = prune_redundant(poly)
+    for pruned in (warm, fresh):
         np.testing.assert_array_equal(pruned.G, poly.G[keep])
         np.testing.assert_array_equal(pruned.h, poly.h[keep])
 

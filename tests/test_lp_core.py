@@ -1,14 +1,14 @@
-"""LP layer: model assembly, backend contract, containment certificates."""
+"""LP layer: model assembly, solver paths, containment certificates."""
 
 import numpy as np
 import pytest
 
 from quantstab import (
     AffExpr,
-    LinprogBackend,
     LPModel,
     Polytope,
     add_farkas_block,
+    lp_core,
     max_linear_over_polytope,
     solve,
 )
@@ -16,7 +16,7 @@ from quantstab.lp_core import (SolverError, _require_nonempty,
                                _SupportSession, add_robust_rows,
                                param_solver)
 
-from conftest import box_polytope, random_separable_polytope
+from conftest import box_polytope, fresh_solves, random_separable_polytope
 from oracles import check_containment_bruteforce, enumerate_vertices
 
 
@@ -120,13 +120,14 @@ def test_assembly_places_terms_at_block_offsets(rng):
         atol=1e-12)
 
 
-def test_backend_exceptions_propagate():
+def test_backend_exceptions_propagate(monkeypatch):
     class Broken:
         def solve(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
             raise TypeError("bad backend")
 
+    monkeypatch.setattr(lp_core, "DEFAULT_BACKEND", Broken())
     with pytest.raises(TypeError):
-        solve(_scalar_model(lb=1.0, objective=1.0), backend=Broken())
+        solve(_scalar_model(lb=1.0, objective=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def test_robust_rows_range_over_their_own_components(rng):
     assert model.num_eq_rows == np.count_nonzero(col_comp == col_comp[0]) + d
 
 
-def test_require_nonempty_tells_empty_from_solver_failure():
+def test_require_nonempty_tells_empty_from_solver_failure(monkeypatch):
     box = Polytope(G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]))
     assert _require_nonempty(box) is None
     with pytest.raises(ValueError):
@@ -332,16 +333,20 @@ def test_require_nonempty_tells_empty_from_solver_failure():
         def solve(self, *args):
             return "numerical-failure", None, None
 
+    monkeypatch.setattr(lp_core, "DEFAULT_BACKEND", Failing())
     with pytest.raises(RuntimeError):
-        _require_nonempty(box, Failing())
+        _require_nonempty(box)
 
 
-@pytest.mark.parametrize("backend", [None, LinprogBackend()],
+@pytest.mark.parametrize("fresh_path", [False, True],
                          ids=["warm", "linprog"])
-def test_support_session_follows_the_support_function(backend):
+def test_support_session_follows_the_support_function(monkeypatch,
+                                                      fresh_path):
+    if fresh_path:
+        monkeypatch.setattr(lp_core, "_highs", None)
     # x1 <= 1, x2 <= 2, x1 + x2 >= 0: a triangle
     G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    session = _SupportSession(G, np.array([1.0, 2.0, 0.0]), backend)
+    session = _SupportSession(G, np.array([1.0, 2.0, 0.0]))
     val, x = session.maximize([1.0, 1.0])
     assert val == pytest.approx(3.0) and x == pytest.approx([1.0, 2.0])
     assert session.maximize([1.0, -1.0])[0] == pytest.approx(2.0)
@@ -360,9 +365,10 @@ def test_support_session_reports_solver_failure():
         def solve(self, *args):
             return "numerical-failure", None, None
 
-    session = _SupportSession(np.eye(2), np.ones(2), Failing())
-    with pytest.raises(SolverError):
-        session.maximize([1.0, 0.0])
+    with fresh_solves(Failing()):
+        session = _SupportSession(np.eye(2), np.ones(2))
+        with pytest.raises(SolverError):
+            session.maximize([1.0, 0.0])
 
 
 def _param_model(p):
@@ -396,7 +402,8 @@ def test_param_entries_locate_the_parameter_in_the_assembled_rows():
 
 def test_param_solver_warm_matches_fresh_solves():
     warm = param_solver(_param_model(1.0), "p")
-    fresh = param_solver(_param_model(1.0), "p", LinprogBackend())
+    with fresh_solves():
+        fresh = param_solver(_param_model(1.0), "p")
     for p in (1.0, 3.0, -2.0, 1.5):
         a, b = warm(p), fresh(p)
         assert a.status == b.status

@@ -14,6 +14,7 @@ from quantstab import (
     closed_loop_vertex_gain,
     count_constraints_sign,
     generate_dataset,
+    lp_core,
     plant_vec,
     prune_redundant,
     robust_verify,
@@ -23,7 +24,7 @@ from quantstab import (
 from quantstab.lp_core import LinprogBackend
 from quantstab.synth_sign import _sign_model
 
-from conftest import (box_polytope, random_separable_polytope,
+from conftest import (box_polytope, fresh_solves, random_separable_polytope,
                       random_stabilizable_system)
 from oracles import enumerate_vertices
 
@@ -168,9 +169,10 @@ def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
 
 
 class _StatusOnCall:
-    """Backend answering its k-th LP with status and no point, and solving
-    every other one; by default a numerical failure on the first LP (the
-    nonemptiness check on a polytope)."""
+    """A stand-in for lp_core.DEFAULT_BACKEND answering its k-th LP with
+    status and no point, and solving every other one; by default a
+    numerical failure on the first LP (the nonemptiness check on a
+    polytope, always a fresh solve)."""
 
     def __init__(self, k=1, status="numerical-failure"):
         self.k, self.status, self.calls = k, status, 0
@@ -183,13 +185,14 @@ class _StatusOnCall:
         return self.inner.solve(*args)
 
 
-def test_failed_nonemptiness_lp_is_not_taken_for_nonempty():
+def test_failed_nonemptiness_lp_is_not_taken_for_nonempty(monkeypatch):
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
+    monkeypatch.setattr(lp_core, "DEFAULT_BACKEND", _StatusOnCall())
     with pytest.raises(RuntimeError):
-        synthesize_sign(poly, QuantizerSpec.uniform(1.0, 1),
-                        backend=_StatusOnCall())
+        synthesize_sign(poly, QuantizerSpec.uniform(1.0, 1))
+    monkeypatch.setattr(lp_core, "DEFAULT_BACKEND", _StatusOnCall())
     with pytest.raises(RuntimeError):
-        prune_redundant(poly, backend=_StatusOnCall())
+        prune_redundant(poly)
 
 
 def test_failed_lambda_probe_is_listed_and_counted_infeasible(sys1):
@@ -199,11 +202,13 @@ def test_failed_lambda_probe_is_listed_and_counted_infeasible(sys1):
     z = plant_vec(sys1.A, sys1.B)
     spec = QuantizerSpec.uniform(0.7, sys1.m)
 
-    def least_gain(backend):
-        return synthesize_sign(z, spec, mode="ess", objective="min-lambda",
-                               backend=backend)
+    def least_gain(backend=None):
+        # the probes reach the backend only on the fresh path
+        with fresh_solves(backend):
+            return synthesize_sign(z, spec, mode="ess",
+                                   objective="min-lambda")
 
-    assert least_gain(None).extras["failed_lam"] == []
+    assert least_gain().extras["failed_lam"] == []
     failed = least_gain(_StatusOnCall(3, "numerical-failure"))
     refused = least_gain(_StatusOnCall(3, "infeasible"))
     assert failed.extras["failed_lam"] == [0.75]
@@ -375,31 +380,3 @@ def test_size_record_matches_row_separable_model(n, m):
 def test_size_record_rejects_wrong_row_count():
     with pytest.raises(ValueError):
         count_constraints_sign(3, 1, [4, 4])
-
-
-def test_every_lp_reaches_the_callers_backend(sys1, part1, monkeypatch):
-    poly = build_polytope(generate_dataset(sys1, part1, 20, seed=5))
-    solved = []
-    real_solve = LinprogBackend.solve
-
-    def every_solve(self, *args):
-        solved.append(self)
-        return real_solve(self, *args)
-
-    monkeypatch.setattr(LinprogBackend, "solve", every_solve)
-
-    class Counting:
-        def __init__(self):
-            self.calls = 0
-            self.inner = LinprogBackend()
-
-        def solve(self, *args):
-            self.calls += 1
-            return self.inner.solve(*args)
-
-    backend = Counting()
-    synthesize_sign(poly, QuantizerSpec.uniform(0.7, 2), mode="ess",
-                    objective="min-lambda", backend=backend)
-    assert backend.calls > 1
-    assert len(solved) == backend.calls
-    assert all(b is backend.inner for b in solved)

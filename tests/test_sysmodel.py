@@ -190,6 +190,20 @@ def test_simulation_rejects_a_gain_of_the_wrong_shape(sys1):
                            QuantizerSpec.uniform(0.5, 2), np.ones(3), 0)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_spec_of_another_channel_count_is_refused(sys1, channels):
+    # one beta must not stand in for both channels of sys1, nor three
+    # betas fail to broadcast
+    spec = QuantizerSpec.uniform(0.5, 2)
+    cert = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec).certificate
+    wrong = QuantizerSpec.uniform(0.5, channels)
+    message = f"the plant has m = 2 inputs, but the spec quantizes {channels}"
+    with pytest.raises(ValueError, match=message):
+        closed_loop_vertex_gain(sys1, cert.K, cert.v, wrong)
+    with pytest.raises(ValueError, match=message):
+        check_cert(sys1, cert, wrong)
+
+
 def test_check_cert_round_trip_with_synthesis(sys1):
     spec = QuantizerSpec.uniform(0.5, 2)
     res = synthesize_aarc(plant_vec(sys1.A, sys1.B), spec)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quantstab import (
-    LinprogBackend,
     Polytope,
     QuantizerSpec,
     StabCertificate,
@@ -21,6 +20,7 @@ from quantstab import (
 )
 from quantstab.verify import _row_block
 
+from conftest import fresh_solves
 from test_synth_sign import _scalar_box
 
 
@@ -99,7 +99,8 @@ def test_warm_sessions_match_fresh_linprog_solves(system, kind):
     spec = QuantizerSpec.uniform(0.7, plant.m)
     cert = synthesize_sign(poly, spec, mode="ess").certificate
     warm = robust_verify(poly, cert, spec)
-    fresh = robust_verify(poly, cert, spec, backend=LinprogBackend())
+    with fresh_solves():
+        fresh = robust_verify(poly, cert, spec)
     assert warm.verified == fresh.verified
     assert warm.worst_margin == pytest.approx(fresh.worst_margin, abs=1e-9)
     for key in ("i", "alpha", "beta"):

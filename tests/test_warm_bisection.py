@@ -1,8 +1,9 @@
-"""The warm ESS min-lambda bisection against fresh solves through a backend.
+"""The warm ESS min-lambda bisection against fresh solves.
 
-Without a backend= argument every synthesizer bisects lambda in one HiGHS
-model whose gain-row coefficients of v change between probes
-(lp_core.param_solver); with one, each probe is a fresh solve through it.
+Every synthesizer bisects lambda in one HiGHS model whose gain-row
+coefficients of v change between probes (lp_core.param_solver); without
+scipy's HiGHS module (lp_core._highs None), the reference path, each probe
+is a fresh solve through lp_core.DEFAULT_BACKEND.
 """
 
 import numpy as np
@@ -22,9 +23,10 @@ def pruned_sys1(sys1, part1):
                                                            seed=1)))
 
 
-def _min_lambda(monkeypatch, synth, target, backend=None):
+def _min_lambda(monkeypatch, synth, target, fresh_path=False):
     """(result, [(lam, verdict) of every probe], linprog solve count) of
-    one ESS min-lambda bisection at rho = 0.7."""
+    one ESS min-lambda bisection at rho = 0.7, on the reference path of
+    fresh solves when fresh_path is set."""
     probes, fresh = [], []
     bisect, linprog_solve = synth_sign.bisect_least, LinprogBackend.solve
 
@@ -42,8 +44,10 @@ def _min_lambda(monkeypatch, synth, target, backend=None):
     with monkeypatch.context() as patch:
         patch.setattr(synth_sign, "bisect_least", recording)
         patch.setattr(LinprogBackend, "solve", counted)
+        if fresh_path:
+            patch.setattr(lp_core, "_highs", None)
         res = synth(target, QuantizerSpec.uniform(0.7, 2), mode="ess",
-                    objective="min-lambda", backend=backend)
+                    objective="min-lambda")
     return res, probes, len(fresh)
 
 
@@ -56,7 +60,7 @@ def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
         else plant_vec(sys1.A, sys1.B)
     warm, warm_probes, warm_fresh = _min_lambda(monkeypatch, synth, target)
     ref, ref_probes, _ = _min_lambda(monkeypatch, synth, target,
-                                     LinprogBackend())
+                                     fresh_path=True)
     assert len(warm_probes) == 15
     assert warm_probes == ref_probes
     assert warm.status == ref.status == "feasible"
@@ -107,14 +111,19 @@ def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
 def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
                                                             sys1, part1):
     # scipy's HiGHS module is private, so optional: without it pruning,
-    # the bisection and the audit solve each LP with linprog
+    # the bisection and the audit solve each LP with linprog and build no
+    # warm model
     poly = build_polytope(generate_dataset(sys1, part1, 20, seed=5))
     spec = QuantizerSpec.uniform(0.7, 2)
     pruned = prune_redundant(poly)
     warm, warm_probes, _ = _min_lambda(monkeypatch, synthesize_sign, pruned)
     report = robust_verify(pruned, warm.certificate, spec)
 
+    def built(*args):
+        pytest.fail("a warm HiGHS model was built without the HiGHS module")
+
     monkeypatch.setattr(lp_core, "_highs", None)
+    monkeypatch.setattr(lp_core._WarmLP, "__init__", built)
     fresh_pruned = prune_redundant(poly)
     np.testing.assert_array_equal(fresh_pruned.G, pruned.G)
     np.testing.assert_array_equal(fresh_pruned.h, pruned.h)
