@@ -35,8 +35,10 @@ cert = res.certificate
 print(f"\nrho = {rho}: robustly feasible, certified lambda = {cert.lam:.4f}")
 print("K =\n", np.round(cert.K, 4))
 
+# the size of the exact Farkas LP; synthesize_sign reaches the same answer
+# by vertex cuts, without solving it
 counts = res.extras["counts"]
-print(f"LP size: {counts['robust_inequalities']} robust rows, "
+print(f"Farkas LP size: {counts['robust_inequalities']} robust rows, "
       f"{counts['farkas_variables']} multiplier variables")
 
 # --- independent audit ------------------------------------------------------

@@ -16,10 +16,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from .lp_core import (Polytope, _require_nonempty, _SupportSession,
-                      max_linear_over_polytope)
+from .lp_core import Polytope, _require_nonempty, _SupportSession
 from .quantizer import interval_quantize
 
 logger = logging.getLogger(__name__)
@@ -233,37 +231,19 @@ def contains_plant(poly, A, B, tol=CONTAIN_TOL):
     return poly.contains(z, tol)
 
 
-def _hull_redundant(G, h):
-    """Mask of the faces of a nonempty {G x <= h} whose support over the
-    others, G_r x0 + s_r g_r, is below h_r by more than HULL_MARGIN: x0 is
-    the Chebyshev centre (one LP), s_r = h_r - G_r x0, and g_r the gauge of
-    G_r / s_r over the facets that miss the origin of the convex hull of 0
-    and every G_r / s_r (Barber, Dobkin & Huhdanpaa 1996).  All False for
-    fewer than two columns, on a flat set (some s_r <= PRUNE_TOL) or on a
-    QhullError."""
-    L, d = G.shape
-    none = np.zeros(L, dtype=bool)
-    if d < 2:
-        return none
-    lifted = Polytope(G=np.block([[G, np.linalg.norm(G, axis=1)[:, None]],
-                                  [np.zeros(d), 1.0]]), h=np.append(h, 1.0))
-    _, x = max_linear_over_polytope(np.eye(d + 1)[d], lifted,
-                                    return_point=True)
-    slack = h - G @ x[:d]
-    if slack.min() <= PRUNE_TOL:
-        return none
-    dual = G / slack[:, None]
-    try:
-        facets = ConvexHull(np.vstack([np.zeros(d), dual])).equations
-    except QhullError:
-        return none
-    facets = facets[facets[:, d] < 0]
-    weights = facets[:, :d] / -facets[:, d:]
+def _hull_redundant(hull):
+    """Mask of the faces of a component whose support over the others,
+    G_r x0 + s_r g_r, is below h_r by more than HULL_MARGIN: x0 is the
+    Chebyshev centre, s_r = h_r - G_r x0, and g_r the gauge of G_r / s_r
+    over the facets that miss the origin of the component's dual hull
+    (lp_core._DualHull, from Polytope.hulls)."""
+    dual = hull.G / hull.slack[:, None]
     # One face at a time, without BLAS: the whole faces-by-facets product
     # took 29 MB on sys2/T=350, and a threaded GEMM of that shape slowed
     # the LPs after it on two cores.
-    gauge = np.array([np.einsum("fd,d->f", weights, y).max() for y in dual])
-    return slack * (1.0 - gauge) > HULL_MARGIN
+    gauge = np.array([np.einsum("fd,d->f", hull.weights, y).max()
+                      for y in dual])
+    return hull.slack * (1.0 - gauge) > HULL_MARGIN
 
 
 def prune_redundant(poly):
@@ -277,7 +257,8 @@ def prune_redundant(poly):
     polytope this is the test over all retained rows; an all-zero face
     (0 <= h_r) is always redundant.  A dual-hull prefilter (_hull_redundant)
     first drops the faces of a component whose support is clearly below
-    h_r, without an LP.  Each component is one support session
+    h_r, without an LP, where the component has a dual hull
+    (Polytope.hulls).  Each component is one support session
     (lp_core._SupportSession): row r is tested with its bound raised to
     h_r + 1, which keeps the LP bounded without changing the verdict, and
     is then freed when redundant or restored otherwise.  Rows are processed
@@ -292,10 +273,11 @@ def prune_redundant(poly):
     _require_nonempty(poly)
     face_comp, col_comp = poly.components
     keep = np.zeros(L, dtype=bool)
-    for k in range(col_comp.max(initial=-1) + 1):
+    for k, hull in enumerate(poly.hulls):
         faces = np.flatnonzero(face_comp == k)
         G, h = poly.G[np.ix_(faces, col_comp == k)], poly.h[faces]
-        rest = ~_hull_redundant(G, h)
+        rest = (np.ones(faces.size, dtype=bool) if hull is None
+                else ~_hull_redundant(hull))
         logger.debug("dual hull dropped %d faces", rest.size - rest.sum())
         faces, G, h = faces[rest], G[rest], h[rest]
         session = _SupportSession(G, h)

@@ -27,13 +27,31 @@ robust row of a constraint family into one G2 and gets one block.
 
 Sequences of LPs that differ in a few numbers run in one persistent
 HiGHS model, a _WarmLP, whose costs, row bounds and single coefficients
-change between warm re-solves.  The support LPs of pruning and of the
-audit use it through _SupportSession (new costs, one changed row bound),
-and the ESS min-lambda bisection through param_solver: a model built
-with a scalar parameter (LPModel.param_expr) is assembled once, and each
-probe rewrites only the entries the parameter scales.  This module alone
-picks the path: without scipy's private HiGHS module (_highs None) every
-LP is a fresh solve through DEFAULT_BACKEND, the reference path.
+change between warm re-solves and which can grow by rows.  The support
+LPs of pruning and of the audit use it through _SupportSession (new
+costs, one changed row bound), and the ESS min-lambda bisection through
+param_solver: a model built with a scalar parameter (LPModel.param_expr)
+is assembled once, and each probe rewrites only the entries the
+parameter scales.
+
+A model's robust rows can also be solved without assembling their Farkas
+blocks, by vertex cuts (_CutLoop; synth_sign uses it for every sign
+solve on a polytope).  Polytope.hulls gives each component, seen from its
+Chebyshev centre, the convex hull of its dual points (qhull), whose
+facets are the component's vertices: the same hull prunes faces
+(consistency._hull_redundant).  A robust row holds over a bounded
+component iff it holds at every vertex, so a small master over the
+model's other blocks takes the rows at the vertices that its solution
+violates most, one product of the rows with the vertex set per round,
+until none is violated; each row's support is then certified by the dual
+of its best vertex's active faces, which fills the Farkas block.  The
+Farkas LP answers wherever the cuts cannot: a component without a
+bounded, full-dimensional vertex set, or a master that ends neither
+optimal nor infeasible.
+
+This module alone picks the path: without scipy's private HiGHS module
+(_highs None) every LP is a fresh solve through DEFAULT_BACKEND and every
+robust row gets its Farkas block, the reference path.
 """
 
 from dataclasses import dataclass
@@ -43,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull, QhullError
 
 try:    # HiGHS's own model object: private to scipy, so optional
     from scipy.optimize._highspy import _core as _highs
@@ -62,6 +81,29 @@ __all__ = [
     "max_linear_over_polytope",
     "param_solver",
 ]
+
+# A component whose Chebyshev radius is at most FLAT_TOL is flat: it has no
+# dual hull.
+FLAT_TOL = 1e-8
+# Nor has one of more than HULL_MAX_COLS columns: a polytope's vertex count
+# can grow like its face count to the power d/2 (McMullen's upper bound
+# theorem), and qhull's time with it.  A random 40-face polytope over the
+# 15 columns of sys1 has 1,030,030 vertices, which took qhull 24 s; a data
+# polytope's components have n + m columns.
+HULL_MAX_COLS = 10
+# A vertex cut is added when it is violated by more than CUT_TOL (1 + |h|).
+CUT_TOL = 1e-9
+# Multipliers from a vertex's active faces are accepted when no entry is
+# below -CERT_TOL and Z G matches the row within CERT_TOL, each scaled by
+# 1 + max |row|; the rare rest are certified by a support LP.
+CERT_TOL = 1e-11
+# A cut loop that has not closed after MAX_ROUNDS master solves gives up.
+MAX_ROUNDS = 200
+# Rows are scored against a vertex set in blocks of about SCORE_BLOCK
+# scores (512 KB), which stay in cache for the argmax: scoring sys2's
+# 256-row blocks whole wrote and re-read 4 MB per component and took 38 ms
+# per call on one BLAS thread (94 ms on two), in blocks 10 ms (12 ms).
+SCORE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,6 +148,20 @@ class Polytope:
         number = np.full(L + d, -1)
         number[cols] = np.arange(cols.size)
         return number[labels[:L]], col_comp.ravel()
+
+    @cached_property
+    def hulls(self):
+        """One _DualHull per component (components), or None for a
+        component with under two or over HULL_MAX_COLS columns, a flat one
+        (Chebyshev radius at most FLAT_TOL), or one where qhull or the
+        Chebyshev LP fails.  Pruning drops faces by them
+        (consistency._hull_redundant), and the cut engine (_CutLoop) takes
+        its vertex sets from the bounded ones.  Needs a nonempty
+        polytope."""
+        face_comp, col_comp = self.components
+        return [_dual_hull(self, np.flatnonzero(face_comp == k),
+                           np.flatnonzero(col_comp == k))
+                for k in range(col_comp.max(initial=-1) + 1)]
 
     def contains(self, x, tol=1e-9):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -232,6 +288,7 @@ class LPModel:
         self._objective = None     # scalar AffExpr, minimized
         self.farkas_blocks = []    # (zname, L2, L1, rows, faces) bookkeeping
         self.row_sups = {}         # robust row name -> values -> sup_z G z
+        self.robust = {}           # robust row name -> (poly, G_expr, h_expr)
         self.params = {}           # parameter name -> value (param_expr)
 
     def add_block(self, name, size, lb=None, ub=None):
@@ -344,13 +401,15 @@ class LPModel:
             bounds[offsets[name]:offsets[name] + size, 1] = ubv
         return c, A_ub, b_ub, A_eq, b_eq, bounds
 
-    def param_entries(self, param):
+    def param_entries(self, param, exprs=None):
         """(rows, cols, base, slope) of every constraint matrix entry that
         parameter param scales: at parameter value p the entry is
         base + slope * p, base being the sum of its other terms.  Rows
-        count the A_ub rows of assemble() first, then its A_eq rows."""
+        count the A_ub rows of assemble() first, then its A_eq rows, or
+        the rows of exprs, stacked, when given."""
         offsets, nvar = self._offsets()
-        exprs = self._ineqs + self._eqs
+        if exprs is None:
+            exprs = self._ineqs + self._eqs
         shape = (sum(e.rows for e in exprs), nvar)
         terms = list(self._terms(exprs, offsets))
         slope = self._csr([(r, c, v, None) for r, c, v, p in terms
@@ -364,6 +423,16 @@ class LPModel:
         offsets, _ = self._offsets()
         return {name: x[offsets[name]:offsets[name] + self.blocks[name][0]]
                 for name in self._order}
+
+    def value(self, expr, values):
+        """expr at the block values, its parameters at their current
+        values."""
+        out = expr.const.copy()
+        for key, coeff in expr.terms.items():
+            param, block = key if isinstance(key, tuple) else (None, key)
+            x = np.asarray(values[block], dtype=float)
+            out += coeff @ (x if param is None else self.params[param] * x)
+        return out
 
 
 class LinprogBackend:
@@ -405,6 +474,18 @@ def _row_support(expr):
     return mask
 
 
+def _touched(poly, G2_expr, L2):
+    """(touched, col_of, face_of): which components (Polytope.components)
+    the structural columns of each of the L2 rows of G2_expr touch, an
+    L2 x K mask, and the K x d and K x L1 masks of each component's columns
+    and faces."""
+    face_comp, col_comp = poly.components
+    comps = np.arange(col_comp.max(initial=-1) + 1)[:, None]
+    col_of, face_of = col_comp == comps, face_comp == comps
+    touched = _row_support(G2_expr).reshape(L2, poly.dim) @ col_of.T
+    return touched, col_of, face_of
+
+
 def _farkas_rows(model, poly, G2_expr, h2_expr, name):
     """The multiplier block of add_farkas_block; returns the (L2 x size)
     matrix mapping it to the certified sups Z h1 of the rows."""
@@ -412,10 +493,7 @@ def _farkas_rows(model, poly, G2_expr, h2_expr, name):
     L2 = h2_expr.rows
     if G2_expr.rows != L2 * d:
         raise ValueError("G2 expression must have L2 * d rows (row-major)")
-    face_comp, col_comp = poly.components
-    comps = np.arange(col_comp.max(initial=-1) + 1)[:, None]
-    col_of, face_of = col_comp == comps, face_comp == comps
-    touched = _row_support(G2_expr).reshape(L2, d) @ col_of.T
+    touched, col_of, face_of = _touched(poly, G2_expr, L2)
     rows, faces = np.nonzero(touched @ face_of)
     eq_rows, eq_cols = np.nonzero(touched @ col_of)
     eq_index = np.full((L2, d), -1)
@@ -481,11 +559,14 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
     substituted (G z0 <= h) with no multipliers: a robust counterpart is
     built row by row, so a point needs none.  Records model.row_sups[name],
     a function of the solved block values returning the certified sup of
-    G z over unc (Z h1 for a polytope, G z0 for a point).
+    G z over unc (Z h1 for a polytope, G z0 for a point), and on a polytope
+    model.robust[name], the rows themselves, from which _CutLoop solves
+    the model without its Farkas block.
     """
     if isinstance(unc, Polytope):
         Zh = _farkas_rows(model, unc, G_expr, h_expr, name)
         model.row_sups[name] = lambda values: Zh @ values[name]
+        model.robust[name] = (unc, G_expr, h_expr)
     else:
         Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))
         model.add_ineq(Gz - h_expr)
@@ -587,6 +668,19 @@ class _WarmLP:
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             self._highs.changeCoeff(r, c, v)
 
+    def add_rows(self, A, upper):
+        """Append the rows of the CSR matrix A, bounded above by upper."""
+        A = sp.csr_matrix(A)
+        self._highs.addRows(A.shape[0], np.full(A.shape[0], -np.inf),
+                            np.asarray(upper, dtype=float), A.nnz,
+                            A.indptr.astype(np.int32),
+                            A.indices.astype(np.int32), A.data)
+
+    def row_duals(self):
+        """The row duals of the last solve (HiGHS's sign convention: <= 0
+        on an active upper bound of a minimization)."""
+        return np.array(self._highs.getSolution().row_dual)
+
     def run(self):
         highs = self._highs
         highs.run()
@@ -638,6 +732,71 @@ class _SupportSession:
         self._lp.set_costs(self._cols, -c)
         return _support(*self._lp.run())
 
+    def multipliers(self):
+        """Z >= 0 with Z G = c and Z h = the support value, for the c of
+        the last maximize that was optimal: the LP's row duals.  Needs
+        scipy's HiGHS module."""
+        return np.maximum(-self._lp.row_duals(), 0.0)
+
+
+class _DualHull:
+    """One component {x : G x <= h} of a polytope, seen from its Chebyshev
+    centre x0 (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996).
+
+    With slack s = h - G x0 > 0 the set is x0 + {u : (G_r / s_r) u <= 1}.
+    Its vertices are the facets a y = 1 of the convex hull of the origin
+    and the dual points G_r / s_r that miss the origin: the vertex is
+    x0 + a (vertices, with a in weights), and the faces active there are
+    the points spanning the facet (simplices, component-local; qhull's
+    facets are simplices, d points each).  A facet through the origin is a recession
+    direction, so the set is bounded exactly when none is (bounded).
+    faces and cols place the component in its polytope.
+    """
+
+    def __init__(self, G, h, faces, cols, x0, slack, hull):
+        d = cols.size
+        self.G, self.h, self.faces, self.cols = G, h, faces, cols
+        self.x0, self.slack = x0, slack
+        misses = hull.equations[:, d] < 0
+        self.weights = hull.equations[misses, :d] / -hull.equations[misses, d:]
+        self.simplices = hull.simplices[misses] - 1
+        self.bounded = bool(misses.all()) and 0 not in hull.vertices
+
+    @cached_property
+    def vertices(self):
+        # Column-major, so that vertices.T is C-contiguous for the products
+        # of _best_vertices: with C-ordered vertices one round of sys2
+        # scoring took 7.7 ms instead of 3.9 ms (caches swept in between).
+        return np.asfortranarray(self.x0 + self.weights)
+
+
+def _dual_hull(poly, faces, cols):
+    """The _DualHull of the component of poly on faces and cols, or None
+    for under two or over HULL_MAX_COLS columns, a flat set, a QhullError
+    or a failed Chebyshev LP.  The Chebyshev centre maximizes the radius
+    t <= 1 of a ball inside the set, by one support LP (warm when scipy's
+    HiGHS module is present)."""
+    d = cols.size
+    if not 2 <= d <= HULL_MAX_COLS:
+        return None
+    G, h = poly.G[np.ix_(faces, cols)], poly.h[faces]
+    lifted = np.block([[G, np.linalg.norm(G, axis=1)[:, None]],
+                       [np.zeros(d), 1.0]])
+    try:
+        _, x = _SupportSession(lifted, np.append(h, 1.0)).maximize(
+            np.eye(d + 1)[d])
+    except SolverError:
+        return None
+    x0 = x[:d]
+    slack = h - G @ x0
+    if slack.min() <= FLAT_TOL:
+        return None
+    try:
+        hull = ConvexHull(np.vstack([np.zeros(d), G / slack[:, None]]))
+    except QhullError:
+        return None
+    return _DualHull(G, h, faces, cols, x0, slack, hull)
+
 
 def param_solver(model, param):
     """solve(model) as a function of the value of parameter param
@@ -669,3 +828,220 @@ def param_solver(model, param):
         return fresh(value)
 
     return warm
+
+
+class _NoCuts(Exception):
+    """The cut engine cannot answer this model: its Farkas LP must."""
+
+
+def _best_vertices(C, vertices):
+    """(index, score) of the best vertex for every row of C, by the
+    products C @ vertices.T taken SCORE_BLOCK scores at a time."""
+    best, top = np.empty(len(C), dtype=int), np.empty(len(C))
+    step = max(1, SCORE_BLOCK // len(vertices))
+    for at in range(0, len(C), step):
+        scores = C[at:at + step] @ vertices.T
+        best[at:at + step] = scores.argmax(axis=1)
+        top[at:at + step] = scores[np.arange(len(scores)),
+                                   best[at:at + step]]
+    return best, top
+
+
+class _CutRows:
+    """The cut state of one robust row family (LPModel.robust): the
+    components its rows touch with their vertex sets, its cut pool, and
+    the layout of its Farkas block, into which certify writes the
+    multipliers."""
+
+    def __init__(self, model, name, poly, G_expr, h_expr):
+        self.name, self.G_expr, self.h_expr = name, G_expr, h_expr
+        self.L2, self.d = h_expr.rows, poly.dim
+        touched, _, _ = _touched(poly, G_expr, self.L2)
+        self.comps = []
+        for k in np.flatnonzero(touched.any(axis=0)):
+            hull = poly.hulls[k]
+            if hull is None or not hull.bounded:
+                raise _NoCuts(f"component {k} has no vertex set")
+            self.comps.append((np.flatnonzero(touched[:, k]), hull))
+        _, _, L1, rows, faces = next(b for b in model.farkas_blocks
+                                     if b[0] == name)
+        self.size = rows.size
+        self.slot = np.full((self.L2, L1), -1)
+        self.slot[rows, faces] = np.arange(rows.size)
+        self.sessions = {}
+        self.pool = set()
+
+    def cuts(self, rows, points):
+        """The rows G_r(x) z_r - h_r(x) <= 0 at the points z_r (one
+        length-d row per robust row r)."""
+        K, d = len(rows), self.d
+        at = sp.csr_matrix((points.ravel(), (np.repeat(np.arange(K), d),
+                            (rows[:, None] * d + np.arange(d)).ravel())),
+                           shape=(K, self.L2 * d))
+        at.eliminate_zeros()
+        pick = sp.csr_matrix((np.ones(K), (np.arange(K), rows)),
+                             shape=(K, self.L2))
+        return self.G_expr.premul(at) - self.h_expr.premul(pick)
+
+    def centre_cuts(self):
+        """The point-substitution rows at every component's Chebyshev
+        centre."""
+        points = np.zeros((self.L2, self.d))
+        for rows, hull in self.comps:
+            points[np.ix_(rows, hull.cols)] = hull.x0
+        return self.cuts(np.arange(self.L2), points)
+
+    def separate(self, master, values):
+        """The most violated vertex cut of every row that is violated by
+        more than CUT_TOL and not yet in the pool (None when there is
+        none).  Scores every row against its components' vertex sets
+        (_best_vertices), and keeps the rows' coefficients and best
+        vertices for certify."""
+        g = master.value(self.G_expr, values).reshape(self.L2, self.d)
+        h = master.value(self.h_expr, values)
+        sup = np.zeros(self.L2)
+        points = np.zeros((self.L2, self.d))
+        best = np.zeros((self.L2, len(self.comps)), dtype=int)
+        for j, (rows, hull) in enumerate(self.comps):
+            best[rows, j], top = _best_vertices(g[np.ix_(rows, hull.cols)],
+                                                hull.vertices)
+            sup[rows] += top
+            points[np.ix_(rows, hull.cols)] = hull.vertices[best[rows, j]]
+        self.g, self.best = g, best
+        new = [r for r in np.flatnonzero(sup - h > CUT_TOL * (1 + np.abs(h)))
+               if (r, best[r].tobytes()) not in self.pool]
+        if not new:
+            return None
+        self.pool.update((r, best[r].tobytes()) for r in new)
+        new = np.array(new)
+        return self.cuts(new, points[new])
+
+    def certify(self):
+        """The Farkas multipliers of the last separated point, in the
+        layout of the Farkas block: per row and component, the dual
+        z = G_act^{-T} c of the best vertex's active faces, or the row
+        duals of a support LP where that z is not a certificate.  Raises
+        _NoCuts when a support LP beats every vertex."""
+        Z = np.zeros(self.size)
+        for j, (rows, hull) in enumerate(self.comps):
+            c = self.g[np.ix_(rows, hull.cols)]
+            act = hull.simplices[self.best[rows, j]]
+            A = hull.G[act]
+            scale = CERT_TOL * (1.0 + np.abs(c).max(axis=1))
+            try:
+                z = np.linalg.solve(A.transpose(0, 2, 1), c[..., None])[..., 0]
+            except np.linalg.LinAlgError:     # a singular active set
+                z = np.full(c.shape, np.nan)
+            good = ((z.min(axis=1) >= -scale)
+                    & (np.abs(np.einsum("rfd,rf->rd", A, z) - c).max(axis=1)
+                       <= scale))
+            Z[self.slot[rows[good, None], hull.faces[act[good]]]] = \
+                np.maximum(z[good], 0.0)
+            for r, row in zip(rows[~good], c[~good]):
+                Z[self.slot[r, hull.faces]] = self._support(j, hull, row)
+        return Z
+
+    def _support(self, j, hull, c):
+        """Multipliers over every face of component j for direction c, by
+        a warm support LP."""
+        session = self.sessions.get(j)
+        if session is None:
+            session = self.sessions[j] = _SupportSession(hull.G, hull.h)
+        value, _ = session.maximize(c)
+        if value > (hull.vertices @ c).max() + CUT_TOL * (1 + abs(value)):
+            raise _NoCuts("a support LP beat every vertex")
+        return session.multipliers()
+
+
+def _master(model):
+    """The model without the Farkas blocks of its robust rows and the rows
+    over them: the same blocks, bounds, objective, parameters (one dict)
+    and other rows, and no robust row."""
+    def over_farkas(expr):
+        return any((key[1] if isinstance(key, tuple) else key) in model.robust
+                   for key in expr.terms)
+
+    out = LPModel()
+    out._order = [name for name in model._order if name not in model.robust]
+    out.blocks = {name: model.blocks[name] for name in out._order}
+    out._eqs = [e for e in model._eqs if not over_farkas(e)]
+    out._ineqs = [e for e in model._ineqs if not over_farkas(e)]
+    out._objective = model._objective
+    out.params = model.params
+    return out
+
+
+class _CutLoop:
+    """solve(model) by vertex cuts, as a function of the value of the
+    parameter param (LPModel.param_expr), or of nothing when param is None.
+
+    A robust row holds over a component P_k iff it holds at every vertex of
+    P_k (Mutapcic & Boyd, Optim. Methods Softw. 24, 2009), so the model's
+    robust rows (model.robust) are replaced by cuts at vertices of their
+    components (Polytope.hulls).  The master keeps the model's other
+    blocks, bounds, objective and rows, and starts from the rows at each
+    component's Chebyshev centre.  It is one _WarmLP: every round adds the
+    most violated vertex cut of each violated row (addRows), and a call
+    rewrites the entries param scales, as param_solver does, so the probes
+    of one loop share its cut pool.  Once no cut is violated, every row's
+    support is certified by Farkas multipliers (_CutRows.certify), which
+    fill the model's Farkas block in the returned LPSolution: its values
+    are a solution of the model itself.
+
+    Raises _NoCuts, for the caller to solve the Farkas LP instead, without
+    scipy's HiGHS module (the reference path), when a component a robust
+    row touches has no bounded, full-dimensional vertex set, and from a
+    call whose master ends neither optimal nor infeasible or that needs
+    over MAX_ROUNDS master solves.  cuts counts the vertex cuts added and
+    rounds the master solves of the last call.
+    """
+
+    def __init__(self, model, param=None):
+        if _highs is None:
+            raise _NoCuts("no HiGHS module")
+        if not model.robust:
+            raise _NoCuts("no robust rows")
+        self.param = param
+        self.families = [_CutRows(model, name, *rows)
+                         for name, rows in model.robust.items()]
+        self.master = _master(model)
+        for family in self.families:
+            self.master.add_ineq(family.centre_cuts())
+        self.lp = _WarmLP(*self.master.assemble())
+        self.nrows = self.master.num_ineq_rows + self.master.num_eq_rows
+        self.entries = (self.master.param_entries(param) if param is not None
+                        else None)
+        self.cuts, self.rounds = 0, 0
+
+    def _add(self, exprs):
+        offsets, nvar = self.master._offsets()
+        A, const = self.master._stack(exprs, nvar, offsets)
+        self.lp.add_rows(A, -const)
+        if self.param is not None:
+            rows, cols, base, slope = self.master.param_entries(self.param,
+                                                                exprs)
+            self.entries = tuple(np.concatenate([old, new]) for old, new in
+                                 zip(self.entries,
+                                     (rows + self.nrows, cols, base, slope)))
+        self.nrows += A.shape[0]
+        self.cuts += A.shape[0]
+
+    def __call__(self, value=None):
+        if self.param is not None:
+            self.master.params[self.param] = value
+            rows, cols, base, slope = self.entries
+            self.lp.set_coeffs(rows, cols, base + slope * value)
+        for self.rounds in range(1, MAX_ROUNDS + 1):
+            status, x, obj = self.lp.run()
+            if status == "infeasible":
+                return LPSolution(status, None, None)
+            if status != "optimal":
+                raise _NoCuts(f"a master LP ended {status}")
+            values = self.master.split(x)
+            new = [cut for cut in (f.separate(self.master, values)
+                                   for f in self.families) if cut is not None]
+            if not new:
+                values.update((f.name, f.certify()) for f in self.families)
+                return LPSolution("optimal", values, obj)
+            self._add(new)
+        raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")

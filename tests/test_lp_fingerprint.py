@@ -30,6 +30,13 @@ def test_fingerprint_prints_every_group_of_lines():
             rf"{re.escape(label)} warm #0 base {SHA} probes [-+!]+")
         assert any(pattern.fullmatch(line) for line in lines), label
     assert any(re.fullmatch(rf"\S.* #0 {SHA}", line) for line in lines)
+    # sign synthesis on a polytope runs on vertex cuts: a line per solve
+    for label, lam in (("sys1 sign ess min-lambda", r"[0-9.e-]+"),
+                       ("sys1 sign ss min-lambda", "None"),
+                       ("sys2 sign ess feasibility", "None")):
+        pattern = re.compile(rf"{label} cuts #0 lam={lam} [-+!] "
+                             r"cuts=\d+ rounds=\d+")
+        assert any(pattern.fullmatch(line) for line in lines), label
     for label, result in (
             ("sys1 prune T=100", rf"\d+ faces sha256 {SHA}"),
             ("sys2 prune T=60", rf"\d+ faces sha256 {SHA}"),

@@ -307,17 +307,16 @@ def test_multiplier_blocks_certify_lambda(sys1, part1):
     assert np.all(z @ poly.h <= cert.lam * np.tile(cert.v, pairs) + 1e-7)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="linprog's 'highs' and 'highs-ds' end in a "
-                          "numerical failure; 'highs-ipm' answers infeasible")
-def test_sys2_ess_feasibility_at_coarse_density_is_answered(sys2, part2):
-    # sys2/T=60, dataset seed 1, pruned: ESS feasibility at rho = 0.35 has
-    # a clear answer that the default solver path does not reach
+@pytest.mark.parametrize("rho", [0.3, 0.35])
+def test_sys2_ess_feasibility_at_coarse_density_is_answered(sys2, part2, rho):
+    # sys2/T=60, dataset seed 1, pruned: ESS feasibility at rho = 0.3 and
+    # 0.35 has a clear answer, which the Farkas LP misses (linprog's 'highs'
+    # and 'highs-ds' end in a numerical failure) and the vertex cuts reach
     poly = prune_redundant(build_polytope(generate_dataset(sys2, part2, 60,
                                                            seed=1)))
     if poly.num_faces != 163:
         pytest.fail(f"pruned to {poly.num_faces} faces, not 163")
-    res = synthesize_sign(poly, QuantizerSpec.uniform(0.35, 3), mode="ess")
+    res = synthesize_sign(poly, QuantizerSpec.uniform(rho, 3), mode="ess")
     assert res.status == "infeasible"
 
 

@@ -19,6 +19,16 @@ fresh solve), and its verdicts in probe order, "+" optimal, "-"
 infeasible and "!" any other status.  A warm probe that fails is solved
 again through LinprogBackend.solve and hashed as usual.
 
+Sign synthesis on a polytope solves its LPs by vertex cuts
+(lp_core._CutLoop): one warm master per call, grown by cuts, whose solves
+never reach LinprogBackend.solve either.  The script patches that class
+too, where it exists, and prints one line per engine solve after its
+call's result: the lambda it was asked about (the probe's value in an
+ESS min-lambda bisection, None otherwise), its verdict as above, the
+vertex cuts in the master after it and the master solves it took.  The
+master and the Chebyshev LPs of the vertex sets are warm models, so they
+also get warm lines.
+
 Pruning and the robust audit solve their support LPs in warm HiGHS
 sessions that never reach LinprogBackend.solve, so after the patch is
 removed the script prints one result line for each of them instead: the
@@ -193,11 +203,24 @@ def main():
             return status, x, obj
 
         warm_lp.__init__, warm_lp.run = hashed_init, recorded_run
+    engine = []         # one line per cut-engine solve of a call
+    cut_loop = getattr(lp_core, "_CutLoop", None)
+    if cut_loop is not None:
+        cut_call = cut_loop.__call__
+
+        def recorded_call(self, value=None):
+            sol = cut_call(self, value)
+            engine.append(f"lam={value!r} {VERDICT.get(sol.status, '!')} "
+                          f"cuts={self.cuts} rounds={self.rounds}")
+            return sol
+
+        cut_loop.__call__ = recorded_call
     lp_core.LinprogBackend.solve = hashed
     try:
         for label, thunk in todo:
             count = 0
             warm.clear()
+            engine.clear()
             res = results[label] = thunk()
             if not isinstance(res, str):
                 lam = res.certificate.lam if res.feasible else float("nan")
@@ -206,10 +229,14 @@ def main():
             for k, (digest, verdicts) in enumerate(warm):
                 print(f"{label} warm #{k} base {digest} probes {verdicts}",
                       file=out, flush=True)
+            for k, line in enumerate(engine):
+                print(f"{label} cuts #{k} {line}", file=out, flush=True)
     finally:
         lp_core.LinprogBackend.solve = original
         if warm_lp is not None:
             warm_lp.__init__, warm_lp.run = warm_init, warm_run
+        if cut_loop is not None:
+            cut_loop.__call__ = cut_call
     for label, thunk in checks:
         print(f"{label} result {thunk(results)}", flush=True)
 
