@@ -9,12 +9,15 @@ Farkas condition
     {x | G1 x <= h1} subset of {x | G2 x <= h2}
         iff  exists Z >= 0 with Z G1 = G2 and Z h1 <= h2,
 
-for a nonempty left-hand side.  The condition is imposed row by row, and a
-row of G2 only meets the faces of G1 that share its columns:
+for a nonempty left-hand side (_require_nonempty checks it, by one LP
+per Polytope object).  The condition is imposed row by row, and a row of
+G2 only meets the faces of G1 that share its columns:
 Polytope.components splits the face-column pattern of G1 into connected
 components, the set is the product of their sets, and each row gets
 multipliers on, and equality rows for, only the components its own
-columns touch.
+columns touch.  add_robust_rows keeps a family of such rows apart from
+the rest of the model (LPModel.robust) with the layout of its block; the
+block and its rows join the model's LP when it is assembled.
 
 How the LP scales on a data polytope: over z = [vec(A); vec(B)] each data
 face constrains one row of [A B], so there is one component per row, and
@@ -34,26 +37,30 @@ param_solver: a model built with a scalar parameter (LPModel.param_expr)
 is assembled once, and each probe rewrites only the entries the
 parameter scales.
 
-A model's robust rows can also be solved without assembling their Farkas
-blocks, by vertex cuts (_CutLoop; synth_sign uses it for every sign
-solve on a polytope).  Polytope.hulls gives each component, seen from its
-Chebyshev centre, the convex hull of its dual points (qhull), whose
-facets are the component's vertices: the same hull prunes faces
+A model's robust rows can also be solved without their Farkas blocks, by
+vertex cuts (_CutLoop; synth_sign uses it for every sign solve on a
+polytope).  Polytope.hulls gives each component, seen from its Chebyshev
+centre, the convex hull of its dual points (qhull), whose facets are the
+component's vertices: the same hull prunes faces
 (consistency._hull_redundant).  A robust row holds over a bounded
-component iff it holds at every vertex, so a small master over the
-model's other blocks takes the rows at the vertices that its solution
-violates most, one product of the rows with the vertex set per round,
-until none is violated; each row's support is then certified by the dual
-of its best vertex's active faces, which fills the Farkas block.  The
-Farkas LP answers wherever the cuts cannot: a component without a
-bounded, full-dimensional vertex set, or a master that ends neither
-optimal nor infeasible.
+component iff it holds at every vertex, so a small master, the model's
+own LP without the robust families, takes the rows at the vertices that
+its solution violates most until none is violated.  Each family is
+compiled once into dense arrays over the master's columns (_CutRows), so
+a round costs a product with the master's point, one product of the
+rows with each vertex set, and one contraction for the new rows; each
+row's support is then certified by the dual of its best vertex's active
+faces, which fills the Farkas block's values.  No Farkas block is built
+on this path.  The Farkas LP answers wherever the cuts cannot: a
+component without a bounded, full-dimensional vertex set, or a master
+that ends neither optimal nor infeasible.
 
 This module alone picks the path: without scipy's private HiGHS module
 (_highs None) every LP is a fresh solve through DEFAULT_BACKEND and every
 robust row gets its Farkas block, the reference path.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -278,7 +285,13 @@ class LPSolution:
 
 
 class LPModel:
-    """Linear program over named, bounded variable blocks."""
+    """Linear program over named, bounded variable blocks.
+
+    Robust rows (add_robust_rows) are kept apart in robust, each with the
+    layout of its Farkas multiplier block, and the model's LP is its own
+    blocks and rows followed, family by family, by each block and its
+    rows: the sizes, assemble(), param_entries() and split() are those of
+    that LP, whose blocks and rows are built at the first assemble()."""
 
     def __init__(self):
         self.blocks = {}           # name -> (size, lb array, ub array)
@@ -288,7 +301,7 @@ class LPModel:
         self._objective = None     # scalar AffExpr, minimized
         self.farkas_blocks = []    # (zname, L2, L1, rows, faces) bookkeeping
         self.row_sups = {}         # robust row name -> values -> sup_z G z
-        self.robust = {}           # robust row name -> (poly, G_expr, h_expr)
+        self.robust = {}           # robust row name -> _RobustRows
         self.params = {}           # parameter name -> value (param_expr)
 
     def add_block(self, name, size, lb=None, ub=None):
@@ -328,23 +341,43 @@ class LPModel:
             raise ValueError("objective must be scalar")
         self._objective = expr
 
+    def _columns(self):
+        """(name, size, lb, ub) of every block of the LP, in column order:
+        the model's own blocks, then each robust family's multipliers."""
+        for name in self._order:
+            yield (name, *self.blocks[name])
+        for family in self.robust.values():
+            yield (family.name, family.size, np.zeros(family.size),
+                   np.full(family.size, np.inf))
+
+    def _rows(self):
+        """(ineqs, eqs): the LP's rows, the model's own first."""
+        ineqs, eqs = list(self._ineqs), list(self._eqs)
+        for family in self.robust.values():
+            eq, ineq = family.farkas
+            eqs.append(eq)
+            ineqs.append(ineq)
+        return ineqs, eqs
+
     @property
     def num_variables(self):
-        return sum(sz for sz, _, _ in self.blocks.values())
+        return sum(size for _, size, _, _ in self._columns())
 
     @property
     def num_eq_rows(self):
-        return sum(e.rows for e in self._eqs)
+        return (sum(e.rows for e in self._eqs)
+                + sum(f.eq_rows.size for f in self.robust.values()))
 
     @property
     def num_ineq_rows(self):
-        return sum(e.rows for e in self._ineqs)
+        return (sum(e.rows for e in self._ineqs)
+                + sum(f.h_expr.rows for f in self.robust.values()))
 
     def _offsets(self):
         offsets, at = {}, 0
-        for name in self._order:
+        for name, size, _, _ in self._columns():
             offsets[name] = at
-            at += self.blocks[name][0]
+            at += size
         return offsets, at
 
     @staticmethod
@@ -390,49 +423,56 @@ class LPModel:
             for name, coeff in self._objective.terms.items():
                 dense = np.asarray(coeff.todense()).ravel()
                 c[offsets[name]:offsets[name] + dense.size] += dense
-        A_ub, ub_const = self._stack(self._ineqs, nvar, offsets)
+        ineqs, eqs = self._rows()
+        A_ub, ub_const = self._stack(ineqs, nvar, offsets)
         b_ub = None if A_ub is None else -ub_const
-        A_eq, eq_const = self._stack(self._eqs, nvar, offsets)
+        A_eq, eq_const = self._stack(eqs, nvar, offsets)
         b_eq = None if A_eq is None else -eq_const
         bounds = np.empty((nvar, 2))
-        for name in self._order:
-            size, lbv, ubv = self.blocks[name]
+        for name, size, lbv, ubv in self._columns():
             bounds[offsets[name]:offsets[name] + size, 0] = lbv
             bounds[offsets[name]:offsets[name] + size, 1] = ubv
         return c, A_ub, b_ub, A_eq, b_eq, bounds
 
-    def param_entries(self, param, exprs=None):
+    def param_entries(self, param):
         """(rows, cols, base, slope) of every constraint matrix entry that
         parameter param scales: at parameter value p the entry is
         base + slope * p, base being the sum of its other terms.  Rows
-        count the A_ub rows of assemble() first, then its A_eq rows, or
-        the rows of exprs, stacked, when given."""
-        offsets, nvar = self._offsets()
-        if exprs is None:
-            exprs = self._ineqs + self._eqs
-        shape = (sum(e.rows for e in exprs), nvar)
-        terms = list(self._terms(exprs, offsets))
-        slope = self._csr([(r, c, v, None) for r, c, v, p in terms
-                           if p == param], shape)
-        base = self._csr([t for t in terms if t[3] != param], shape)
+        count the A_ub rows of assemble() first, then its A_eq rows.  Four
+        empty arrays, rows and cols of integers, when param reaches no
+        entry."""
+        ineqs, eqs = self._rows()
+        rows, cols, base, slope = self._entries(ineqs + eqs, param)
+        shape = (sum(e.rows for e in ineqs + eqs), self._offsets()[1])
+        base = sp.csr_matrix((base, (rows, cols)), shape=shape)
+        slope = sp.csr_matrix((slope, (rows, cols)), shape=shape)
         rows, cols = slope.nonzero()
+        if rows.size == 0:     # base[rows, cols] would be a sparse (1, 0)
+            return rows, cols, np.zeros(0), np.zeros(0)
         return (rows, cols, np.asarray(base[rows, cols]).ravel(),
                 np.asarray(slope[rows, cols]).ravel())
 
+    def _entries(self, exprs, param):
+        """(rows, cols, base, slope): the entries of the terms of exprs,
+        stacked, over the LP's columns, duplicates unsummed, each
+        base + p * slope at value p of parameter param (None for none),
+        other parameters at their current values."""
+        offsets, _ = self._offsets()
+        rows, cols, base, slope = ([np.zeros(0, int)], [np.zeros(0, int)],
+                                   [np.zeros(0)], [np.zeros(0)])
+        for r, c, v, p in self._terms(exprs, offsets):
+            rows.append(r)
+            cols.append(c)
+            sloped = p is not None and p == param
+            base.append(0.0 * v if sloped
+                        else v if p is None else v * self.params[p])
+            slope.append(v if sloped else 0.0 * v)
+        return tuple(map(np.concatenate, (rows, cols, base, slope)))
+
     def split(self, x):
         offsets, _ = self._offsets()
-        return {name: x[offsets[name]:offsets[name] + self.blocks[name][0]]
-                for name in self._order}
-
-    def value(self, expr, values):
-        """expr at the block values, its parameters at their current
-        values."""
-        out = expr.const.copy()
-        for key, coeff in expr.terms.items():
-            param, block = key if isinstance(key, tuple) else (None, key)
-            x = np.asarray(values[block], dtype=float)
-            out += coeff @ (x if param is None else self.params[param] * x)
-        return out
+        return {name: x[offsets[name]:offsets[name] + size]
+                for name, size, _, _ in self._columns()}
 
 
 class LinprogBackend:
@@ -486,35 +526,54 @@ def _touched(poly, G2_expr, L2):
     return touched, col_of, face_of
 
 
-def _farkas_rows(model, poly, G2_expr, h2_expr, name):
-    """The multiplier block of add_farkas_block; returns the (L2 x size)
-    matrix mapping it to the certified sups Z h1 of the rows."""
-    L1, d = poly.G.shape
-    L2 = h2_expr.rows
-    if G2_expr.rows != L2 * d:
-        raise ValueError("G2 expression must have L2 * d rows (row-major)")
-    touched, col_of, face_of = _touched(poly, G2_expr, L2)
-    rows, faces = np.nonzero(touched @ face_of)
-    eq_rows, eq_cols = np.nonzero(touched @ col_of)
-    eq_index = np.full((L2, d), -1)
-    eq_index[eq_rows, eq_cols] = np.arange(eq_rows.size)
-    size = rows.size
-    model.add_block(name, size, lb=0.0)
-    # Multiplier k (row rows[k], face faces[k]) enters the equality row of
-    # (rows[k], c) with coefficient G1[faces[k], c].
-    G1 = sp.csr_matrix(poly.G)[faces].tocoo()
-    ZG = sp.csr_matrix((G1.data, (eq_index[rows[G1.row], G1.col], G1.row)),
-                       shape=(eq_rows.size, size))
-    pick = sp.csr_matrix((np.ones(eq_rows.size),
-                          (np.arange(eq_rows.size), eq_rows * d + eq_cols)),
-                         shape=(eq_rows.size, L2 * d))
-    model.add_eq(AffExpr(eq_rows.size, {name: ZG}) - G2_expr.premul(pick))
-    Zh = sp.csr_matrix((poly.h[faces], (rows, np.arange(size))),
-                       shape=(L2, size))
-    Zh.eliminate_zeros()
-    model.add_ineq(AffExpr(L2, {name: Zh}) - h2_expr)
-    model.farkas_blocks.append((name, L2, L1, rows, faces))
-    return Zh
+class _RobustRows:
+    """Robust rows G2 z <= h2 for every z of a nonempty polytope, and the
+    layout of their Farkas block (add_farkas_block): multiplier k sits on
+    row rows[k] and face faces[k], and the equality rows are those of the
+    row eq_rows and column eq_cols pairs; touched is the L2 x K mask of
+    the components (Polytope.components) each row touches.  The block's
+    rows are built only when asked for (farkas): the cut engine needs the
+    layout alone."""
+
+    def __init__(self, name, poly, G2_expr, h2_expr):
+        L1, d = poly.G.shape
+        L2 = h2_expr.rows
+        if G2_expr.rows != L2 * d:
+            raise ValueError("G2 expression must have L2 * d rows (row-major)")
+        self.name, self.poly = name, poly
+        self.G_expr, self.h_expr = G2_expr, h2_expr
+        self.touched, col_of, face_of = _touched(poly, G2_expr, L2)
+        self.rows, self.faces = np.nonzero(self.touched @ face_of)
+        self.eq_rows, self.eq_cols = np.nonzero(self.touched @ col_of)
+        self.size = self.rows.size
+        self.layout = (name, L2, L1, self.rows, self.faces)
+        # The (L2 x size) matrix mapping the block to the certified sups
+        # Z h1 of the rows.
+        self.Zh = sp.csr_matrix((poly.h[self.faces],
+                                 (self.rows, np.arange(self.size))),
+                                shape=(L2, self.size))
+        self.Zh.eliminate_zeros()
+
+    @cached_property
+    def farkas(self):
+        """(eq, ineq): the rows Z G1 - G2 = 0 and Z h1 - h2 <= 0 over the
+        block."""
+        L2, d = self.h_expr.rows, self.poly.dim
+        eq_index = np.full((L2, d), -1)
+        eq_index[self.eq_rows, self.eq_cols] = np.arange(self.eq_rows.size)
+        # Multiplier k (row rows[k], face faces[k]) enters the equality row
+        # of (rows[k], c) with coefficient G1[faces[k], c].
+        G1 = sp.csr_matrix(self.poly.G)[self.faces].tocoo()
+        ZG = sp.csr_matrix((G1.data, (eq_index[self.rows[G1.row], G1.col],
+                                      G1.row)),
+                           shape=(self.eq_rows.size, self.size))
+        pick = sp.csr_matrix((np.ones(self.eq_rows.size),
+                              (np.arange(self.eq_rows.size),
+                               self.eq_rows * d + self.eq_cols)),
+                             shape=(self.eq_rows.size, L2 * d))
+        return (AffExpr(self.eq_rows.size, {self.name: ZG})
+                - self.G_expr.premul(pick),
+                AffExpr(L2, {self.name: self.Zh}) - self.h_expr)
 
 
 def add_farkas_block(model, G1, h1, G2_expr, h2_expr, name=None):
@@ -546,7 +605,12 @@ def add_farkas_block(model, G1, h1, G2_expr, h2_expr, name=None):
         h2_expr = AffExpr(arr.size, const=arr)
     if name is None:
         name = f"Z{len(model.farkas_blocks)}"
-    _farkas_rows(model, Polytope(G1, h1), G2_expr, h2_expr, name)
+    family = _RobustRows(name, Polytope(G1, h1), G2_expr, h2_expr)
+    model.add_block(name, family.size, lb=0.0)
+    eq, ineq = family.farkas
+    model.add_eq(eq)
+    model.add_ineq(ineq)
+    model.farkas_blocks.append(family.layout)
     return name
 
 
@@ -559,14 +623,18 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
     substituted (G z0 <= h) with no multipliers: a robust counterpart is
     built row by row, so a point needs none.  Records model.row_sups[name],
     a function of the solved block values returning the certified sup of
-    G z over unc (Z h1 for a polytope, G z0 for a point), and on a polytope
-    model.robust[name], the rows themselves, from which _CutLoop solves
-    the model without its Farkas block.
+    G z over unc (Z h1 for a polytope, G z0 for a point).  On a polytope
+    the rows are kept apart, in model.robust[name] (a _RobustRows), with
+    the layout of their block in model.farkas_blocks: the model's LP gets
+    the block and its rows (LPModel), and _CutLoop solves the model
+    without them.
     """
     if isinstance(unc, Polytope):
-        Zh = _farkas_rows(model, unc, G_expr, h_expr, name)
-        model.row_sups[name] = lambda values: Zh @ values[name]
-        model.robust[name] = (unc, G_expr, h_expr)
+        if name in model.blocks or name in model.robust:
+            raise ValueError(f"duplicate block {name}")
+        family = model.robust[name] = _RobustRows(name, unc, G_expr, h_expr)
+        model.farkas_blocks.append(family.layout)
+        model.row_sups[name] = lambda values: family.Zh @ values[name]
     else:
         Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))
         model.add_ineq(Gz - h_expr)
@@ -581,13 +649,19 @@ def _free(d):
 def _require_nonempty(poly):
     """Check {G x <= h} nonempty, as the Farkas rule needs, by one
     zero-cost LP over free x: ValueError when empty, SolverError on any
-    other non-optimal status, so a solver failure never passes."""
+    other non-optimal status, so a solver failure never passes.  A
+    Polytope is immutable, so it remembers a success and is checked by
+    one LP however often it is asked; an empty or failed check raises at
+    every call."""
+    if getattr(poly, "_nonempty", False):
+        return
     status, _, _ = DEFAULT_BACKEND.solve(
         np.zeros(poly.dim), poly.G, poly.h, None, None, _free(poly.dim))
     if status == "infeasible":
         raise ValueError("polytope is empty")
     if status != "optimal":
         raise SolverError(f"nonemptiness LP failed with status {status}")
+    object.__setattr__(poly, "_nonempty", True)
 
 
 def _support(status, x, obj):
@@ -668,13 +742,16 @@ class _WarmLP:
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             self._highs.changeCoeff(r, c, v)
 
-    def add_rows(self, A, upper):
-        """Append the rows of the CSR matrix A, bounded above by upper."""
-        A = sp.csr_matrix(A)
-        self._highs.addRows(A.shape[0], np.full(A.shape[0], -np.inf),
-                            np.asarray(upper, dtype=float), A.nnz,
-                            A.indptr.astype(np.int32),
-                            A.indices.astype(np.int32), A.data)
+    def add_rows(self, indptr, indices, values, upper):
+        """Append rows given as CSR arrays, bounded above by upper."""
+        self._highs.addRows(len(upper), np.full(len(upper), -np.inf),
+                            np.asarray(upper, dtype=float), len(values),
+                            indptr.astype(np.int32),
+                            indices.astype(np.int32), values)
+
+    def forget_basis(self):
+        """Make the next run() a cold solve, from no basis."""
+        self._highs.clearSolver()
 
     def row_duals(self):
         """The row duals of the last solve (HiGHS's sign convention: <= 0
@@ -847,74 +924,129 @@ def _best_vertices(C, vertices):
     return best, top
 
 
-class _CutRows:
-    """The cut state of one robust row family (LPModel.robust): the
-    components its rows touch with their vertex sets, its cut pool, and
-    the layout of its Farkas block, into which certify writes the
-    multipliers."""
+def _summed(flat, values, shape):
+    """The dense array of the given shape whose entries sum the values at
+    their flat indices."""
+    # bincount returns integers when given no index at all
+    return np.bincount(flat, values, int(np.prod(shape))).astype(
+        float, copy=False).reshape(shape)
 
-    def __init__(self, model, name, poly, G_expr, h_expr):
-        self.name, self.G_expr, self.h_expr = name, G_expr, h_expr
-        self.L2, self.d = h_expr.rows, poly.dim
-        touched, _, _ = _touched(poly, G_expr, self.L2)
+
+class _Component:
+    """The rows of one robust family (_RobustRows) that touch a bounded
+    component, compiled over the master's columns.  rows are their
+    indices in the family, hull the component's _DualHull, and at maps a
+    family row to its position in rows (-1 for a row not touching it).
+    Their entries on the component's columns, a (len(rows), d_k) array at
+    the master's point x, are G @ x[cols] + c, G being a dense
+    (len(rows), d_k, len(cols)) array over the master columns cols that
+    the entries use."""
+
+    def __init__(self, rows, hull, L2, d, entries, const):
+        r, c, v, values = entries
+        self.rows, self.hull = rows, hull
+        self.at = np.full(L2, -1)
+        self.at[rows] = np.arange(rows.size)
+        pos = np.full(d, -1)
+        pos[hull.cols] = np.arange(hull.cols.size)
+        self.cols, col = np.unique(v, return_inverse=True)
+        shape = (rows.size, hull.cols.size, self.cols.size)
+        self.G = _summed(np.ravel_multi_index((self.at[r], pos[c], col),
+                                              shape), values, shape)
+        self.c = const[rows[:, None] * d + hull.cols]
+
+    def entries(self, x):
+        return self.G @ x[self.cols] + self.c
+
+
+class _CutRows:
+    """The cut state of one robust row family (_RobustRows) in a master:
+    its rows compiled once over the master's columns (a _Component for
+    their part on each component they touch, dense arrays for h), its cut
+    pool, and the layout of its Farkas block, into which certify writes
+    the multipliers.  Every cut row is a contraction of the compiled
+    arrays with its point (rows_at): no expression is built per round.
+    The loop's parameter may scale h, as lambda v does in the ESS gain
+    rows; a family whose G it scales raises _NoCuts."""
+
+    def __init__(self, family, master, param):
+        poly, d = family.poly, family.poly.dim
+        self.name, self.L2 = family.name, family.h_expr.rows
+        r, v, base, slope = master._entries([family.G_expr], param)
+        if slope.any():
+            raise _NoCuts("the parameter scales a robust row's G")
+        r, c = np.divmod(r, d)
+        comp_of = poly.components[1][c]
         self.comps = []
-        for k in np.flatnonzero(touched.any(axis=0)):
+        for k in np.flatnonzero(family.touched.any(axis=0)):
             hull = poly.hulls[k]
             if hull is None or not hull.bounded:
                 raise _NoCuts(f"component {k} has no vertex set")
-            self.comps.append((np.flatnonzero(touched[:, k]), hull))
-        _, _, L1, rows, faces = next(b for b in model.farkas_blocks
-                                     if b[0] == name)
-        self.size = rows.size
-        self.slot = np.full((self.L2, L1), -1)
-        self.slot[rows, faces] = np.arange(rows.size)
+            on = comp_of == k
+            self.comps.append(_Component(
+                np.flatnonzero(family.touched[:, k]), hull, self.L2, d,
+                (r[on], c[on], v[on], base[on]),
+                family.G_expr.const))
+        r, v, base, slope = master._entries([family.h_expr], param)
+        _, nvar = master._offsets()
+        flat, shape = r * nvar + v, (self.L2, nvar)
+        self.h = _summed(flat, base, shape)
+        self.h_slope = None if param is None else _summed(flat, slope, shape)
+        self.h_const = family.h_expr.const
+        self.slot = np.full((self.L2, poly.num_faces), -1)
+        self.slot[family.rows, family.faces] = np.arange(family.size)
+        self.size = family.size
         self.sessions = {}
         self.pool = set()
 
-    def cuts(self, rows, points):
-        """The rows G_r(x) z_r - h_r(x) <= 0 at the points z_r (one
-        length-d row per robust row r)."""
-        K, d = len(rows), self.d
-        at = sp.csr_matrix((points.ravel(), (np.repeat(np.arange(K), d),
-                            (rows[:, None] * d + np.arange(d)).ravel())),
-                           shape=(K, self.L2 * d))
-        at.eliminate_zeros()
-        pick = sp.csr_matrix((np.ones(K), (np.arange(K), rows)),
-                             shape=(K, self.L2))
-        return self.G_expr.premul(at) - self.h_expr.premul(pick)
+    def rows_at(self, rows, points):
+        """(base, slope, const) of the rows G_r(x) z_r - h_r(x) <= 0 at the
+        points z_r, points[j] holding their coordinates on component j
+        (ignored for a row not touching it): the row of rows[k] is
+        (base[k] + p * slope[k]) x + const[k] at value p of the loop's
+        parameter, over the master's columns; slope is None without a
+        parameter."""
+        base, const = -self.h[rows], -self.h_const[rows]
+        slope = None if self.h_slope is None else -self.h_slope[rows]
+        for comp, z in zip(self.comps, points):
+            k = np.flatnonzero(comp.at[rows] >= 0)
+            at, z = comp.at[rows[k]], z[k]
+            base[k[:, None], comp.cols] += np.einsum("kc,kcv->kv", z,
+                                                     comp.G[at])
+            const[k] += np.einsum("kc,kc->k", z, comp.c[at])
+        return base, slope, const
 
     def centre_cuts(self):
-        """The point-substitution rows at every component's Chebyshev
-        centre."""
-        points = np.zeros((self.L2, self.d))
-        for rows, hull in self.comps:
-            points[np.ix_(rows, hull.cols)] = hull.x0
-        return self.cuts(np.arange(self.L2), points)
+        """The rows at every component's Chebyshev centre, all rows."""
+        rows = np.arange(self.L2)
+        return self.rows_at(rows, [np.broadcast_to(c.hull.x0,
+                                                   (rows.size, c.hull.x0.size))
+                                   for c in self.comps])
 
-    def separate(self, master, values):
+    def separate(self, x, p):
         """The most violated vertex cut of every row that is violated by
-        more than CUT_TOL and not yet in the pool (None when there is
-        none).  Scores every row against its components' vertex sets
-        (_best_vertices), and keeps the rows' coefficients and best
-        vertices for certify."""
-        g = master.value(self.G_expr, values).reshape(self.L2, self.d)
-        h = master.value(self.h_expr, values)
+        more than CUT_TOL at the master's point x and not yet in the pool,
+        as rows_at gives them (None when there is none).  Scores every
+        row against its components' vertex sets (_best_vertices), and
+        keeps the rows' entries and best vertices for certify."""
+        h = self.h @ x + self.h_const
+        if self.h_slope is not None:
+            h += p * (self.h_slope @ x)
         sup = np.zeros(self.L2)
-        points = np.zeros((self.L2, self.d))
-        best = np.zeros((self.L2, len(self.comps)), dtype=int)
-        for j, (rows, hull) in enumerate(self.comps):
-            best[rows, j], top = _best_vertices(g[np.ix_(rows, hull.cols)],
-                                                hull.vertices)
-            sup[rows] += top
-            points[np.ix_(rows, hull.cols)] = hull.vertices[best[rows, j]]
-        self.g, self.best = g, best
+        self.g = [comp.entries(x) for comp in self.comps]
+        self.best = np.zeros((self.L2, len(self.comps)), dtype=int)
+        for j, (comp, g) in enumerate(zip(self.comps, self.g)):
+            self.best[comp.rows, j], top = _best_vertices(
+                g, comp.hull.vertices)
+            sup[comp.rows] += top
         new = [r for r in np.flatnonzero(sup - h > CUT_TOL * (1 + np.abs(h)))
-               if (r, best[r].tobytes()) not in self.pool]
+               if (r, self.best[r].tobytes()) not in self.pool]
         if not new:
             return None
-        self.pool.update((r, best[r].tobytes()) for r in new)
+        self.pool.update((r, self.best[r].tobytes()) for r in new)
         new = np.array(new)
-        return self.cuts(new, points[new])
+        return self.rows_at(new, [c.hull.vertices[self.best[new, j]]
+                                  for j, c in enumerate(self.comps)])
 
     def certify(self):
         """The Farkas multipliers of the last separated point, in the
@@ -923,8 +1055,8 @@ class _CutRows:
         duals of a support LP where that z is not a certificate.  Raises
         _NoCuts when a support LP beats every vertex."""
         Z = np.zeros(self.size)
-        for j, (rows, hull) in enumerate(self.comps):
-            c = self.g[np.ix_(rows, hull.cols)]
+        for j, (comp, c) in enumerate(zip(self.comps, self.g)):
+            rows, hull = comp.rows, comp.hull
             act = hull.simplices[self.best[rows, j]]
             A = hull.G[act]
             scale = CERT_TOL * (1.0 + np.abs(c).max(axis=1))
@@ -953,24 +1085,6 @@ class _CutRows:
         return session.multipliers()
 
 
-def _master(model):
-    """The model without the Farkas blocks of its robust rows and the rows
-    over them: the same blocks, bounds, objective, parameters (one dict)
-    and other rows, and no robust row."""
-    def over_farkas(expr):
-        return any((key[1] if isinstance(key, tuple) else key) in model.robust
-                   for key in expr.terms)
-
-    out = LPModel()
-    out._order = [name for name in model._order if name not in model.robust]
-    out.blocks = {name: model.blocks[name] for name in out._order}
-    out._eqs = [e for e in model._eqs if not over_farkas(e)]
-    out._ineqs = [e for e in model._ineqs if not over_farkas(e)]
-    out._objective = model._objective
-    out.params = model.params
-    return out
-
-
 class _CutLoop:
     """solve(model) by vertex cuts, as a function of the value of the
     parameter param (LPModel.param_expr), or of nothing when param is None.
@@ -978,22 +1092,25 @@ class _CutLoop:
     A robust row holds over a component P_k iff it holds at every vertex of
     P_k (Mutapcic & Boyd, Optim. Methods Softw. 24, 2009), so the model's
     robust rows (model.robust) are replaced by cuts at vertices of their
-    components (Polytope.hulls).  The master keeps the model's other
-    blocks, bounds, objective and rows, and starts from the rows at each
-    component's Chebyshev centre.  It is one _WarmLP: every round adds the
-    most violated vertex cut of each violated row (addRows), and a call
-    rewrites the entries param scales, as param_solver does, so the probes
-    of one loop share its cut pool.  Once no cut is violated, every row's
-    support is certified by Farkas multipliers (_CutRows.certify), which
-    fill the model's Farkas block in the returned LPSolution: its values
-    are a solution of the model itself.
+    components (Polytope.hulls).  The master is the model's own LP, its
+    blocks, bounds, objective and rows without the robust families, and
+    each family is compiled once into arrays over the master's columns
+    (_CutRows).  The master is one _WarmLP, which first gets the rows at
+    each component's Chebyshev centre; every round adds the most violated
+    vertex cut of each violated row (addRows), and a call rewrites the
+    entries param scales, as param_solver does, so the probes of one loop
+    share its cut pool.  Once no cut is violated, every row's support is
+    certified by Farkas multipliers (_CutRows.certify), which fill the
+    model's Farkas block in the returned LPSolution: its values are a
+    solution of the model itself.
 
     Raises _NoCuts, for the caller to solve the Farkas LP instead, without
     scipy's HiGHS module (the reference path), when a component a robust
     row touches has no bounded, full-dimensional vertex set, and from a
-    call whose master ends neither optimal nor infeasible or that needs
-    over MAX_ROUNDS master solves.  cuts counts the vertex cuts added and
-    rounds the master solves of the last call.
+    call whose master ends neither optimal nor infeasible, warm and then
+    once more cold (from no basis), or that needs over MAX_ROUNDS master
+    solves.  cuts counts the vertex cuts added and rounds the master
+    solves of the last call.
     """
 
     def __init__(self, model, param=None):
@@ -1002,29 +1119,37 @@ class _CutLoop:
         if not model.robust:
             raise _NoCuts("no robust rows")
         self.param = param
-        self.families = [_CutRows(model, name, *rows)
-                         for name, rows in model.robust.items()]
-        self.master = _master(model)
-        for family in self.families:
-            self.master.add_ineq(family.centre_cuts())
+        self.master = copy.copy(model)
+        self.master.robust = {}
+        self.families = [_CutRows(family, self.master, param)
+                         for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
         self.nrows = self.master.num_ineq_rows + self.master.num_eq_rows
         self.entries = (self.master.param_entries(param) if param is not None
                         else None)
+        self._add([family.centre_cuts() for family in self.families])
         self.cuts, self.rounds = 0, 0
 
-    def _add(self, exprs):
-        offsets, nvar = self.master._offsets()
-        A, const = self.master._stack(exprs, nvar, offsets)
-        self.lp.add_rows(A, -const)
-        if self.param is not None:
-            rows, cols, base, slope = self.master.param_entries(self.param,
-                                                                exprs)
+    def _add(self, blocks):
+        """Append the rows of the rows_at blocks; returns their count."""
+        base, slope, const = zip(*blocks)
+        base, const = np.vstack(base), np.concatenate(const)
+        slope = None if self.param is None else np.vstack(slope)
+        if slope is None:
+            values, used = base, base != 0
+        else:
+            values = base + self.master.params[self.param] * slope
+            used = (base != 0) | (slope != 0)
+            rows, cols = np.nonzero(slope)
             self.entries = tuple(np.concatenate([old, new]) for old, new in
                                  zip(self.entries,
-                                     (rows + self.nrows, cols, base, slope)))
-        self.nrows += A.shape[0]
-        self.cuts += A.shape[0]
+                                     (rows + self.nrows, cols,
+                                      base[rows, cols], slope[rows, cols])))
+        rows, cols = np.nonzero(used)
+        self.lp.add_rows(np.append(0, np.cumsum(used.sum(axis=1))), cols,
+                         values[rows, cols], -const)
+        self.nrows += len(base)
+        return len(base)
 
     def __call__(self, value=None):
         if self.param is not None:
@@ -1033,15 +1158,20 @@ class _CutLoop:
             self.lp.set_coeffs(rows, cols, base + slope * value)
         for self.rounds in range(1, MAX_ROUNDS + 1):
             status, x, obj = self.lp.run()
+            if status not in ("optimal", "infeasible"):
+                # A warm start can fail where a cold solve answers: sys2's
+                # ESS min-lambda probe at 0.966796875 (rho = 0.7, T = 60).
+                self.lp.forget_basis()
+                status, x, obj = self.lp.run()
             if status == "infeasible":
                 return LPSolution(status, None, None)
             if status != "optimal":
                 raise _NoCuts(f"a master LP ended {status}")
-            values = self.master.split(x)
-            new = [cut for cut in (f.separate(self.master, values)
+            new = [cut for cut in (f.separate(x, value)
                                    for f in self.families) if cut is not None]
             if not new:
+                values = self.master.split(x)
                 values.update((f.name, f.certify()) for f in self.families)
                 return LPSolution("optimal", values, obj)
-            self._add(new)
+            self.cuts += self._add(new)
         raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")

@@ -248,7 +248,8 @@ def _built_sizes(model, n, m):
     """The count_constraints_aarc record of an assembled envelope model."""
     return {
         "robust_inequalities": n + n * n * 2 ** (m + 1),
-        "farkas_variables": model.blocks["ZM"][0] + model.blocks["Zb"][0],
+        "farkas_variables": sum(rows.size for *_, rows, _
+                                in model.farkas_blocks),
         "equality_rows": model.num_eq_rows,
         "inequality_rows": model.num_ineq_rows,
         "search_variables": n + n * m + n * n + model.blocks["ma"][0]

@@ -97,9 +97,10 @@ def build_sign_polytope_rows(v_expr, S_expr, alpha, beta, eta=0.0):
 
 
 def _tile(expr, reps):
-    """expr stacked reps times."""
-    return expr.premul(sp.kron(np.ones((reps, 1)), sp.eye(expr.rows),
-                               format="csr"))
+    """expr stacked reps times, its rows picked by index."""
+    at = np.tile(np.arange(expr.rows), reps)
+    return AffExpr(at.size, {k: v[at] for k, v in expr.terms.items()},
+                   expr.const[at])
 
 
 def _infer_state_dim(poly, m):
@@ -193,7 +194,8 @@ def _built_sizes(model, n, m):
     """The count_constraints_sign record of an assembled sign model."""
     return {
         "robust_inequalities": n * 2 ** (n + m),
-        "farkas_variables": model.blocks["Z"][0],
+        "farkas_variables": sum(rows.size for *_, rows, _
+                                in model.farkas_blocks),
         "equality_rows": model.num_eq_rows,
         "inequality_rows": model.num_ineq_rows,
         "search_variables": n + n * m,

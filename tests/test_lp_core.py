@@ -334,8 +334,9 @@ def test_require_nonempty_tells_empty_from_solver_failure(monkeypatch):
             return "numerical-failure", None, None
 
     monkeypatch.setattr(lp_core, "DEFAULT_BACKEND", Failing())
+    # a Polytope remembers a passed check, so the failing LP needs a new one
     with pytest.raises(RuntimeError):
-        _require_nonempty(box)
+        _require_nonempty(Polytope(G=box.G, h=box.h))
 
 
 @pytest.mark.parametrize("fresh_path", [False, True],
@@ -398,6 +399,24 @@ def test_param_entries_locate_the_parameter_in_the_assembled_rows():
         _, A_ub, _, A_eq, _, _ = model.assemble()
         assert A_eq.toarray().tolist() == [[base[0] + slope[0] * p, -1.0]]
         assert A_ub.toarray().tolist() == [[1.0, 1.0], [-1.0, -1.0]]
+
+
+def test_param_entries_of_an_unused_parameter_are_empty_arrays():
+    # a parameter that reaches no row: no entry to rewrite, and a warm
+    # model takes the empty rewrite
+    model = LPModel()
+    model.add_block("x", 2, lb=0.0, ub=10.0)
+    model.add_ineq(AffExpr(1, {"x": np.ones((1, 2))}) - 1.0)
+    model.set_objective(AffExpr(1, {"x": [[0.0, -1.0]]}))
+    model.param_expr("p", "x", 2.0)
+    rows, cols, base, slope = model.param_entries("p")
+    for entries in (rows, cols, base, slope):
+        assert isinstance(entries, np.ndarray) and entries.shape == (0,)
+    assert rows.dtype.kind == cols.dtype.kind == "i"
+    lp = lp_core._WarmLP(*model.assemble())
+    lp.set_coeffs(rows, cols, base + slope * 3.0)
+    status, x, obj = lp.run()
+    assert status == "optimal" and obj == pytest.approx(-1.0)
 
 
 def test_param_solver_warm_matches_fresh_solves():

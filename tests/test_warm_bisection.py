@@ -9,9 +9,9 @@ is a fresh solve through lp_core.DEFAULT_BACKEND.
 import numpy as np
 import pytest
 
-from quantstab import (QuantizerSpec, build_polytope, generate_dataset,
-                       plant_vec, prune_redundant, robust_verify,
-                       synthesize_aarc, synthesize_sign)
+from quantstab import (Polytope, QuantizerSpec, build_polytope,
+                       generate_dataset, plant_vec, prune_redundant,
+                       robust_verify, synthesize_aarc, synthesize_sign)
 from quantstab import lp_core, synth_sign
 from quantstab.lp_core import LinprogBackend
 
@@ -29,6 +29,10 @@ def _min_lambda(monkeypatch, synth, target, fresh_path=False):
     fresh solves when fresh_path is set."""
     probes, fresh = [], []
     bisect, linprog_solve = synth_sign.bisect_least, LinprogBackend.solve
+    if isinstance(target, Polytope):
+        # a Polytope remembers a passed nonemptiness check: a new one makes
+        # every call count its own
+        target = Polytope(G=target.G, h=target.h)
 
     def recording(probe, ok, tol):
         def seen(lam):

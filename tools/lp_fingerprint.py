@@ -27,7 +27,16 @@ call's result: the lambda it was asked about (the probe's value in an
 ESS min-lambda bisection, None otherwise), its verdict as above, the
 vertex cuts in the master after it and the master solves it took.  The
 master and the Chebyshev LPs of the vertex sets are warm models, so they
-also get warm lines.
+also get warm lines.  A master is built from the model's own LP, without
+its robust rows, so its base hash covers that LP alone: the rows at the
+components' Chebyshev centres and the vertex cuts are added to it after
+it is built, and are not hashed.  They are compiled from the robust rows
+(lp_core._CutRows), and the engine lines show whether they cut the same
+way.
+
+A polytope is checked for nonemptiness by one fresh LP, the first time a
+synthesis call needs it, so the later calls on the same polytope print
+no line for it.
 
 Pruning and the robust audit solve their support LPs in warm HiGHS
 sessions that never reach LinprogBackend.solve, so after the patch is
