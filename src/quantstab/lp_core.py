@@ -539,7 +539,8 @@ class _RobustRows:
         L1, d = poly.G.shape
         L2 = h2_expr.rows
         if G2_expr.rows != L2 * d:
-            raise ValueError("G2 expression must have L2 * d rows (row-major)")
+            raise ValueError(
+                "G2 expression must have L2 * d rows (row-major)")
         self.name, self.poly = name, poly
         self.G_expr, self.h_expr = G2_expr, h2_expr
         self.touched, col_of, face_of = _touched(poly, G2_expr, L2)
@@ -1019,9 +1020,9 @@ class _CutRows:
     def centre_cuts(self):
         """The rows at every component's Chebyshev centre, all rows."""
         rows = np.arange(self.L2)
-        return self.rows_at(rows, [np.broadcast_to(c.hull.x0,
-                                                   (rows.size, c.hull.x0.size))
-                                   for c in self.comps])
+        centres = [np.broadcast_to(c.hull.x0, (rows.size, c.hull.x0.size))
+                   for c in self.comps]
+        return self.rows_at(rows, centres)
 
     def separate(self, x, p):
         """The most violated vertex cut of every row that is violated by
