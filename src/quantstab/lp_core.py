@@ -1,8 +1,9 @@
 """LP model assembly, the solver path, and polytope containment.
 
 Every optimization problem in this package is assembled as an LPModel over
-named variable blocks and solved fresh by DEFAULT_BACKEND, which wraps
-scipy's HiGHS interface.  The module also provides the containment
+named variable blocks.  Synthesis solves it through solver, below; a
+fresh solve goes through DEFAULT_BACKEND, which wraps scipy's HiGHS
+interface (solve).  The module also provides the containment
 machinery used by the synthesizers: add_farkas_block encodes the extended
 Farkas condition
 
@@ -32,14 +33,14 @@ Sequences of LPs that differ in a few numbers run in one persistent
 HiGHS model, a _WarmLP, whose costs, row bounds and single coefficients
 change between warm re-solves and which can grow by rows.  The support
 LPs of pruning and of the audit use it through _SupportSession (new
-costs, one changed row bound), and the ESS min-lambda bisection through
-param_solver: a model built with a scalar parameter (LPModel.param_expr)
-is assembled once, and each probe rewrites only the entries the
-parameter scales.
+costs, one changed row bound), and every synthesis LP through solver: a
+model built with a scalar parameter (LPModel.param_expr), as for the ESS
+min-lambda bisection, is assembled once, and each probe rewrites only
+the entries the parameter scales.
 
-A model's robust rows can also be solved without their Farkas blocks, by
-vertex cuts (_CutLoop; synth_sign uses it for every sign solve on a
-polytope).  Polytope.hulls gives each component, seen from its Chebyshev
+solver solves a model's robust rows without their Farkas blocks, by
+vertex cuts (_CutLoop), for the sign and the envelope forms alike.
+Polytope.hulls gives each component, seen from its Chebyshev
 centre, the convex hull of its dual points (qhull), whose facets are the
 component's vertices: the same hull prunes faces
 (consistency._hull_redundant).  A robust row holds over a bounded
@@ -51,9 +52,11 @@ a round costs a product with the master's point, one product of the
 rows with each vertex set, and one contraction for the new rows; each
 row's support is then certified by the dual of its best vertex's active
 faces, which fills the Farkas block's values.  No Farkas block is built
-on this path.  The Farkas LP answers wherever the cuts cannot: a
-component without a bounded, full-dimensional vertex set, or a master
-that ends neither optimal nor infeasible.
+on this path.  Where a family cannot be cut (a component without a
+bounded, full-dimensional vertex set), every family keeps its Farkas
+block and the master is the whole Farkas LP; a model without robust
+rows (a plant point) is its own master.  A call that the loop cannot
+answer is solved fresh by solve, that call alone.
 
 This module alone picks the path: without scipy's private HiGHS module
 (_highs None) every LP is a fresh solve through DEFAULT_BACKEND and every
@@ -61,6 +64,7 @@ robust row gets its Farkas block, the reference path.
 """
 
 import copy
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +79,8 @@ try:    # HiGHS's own model object: private to scipy, so optional
 except ImportError:
     _highs = None
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "Polytope",
     "AffExpr",
@@ -86,7 +92,7 @@ __all__ = [
     "add_farkas_block",
     "add_robust_rows",
     "max_linear_over_polytope",
-    "param_solver",
+    "solver",
 ]
 
 # A component whose Chebyshev radius is at most FLAT_TOL is flat: it has no
@@ -876,40 +882,9 @@ def _dual_hull(poly, faces, cols):
     return _DualHull(G, h, faces, cols, x0, slack, hull)
 
 
-def param_solver(model, param):
-    """solve(model) as a function of the value of parameter param
-    (LPModel.param_expr).
-
-    The model is assembled once into a _WarmLP, and a call rewrites the
-    entries param scales (LPModel.param_entries) and re-solves from the
-    last basis.  A warm solve that ends neither optimal nor infeasible is
-    solved once more fresh (the reference path, and without scipy's HiGHS
-    module every call): set model.params[param], then solve(model).
-    """
-
-    def fresh(value):
-        model.params[param] = value
-        return solve(model)
-
-    if _highs is None:
-        return fresh
-    lp = _WarmLP(*model.assemble())
-    rows, cols, base, slope = model.param_entries(param)
-
-    def warm(value):
-        lp.set_coeffs(rows, cols, base + slope * value)
-        status, x, obj = lp.run()
-        if status == "optimal":
-            return LPSolution(status, model.split(x), obj)
-        if status == "infeasible":
-            return LPSolution(status, None, None)
-        return fresh(value)
-
-    return warm
-
-
 class _NoCuts(Exception):
-    """The cut engine cannot answer this model: its Farkas LP must."""
+    """The cut engine cannot cut a robust row family, or cannot answer a
+    call."""
 
 
 def _best_vertices(C, vertices):
@@ -1087,7 +1062,7 @@ class _CutRows:
 
 
 class _CutLoop:
-    """solve(model) by vertex cuts, as a function of the value of the
+    """solve(model) in one warm master, as a function of the value of the
     parameter param (LPModel.param_expr), or of nothing when param is None.
 
     A robust row holds over a component P_k iff it holds at every vertex of
@@ -1099,36 +1074,39 @@ class _CutLoop:
     (_CutRows).  The master is one _WarmLP, which first gets the rows at
     each component's Chebyshev centre; every round adds the most violated
     vertex cut of each violated row (addRows), and a call rewrites the
-    entries param scales, as param_solver does, so the probes of one loop
-    share its cut pool.  Once no cut is violated, every row's support is
-    certified by Farkas multipliers (_CutRows.certify), which fill the
-    model's Farkas block in the returned LPSolution: its values are a
-    solution of the model itself.
+    entries param scales (LPModel.param_entries), so the probes of one
+    loop share its basis and its cut pool.  Once no cut is violated, every
+    row's support is certified by Farkas multipliers (_CutRows.certify),
+    which fill the model's Farkas block in the returned LPSolution: its
+    values are a solution of the model itself.
 
-    Raises _NoCuts, for the caller to solve the Farkas LP instead, without
-    scipy's HiGHS module (the reference path), when a component a robust
-    row touches has no bounded, full-dimensional vertex set, and from a
-    call whose master ends neither optimal nor infeasible, warm and then
-    once more cold (from no basis), or that needs over MAX_ROUNDS master
-    solves.  cuts counts the vertex cuts added and rounds the master
-    solves of the last call.
+    When a family cannot be cut (a component it touches has no bounded,
+    full-dimensional vertex set, or param scales its G), every family
+    keeps its Farkas block and the master is the model's whole LP, as it
+    is for a model without robust rows (a point): one master solve answers
+    a call.  A call raises _NoCuts when its master ends neither optimal nor
+    infeasible, warm and then once more cold (from no basis), when it needs
+    over MAX_ROUNDS master solves, or when a support LP beats every vertex.
+    cuts counts the vertex cuts added and rounds the master solves of the
+    last call.  Needs scipy's HiGHS module.
     """
 
     def __init__(self, model, param=None):
-        if _highs is None:
-            raise _NoCuts("no HiGHS module")
-        if not model.robust:
-            raise _NoCuts("no robust rows")
         self.param = param
         self.master = copy.copy(model)
         self.master.robust = {}
-        self.families = [_CutRows(family, self.master, param)
-                         for family in model.robust.values()]
+        try:
+            self.families = [_CutRows(family, self.master, param)
+                             for family in model.robust.values()]
+        except _NoCuts as why:
+            logger.info("keeping the Farkas blocks: %s", why)
+            self.master, self.families = model, []
         self.lp = _WarmLP(*self.master.assemble())
         self.nrows = self.master.num_ineq_rows + self.master.num_eq_rows
         self.entries = (self.master.param_entries(param) if param is not None
                         else None)
-        self._add([family.centre_cuts() for family in self.families])
+        if self.families:
+            self._add([family.centre_cuts() for family in self.families])
         self.cuts, self.rounds = 0, 0
 
     def _add(self, blocks):
@@ -1176,3 +1154,34 @@ class _CutLoop:
                 return LPSolution("optimal", values, obj)
             self.cuts += self._add(new)
         raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")
+
+
+def solver(model, param=None):
+    """solve(model) as a function of the value of parameter param
+    (LPModel.param_expr), or of nothing when param is None.
+
+    Every call runs in one _CutLoop, built here: vertex cuts for the
+    robust rows that can be cut, else the model's whole LP in one warm
+    HiGHS model whose probes rewrite only the entries param scales.  A
+    call the loop cannot answer is solved fresh, alone, and its reason
+    logged: set model.params[param], then solve(model).  That is the
+    reference path, which every call takes without scipy's HiGHS module.
+    """
+
+    def fresh(value=None):
+        if param is not None:
+            model.params[param] = value
+        return solve(model)
+
+    if _highs is None:
+        return fresh
+    loop = _CutLoop(model, param)
+
+    def call(value=None):
+        try:
+            return loop(value)
+        except _NoCuts as why:
+            logger.info("solving the LP fresh: %s", why)
+            return fresh(value)
+
+    return call

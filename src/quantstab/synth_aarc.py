@@ -36,6 +36,10 @@ rule per row is enough (Ben-Tal, Goryashko, Guslitzer and Nemirovski,
 Math. Program. 99, 2004).  With it no robust row touches another row's
 columns, so lp_core gives each one multipliers on its own row's faces only.
 
+Both containments are robust rows (lp_core.add_robust_rows), so on a
+polytope lp_core.solver solves them by vertex cuts, as it does the sign
+rows, with the Farkas LP as the reference (see lp_core).
+
 Only the 2^m vertex count remains exponential.  The affine restriction is
 a genuine restriction: feasibility here implies feasibility of the
 sign-enumerated program, never the reverse.

@@ -24,15 +24,16 @@ each row is substituted instead, G z0 <= h, with no multipliers: the
 known-plant sign form.
 
 That Farkas LP is exact but large (41,748 variables and 0.40M nonzeros on
-sys2 with 60 samples), so synthesize_sign solves it on a polytope by
-vertex cuts (lp_core._CutLoop): the robust row (alpha, beta, i) holds
-over the data polytope iff it holds at every vertex of the component its
-columns touch, so a master over (v, S) alone takes the rows at the
-vertices it violates until none is violated, and the dual of each row's
-best vertex gives the multipliers Z.  The feasible set, the verdicts and
-the meaning of extras["Z"] are those of the Farkas LP, which answers the
-whole call wherever the cuts cannot (see lp_core) and is the reference
-without scipy's HiGHS module.
+sys2 with 60 samples), so lp_core.solver solves it on a polytope by
+vertex cuts, as it does every synthesis LP: the robust row
+(alpha, beta, i) holds over the data polytope iff it holds at every
+vertex of the component its columns touch, so a master over (v, S)
+alone takes the rows at the vertices it violates until none is
+violated, and the dual of each row's best vertex gives the multipliers
+Z.  The feasible set, the verdicts and the meaning of extras["Z"] are
+those of the Farkas LP, which is the master wherever the rows cannot be
+cut, answers fresh a call the cuts cannot (see lp_core) and is the
+reference without scipy's HiGHS module.
 """
 
 import logging
@@ -40,8 +41,8 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import (AffExpr, LPModel, Polytope, _CutLoop, _NoCuts,
-                      _require_nonempty, add_robust_rows, param_solver, solve)
+from .lp_core import (AffExpr, LPModel, Polytope, _require_nonempty,
+                      add_robust_rows, solver)
 from .quantizer import cube_vertices
 from .sysmodel import StabCertificate, SynthResult
 
@@ -246,23 +247,19 @@ def min_feasible_rho(probe, tol=1e-4):
     return (None, None) if rho is None else (rho, res)
 
 
-def _synthesize(build, extract, poly, spec, mode, eta, objective,
-                cuts=False):
+def _synthesize(build, extract, poly, spec, mode, eta, objective):
     """The objective dispatch shared by every synthesizer.
 
     build(poly, spec, n, mode, eta, lam_fixed=, minimize_lam=) returns an
     LPModel and extract(model, sol, poly, spec, n, mode, eta) the
-    SynthResult of its solution.  'min-lambda' is one LP in 'ss'; in 'ess'
-    the bound lam * v_i is bilinear, so lam is bisected over (0, 1] with
-    fixed-lam feasibility LPs: one model built with lam as its parameter
-    and re-solved at each probe by lp_core.param_solver, warm whenever
-    scipy's HiGHS module is present.  With cuts set, a model on a polytope
-    is solved by lp_core._CutLoop instead, one loop for every probe of the
-    call; where it cannot answer, the whole call is solved again on the
-    Farkas LP.  Every mode and objective shares one verdict: 'feasible'
-    only when the certified lam < 1.  An optimum with lam >= 1 is
-    'infeasible', with no certificate; extras["lam"] holds its lam and
-    extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
+    SynthResult of its solution, and lp_core.solver solves the model.
+    'min-lambda' is one LP in 'ss'; in 'ess' the bound lam * v_i is
+    bilinear, so lam is bisected over (0, 1] with fixed-lam feasibility
+    LPs: one model built with lam as its parameter, and one solver for
+    every probe of the call.  Every mode and objective shares one
+    verdict: 'feasible' only when the certified lam < 1.  An optimum with
+    lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
+    lam and extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
     bisection counts a lam probe whose LP ends in a numerical failure as
     infeasible and lists its lam in extras["failed_lam"], on whatever
     result it returns."""
@@ -273,29 +270,14 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective,
     if eta <= 0:
         raise ValueError("stability tolerance eta must be positive")
     n = _infer_state_dim(poly, spec.m)
-    if not isinstance(poly, Polytope):
+    if isinstance(poly, Polytope):
+        _require_nonempty(poly)
+    else:
         poly = np.asarray(poly, dtype=float).ravel()
-        return _optimize(build, extract, poly, spec, n, mode, eta, objective)
-    _require_nonempty(poly)
-    if cuts:
-        try:
-            return _optimize(build, extract, poly, spec, n, mode, eta,
-                             objective, cuts=True)
-        except _NoCuts as why:
-            logger.info("solving the Farkas LP instead of vertex cuts: %s",
-                        why)
-    return _optimize(build, extract, poly, spec, n, mode, eta, objective)
-
-
-def _optimize(build, extract, poly, spec, n, mode, eta, objective,
-              cuts=False):
-    """The body of _synthesize on a checked input: the models' LPs are
-    solved by lp_core._CutLoop with cuts set, else by param_solver and
-    solve."""
     extras = {}
     if objective == "min-lambda" and mode == "ess":
         model = build(poly, spec, n, mode, eta, lam_fixed=1.0)
-        solve_at = (_CutLoop if cuts else param_solver)(model, "lam")
+        solve_at = solver(model, "lam")
         failed = extras["failed_lam"] = []
 
         def probe(lam):
@@ -308,7 +290,7 @@ def _optimize(build, extract, poly, spec, n, mode, eta, objective,
     else:
         model = build(poly, spec, n, mode, eta,
                       minimize_lam=objective == "min-lambda")
-        sol = _CutLoop(model)() if cuts else solve(model)
+        sol = solver(model)()
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure", None, extras)
@@ -341,12 +323,12 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     and extras["counts"] the size of the Farkas LP.  On a polytope the
     LPs are solved by vertex cuts, one cut pool for every probe of the
     call, and by the Farkas LP where the cuts cannot answer (see the
-    module docstring).
+    module docstring); the known-plant LPs by the same warm master.
     An empty polytope raises ValueError, and a failed nonemptiness LP
     SolverError.
     """
     return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
-                       objective, cuts=True)
+                       objective)
 
 
 def count_constraints_sign(n, m, L):

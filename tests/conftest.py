@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from quantstab import (
     LinearSystem,
@@ -55,6 +56,21 @@ def fresh_solves(backend=None):
         if backend is not None:
             patch.setattr(lp_core, "DEFAULT_BACKEND", backend)
         yield
+
+
+class InteriorPoint(lp_core.LinprogBackend):
+    """A fresh solve by HiGHS's interior-point method: a reference for LPs
+    near a feasibility boundary, where the default simplex can end in a
+    numerical failure."""
+
+    def solve(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs-ipm")
+        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+            res.status, "numerical-failure")
+        if status != "optimal":
+            return status, None, None
+        return status, res.x, float(res.fun)
 
 
 def random_stabilizable_system(rng, n, m, scale=0.6):

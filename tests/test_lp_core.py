@@ -13,8 +13,7 @@ from quantstab import (
     solve,
 )
 from quantstab.lp_core import (SolverError, _require_nonempty,
-                               _SupportSession, add_robust_rows,
-                               param_solver)
+                               _SupportSession, add_robust_rows, solver)
 
 from conftest import box_polytope, fresh_solves, random_separable_polytope
 from oracles import check_containment_bruteforce, enumerate_vertices
@@ -419,12 +418,18 @@ def test_param_entries_of_an_unused_parameter_are_empty_arrays():
     assert status == "optimal" and obj == pytest.approx(-1.0)
 
 
-def test_param_solver_warm_matches_fresh_solves():
-    warm = param_solver(_param_model(1.0), "p")
+def test_solver_warm_matches_fresh_solves():
+    # one warm model for every value of the parameter, and one for a model
+    # solved at its own parameter values (param=None)
+    warm = solver(_param_model(1.0), "p")
     with fresh_solves():
-        fresh = param_solver(_param_model(1.0), "p")
-    for p in (1.0, 3.0, -2.0, 1.5):
-        a, b = warm(p), fresh(p)
+        fresh = solver(_param_model(1.0), "p")
+    pairs = [(p, warm(p), fresh(p)) for p in (1.0, 3.0, -2.0, 1.5)]
+    for p in (2.0, -0.5):
+        at_p = solver(_param_model(p))()
+        with fresh_solves():
+            pairs.append((p, at_p, solver(_param_model(p))()))
+    for p, a, b in pairs:
         assert a.status == b.status
         if p < 0:
             assert a.status == "infeasible"
@@ -433,4 +438,3 @@ def test_param_solver_warm_matches_fresh_solves():
             assert b.objective == pytest.approx(-p / (1 + p))
             np.testing.assert_allclose(a.values["x"], b.values["x"],
                                        atol=1e-9)
-

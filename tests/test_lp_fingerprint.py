@@ -30,10 +30,11 @@ def test_fingerprint_prints_every_group_of_lines():
             rf"{re.escape(label)} warm #0 base {SHA} probes [-+!]+")
         assert any(pattern.fullmatch(line) for line in lines), label
     assert any(re.fullmatch(rf"\S.* #0 {SHA}", line) for line in lines)
-    # sign synthesis on a polytope runs on vertex cuts: a line per solve
+    # synthesis on a polytope runs on vertex cuts: a line per solve
     for label, lam in (("sys1 sign ess min-lambda", r"[0-9.e-]+"),
                        ("sys1 sign ss min-lambda", "None"),
-                       ("sys2 sign ess feasibility", "None")):
+                       ("sys2 sign ess feasibility", "None"),
+                       ("sys1 aarc ess min-lambda", r"[0-9.e-]+")):
         pattern = re.compile(rf"{label} cuts #0 lam={lam} [-+!] "
                              r"cuts=\d+ rounds=\d+")
         assert any(pattern.fullmatch(line) for line in lines), label

@@ -3,9 +3,9 @@
 On a data polytope synthesize_sign replaces every robust row by cuts at
 vertices of its component and certifies each row's support with Farkas
 multipliers.  The Farkas LP is the reference, reached through
-conftest.fresh_solves(), and it answers the whole call wherever the
-engine cannot: a component without a bounded, full-dimensional vertex
-set, or a master LP that ends neither optimal nor infeasible.
+conftest.fresh_solves().  It is the master wherever a component has no
+bounded, full-dimensional vertex set, and it answers fresh each call
+whose master ends neither optimal nor infeasible.
 """
 
 import numpy as np
@@ -155,13 +155,21 @@ def test_components_without_a_vertex_set_take_the_farkas_lp(small_plant,
     _fell_back(poly, QuantizerSpec.uniform(0.5, 1), mode="ess")
 
 
-def test_failed_master_hands_the_call_to_the_farkas_lp(monkeypatch,
+def test_failed_master_hands_the_call_to_the_farkas_lp(monkeypatch, caplog,
                                                        pruned_sys1):
+    # each probe whose master fails warm and cold is solved fresh, and says
+    # so in the log
     spec = QuantizerSpec.uniform(0.7, 2)
     pruned_sys1.hulls       # the Chebyshev LPs run before the patch
     monkeypatch.setattr(lp_core._WarmLP, "run",
                         lambda self: ("numerical-failure", None, None))
-    _fell_back(pruned_sys1, spec, mode="ess", objective="min-lambda")
+    with caplog.at_level("INFO", logger="quantstab.lp_core"):
+        _fell_back(pruned_sys1, spec, mode="ess", objective="min-lambda")
+    fresh = [r.getMessage() for r in caplog.records
+             if r.name == "quantstab.lp_core"]
+    assert len(fresh) == 15
+    assert set(fresh) == {"solving the LP fresh: a master LP ended "
+                          "numerical-failure"}
 
 
 def test_support_lps_certify_where_vertex_duals_do_not(monkeypatch,

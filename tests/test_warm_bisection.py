@@ -1,9 +1,9 @@
 """The warm ESS min-lambda bisection against fresh solves.
 
 Every synthesizer bisects lambda in one HiGHS model whose gain-row
-coefficients of v change between probes (lp_core.param_solver); without
-scipy's HiGHS module (lp_core._highs None), the reference path, each probe
-is a fresh solve through lp_core.DEFAULT_BACKEND.
+coefficients of v change between probes (lp_core.solver); without scipy's
+HiGHS module (lp_core._highs None), the reference path, each probe is a
+fresh solve through lp_core.DEFAULT_BACKEND.
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ from quantstab import (Polytope, QuantizerSpec, build_polytope,
 from quantstab import lp_core, synth_sign
 from quantstab.lp_core import LinprogBackend
 
+from conftest import InteriorPoint, fresh_solves
+
 
 @pytest.fixture(scope="module")
 def pruned_sys1(sys1, part1):
@@ -23,9 +25,9 @@ def pruned_sys1(sys1, part1):
                                                            seed=1)))
 
 
-def _min_lambda(monkeypatch, synth, target, fresh_path=False):
+def _min_lambda(monkeypatch, synth, target, fresh_path=False, rho=0.7):
     """(result, [(lam, verdict) of every probe], linprog solve count) of
-    one ESS min-lambda bisection at rho = 0.7, on the reference path of
+    one ESS min-lambda bisection at density rho, on the reference path of
     fresh solves when fresh_path is set."""
     probes, fresh = [], []
     bisect, linprog_solve = synth_sign.bisect_least, LinprogBackend.solve
@@ -50,7 +52,7 @@ def _min_lambda(monkeypatch, synth, target, fresh_path=False):
         patch.setattr(LinprogBackend, "solve", counted)
         if fresh_path:
             patch.setattr(lp_core, "_highs", None)
-        res = synth(target, QuantizerSpec.uniform(0.7, 2), mode="ess",
+        res = synth(target, QuantizerSpec.uniform(rho, 2), mode="ess",
                     objective="min-lambda")
     return res, probes, len(fresh)
 
@@ -74,40 +76,59 @@ def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
     assert warm_fresh == (1 if where == "polytope" else 0)
 
 
-def _third_warm_run_fails(monkeypatch):
-    """Make the third warm solve report a numerical failure."""
+def _warm_runs_fail(patch, failing):
+    """Make the warm solves numbered in failing (from 1) report a numerical
+    failure, or every warm solve when failing is None, with the
+    MonkeyPatch patch."""
     runs = []
     run = lp_core._WarmLP.run
 
-    def failing(self):
+    def patched(self):
         runs.append(None)
-        out = run(self)
-        return ("numerical-failure", None, None) if len(runs) == 3 else out
+        if failing is None or len(runs) in failing:
+            return "numerical-failure", None, None
+        return run(self)
 
-    monkeypatch.setattr(lp_core._WarmLP, "run", failing)
+    patch.setattr(lp_core._WarmLP, "run", patched)
 
 
 def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
                                                                sys1):
-    # the third probe of the sys1 point at rho = 0.7 is lambda = 0.75
+    # the third probe of the sys1 point at rho = 0.7 is lambda = 0.75, and
+    # one warm master solve answers each probe: the third warm run is that
+    # probe's, the fourth its cold retry
     z = plant_vec(sys1.A, sys1.B)
     clean, clean_probes, _ = _min_lambda(monkeypatch, synthesize_sign, z)
-    _third_warm_run_fails(monkeypatch)
-    res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
-    assert probes[2] == (0.75, True)
-    assert fresh == 1
-    assert probes == clean_probes
-    assert res.extras["failed_lam"] == []
-    assert res.certificate.lam == pytest.approx(clean.certificate.lam,
-                                                abs=1e-9)
+    assert clean_probes[2] == (0.75, True)
 
-    # when the reference solve fails too, the probe is listed and counted
+    def check(res, probes):
+        assert probes == clean_probes
+        assert res.extras["failed_lam"] == []
+        assert res.certificate.lam == pytest.approx(clean.certificate.lam,
+                                                    abs=1e-9)
+
+    # a failed warm run is answered cold, in the same HiGHS model
+    with monkeypatch.context() as patch:
+        _warm_runs_fail(patch, {3})
+        res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+    check(res, probes)
+    assert fresh == 0
+
+    # when every warm run fails, one fresh solve answers each probe
+    with monkeypatch.context() as patch:
+        _warm_runs_fail(patch, None)
+        res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+    check(res, probes)
+    assert fresh == len(probes)
+
+    # when the fresh solve fails too, the probe is listed and counted
     # infeasible
-    _third_warm_run_fails(monkeypatch)
-    monkeypatch.setattr(LinprogBackend, "solve",
-                        lambda self, *args: ("numerical-failure", None, None))
-    res = synthesize_sign(z, QuantizerSpec.uniform(0.7, 2), mode="ess",
-                          objective="min-lambda")
+    with monkeypatch.context() as patch:
+        _warm_runs_fail(patch, {3, 4})
+        patch.setattr(LinprogBackend, "solve",
+                      lambda self, *args: ("numerical-failure", None, None))
+        res = synthesize_sign(z, QuantizerSpec.uniform(0.7, 2), mode="ess",
+                              objective="min-lambda")
     assert res.extras["failed_lam"] == [0.75]
     assert res.feasible and res.certificate.lam > 0.75
 
@@ -141,12 +162,17 @@ def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
                                                       abs=1e-9)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="a near-boundary probe ends in a numerical failure "
-                          "warm and fresh; 'highs-ipm' answers it")
-def test_aarc_min_lambda_at_unit_density_answers_every_probe(pruned_sys1):
-    # the probe lambda = 0.48980712890625 fails on the default solver path,
-    # so the bisection counts it infeasible
-    res = synthesize_aarc(pruned_sys1, QuantizerSpec.uniform(1.0, 2),
-                          mode="ess", objective="min-lambda")
+def test_aarc_min_lambda_at_unit_density_answers_every_probe(monkeypatch,
+                                                             pruned_sys1):
+    # the probe lambda = 0.48980712890625 ended in a numerical failure on
+    # HiGHS's simplex, warm and fresh, when the AARC ran on its Farkas LP;
+    # the verdicts of fresh interior-point solves are the reference
+    res, probes, _ = _min_lambda(monkeypatch, synthesize_aarc, pruned_sys1,
+                                 rho=1.0)
     assert res.extras["failed_lam"] == []
+    assert res.certificate.lam == pytest.approx(0.4898681640625, abs=1e-6)
+    with fresh_solves(InteriorPoint()):
+        ref, ref_probes, _ = _min_lambda(monkeypatch, synthesize_aarc,
+                                         pruned_sys1, rho=1.0)
+    assert ref.extras["failed_lam"] == []
+    assert probes == ref_probes

@@ -10,29 +10,31 @@ in and are not hashed.  The last calls run the known-plant command
 `--method sign` and once with `--method aarc`; their result is the exit
 code and summary line.
 
-The ESS min-lambda bisections solve their probes in one warm HiGHS model
-each (lp_core._WarmLP), whose probes never reach LinprogBackend.solve.
-The script patches that class too, where it exists, and prints one line
-per warm model after its call's result: the sha256 of the model it was
-built from, the fixed-lambda LP at lambda = 1 (the first probe's LP in a
-fresh solve), and its verdicts in probe order, "+" optimal, "-"
-infeasible and "!" any other status.  A warm probe that fails is solved
-again through LinprogBackend.solve and hashed as usual.
+Every synthesis call solves its LPs through lp_core.solver, in one cut
+engine (lp_core._CutLoop) per model, whose master is a warm HiGHS model
+(lp_core._WarmLP) that never reaches LinprogBackend.solve.  The script
+patches that class, where it exists, and prints one line per warm model
+after its call's result: the sha256 of the LP it was built from and its
+verdicts in solve order, "+" optimal, "-" infeasible and "!" any other
+status.  The master of an ESS min-lambda bisection is built at lambda = 1
+(the first probe's LP in a fresh solve).  On a data polytope, sign and
+AARC alike, the master is the model's own LP without its robust rows, so
+its base hash covers that LP alone: the rows at the components'
+Chebyshev centres and the vertex cuts are added to it after it is built,
+and are not hashed.  They are compiled from the robust rows
+(lp_core._CutRows).  Where a robust row family cannot be cut (the dense
+polytope's one component has too many columns for a vertex set), the
+master is the whole Farkas LP, and on a plant point, which has no robust
+rows, it is the point's LP.  The Chebyshev LPs of the vertex sets are
+warm models too, so they also get warm lines.  A call the engine cannot
+answer is solved fresh through LinprogBackend.solve and hashed as usual.
 
-Sign synthesis on a polytope solves its LPs by vertex cuts
-(lp_core._CutLoop): one warm master per call, grown by cuts, whose solves
-never reach LinprogBackend.solve either.  The script patches that class
-too, where it exists, and prints one line per engine solve after its
-call's result: the lambda it was asked about (the probe's value in an
-ESS min-lambda bisection, None otherwise), its verdict as above, the
-vertex cuts in the master after it and the master solves it took.  The
-master and the Chebyshev LPs of the vertex sets are warm models, so they
-also get warm lines.  A master is built from the model's own LP, without
-its robust rows, so its base hash covers that LP alone: the rows at the
-components' Chebyshev centres and the vertex cuts are added to it after
-it is built, and are not hashed.  They are compiled from the robust rows
-(lp_core._CutRows), and the engine lines show whether they cut the same
-way.
+The script patches the engine's class too, where it exists, and prints
+one line per engine solve after its call's result: the lambda it was
+asked about (the probe's value in an ESS min-lambda bisection, None
+otherwise), its verdict as above, the vertex cuts in the master after it
+and the master solves it took.  The engine lines show whether the cuts
+cut the same way.
 
 A polytope is checked for nonemptiness by one fresh LP, the first time a
 synthesis call needs it, so the later calls on the same polytope print
@@ -152,6 +154,7 @@ def calls():
             ("sign", qs.synthesize_sign, "ess", "min-lambda"),
             ("sign", qs.synthesize_sign, "ss", "min-lambda"),
             ("aarc", qs.synthesize_aarc, "ess", "feasibility"),
+            ("aarc", qs.synthesize_aarc, "ess", "min-lambda"),
             ("aarc", qs.synthesize_aarc, "ss", "min-lambda")):
         out.append((f"sys1 {method} {mode} {objective}",
                     lambda s=synth, mo=mode, ob=objective:
