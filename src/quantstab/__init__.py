@@ -18,7 +18,7 @@ from .sysmodel import (LinearSystem, builtin_system, StabCertificate,
                        scaled_infty_norm, closed_loop_vertex_gain,
                        simulate_quantized, check_cert, decay_check)
 from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
-                      solve, add_farkas_block, max_linear_over_polytope)
+                      solve, max_linear_over_polytope)
 from .consistency import (DataSample, Dataset, generate_dataset,
                           build_polytope, plant_vec, singleton_polytope,
                           contains_plant, prune_redundant)
@@ -38,7 +38,7 @@ __all__ = [
     "recover_controller", "scaled_infty_norm", "closed_loop_vertex_gain",
     "simulate_quantized", "check_cert", "decay_check",
     "Polytope", "AffExpr", "LPModel", "LPSolution", "LinprogBackend",
-    "solve", "add_farkas_block", "max_linear_over_polytope",
+    "solve", "max_linear_over_polytope",
     "DataSample", "Dataset", "generate_dataset", "build_polytope",
     "plant_vec", "contains_plant", "prune_redundant",
     "NominalProblem", "synthesize_nominal_sign",

@@ -4,7 +4,7 @@ Every optimization problem in this package is assembled as an LPModel over
 named variable blocks.  Synthesis solves it through solver, below; a
 fresh solve goes through DEFAULT_BACKEND, which wraps scipy's HiGHS
 interface (solve).  The module also provides the containment
-machinery used by the synthesizers: add_farkas_block encodes the extended
+machinery used by the synthesizers: add_robust_rows imposes the extended
 Farkas condition
 
     {x | G1 x <= h1} subset of {x | G2 x <= h2}
@@ -17,8 +17,9 @@ Polytope.components splits the face-column pattern of G1 into connected
 components, the set is the product of their sets, and each row gets
 multipliers on, and equality rows for, only the components its own
 columns touch.  add_robust_rows keeps a family of such rows apart from
-the rest of the model (LPModel.robust) with the layout of its block; the
-block and its rows join the model's LP when it is assembled.
+the rest of the model (LPModel.robust, one _RobustRows per family), and
+only this module reads the layout of its block; the block and its rows
+join the model's LP when it is assembled.
 
 How the LP scales on a data polytope: over z = [vec(A); vec(B)] each data
 face constrains one row of [A B], so there is one component per row, and
@@ -89,7 +90,6 @@ __all__ = [
     "LinprogBackend",
     "SolverError",
     "solve",
-    "add_farkas_block",
     "add_robust_rows",
     "max_linear_over_polytope",
     "solver",
@@ -293,8 +293,8 @@ class LPSolution:
 class LPModel:
     """Linear program over named, bounded variable blocks.
 
-    Robust rows (add_robust_rows) are kept apart in robust, each with the
-    layout of its Farkas multiplier block, and the model's LP is its own
+    Robust rows (add_robust_rows) are kept apart in robust, one
+    _RobustRows per family, and the model's LP is its own
     blocks and rows followed, family by family, by each block and its
     rows: the sizes, assemble(), param_entries() and split() are those of
     that LP, whose blocks and rows are built at the first assemble()."""
@@ -305,7 +305,6 @@ class LPModel:
         self._eqs = []             # AffExpr == 0
         self._ineqs = []           # AffExpr <= 0
         self._objective = None     # scalar AffExpr, minimized
-        self.farkas_blocks = []    # (zname, L2, L1, rows, faces) bookkeeping
         self.row_sups = {}         # robust row name -> values -> sup_z G z
         self.robust = {}           # robust row name -> _RobustRows
         self.params = {}           # parameter name -> value (param_expr)
@@ -534,12 +533,12 @@ def _touched(poly, G2_expr, L2):
 
 class _RobustRows:
     """Robust rows G2 z <= h2 for every z of a nonempty polytope, and the
-    layout of their Farkas block (add_farkas_block): multiplier k sits on
+    layout of their Farkas block (add_robust_rows): multiplier k sits on
     row rows[k] and face faces[k], and the equality rows are those of the
     row eq_rows and column eq_cols pairs; touched is the L2 x K mask of
     the components (Polytope.components) each row touches.  The block's
     rows are built only when asked for (farkas): the cut engine needs the
-    layout alone."""
+    layout alone, and dense lays solved block values out as Z."""
 
     def __init__(self, name, poly, G2_expr, h2_expr):
         L1, d = poly.G.shape
@@ -553,7 +552,6 @@ class _RobustRows:
         self.rows, self.faces = np.nonzero(self.touched @ face_of)
         self.eq_rows, self.eq_cols = np.nonzero(self.touched @ col_of)
         self.size = self.rows.size
-        self.layout = (name, L2, L1, self.rows, self.faces)
         # The (L2 x size) matrix mapping the block to the certified sups
         # Z h1 of the rows.
         self.Zh = sp.csr_matrix((poly.h[self.faces],
@@ -582,65 +580,52 @@ class _RobustRows:
                 - self.G_expr.premul(pick),
                 AffExpr(L2, {self.name: self.Zh}) - self.h_expr)
 
-
-def add_farkas_block(model, G1, h1, G2_expr, h2_expr, name=None):
-    """Add multipliers certifying {G1 x <= h1} subset of {G2 x <= h2}.
-
-    G2_expr holds the L2 x d left-hand side flattened row-major into an
-    AffExpr of L2*d rows (entries may be affine in model variables);
-    h2_expr is an AffExpr of L2 rows.  Adds one nonnegative block Z with
-
-        Z G1 = G2   (equality rows)
-        Z h1 <= h2  (L2 inequality rows)
-
-    and returns the Z block name.  Row r of Z ranges over the faces of the
-    components (Polytope.components) that the structural columns of row r
-    of G2 touch, laid out row after row in face order, with equality rows
-    for the columns of those components only.  A row touching every
-    component gets all L1 faces and d equality rows (Z is a full L2 x L1
-    block flattened row-major); a row with no structural column gets
-    none.  This is exact when {G1 x <= h1} is nonempty, which the caller
-    must ensure: on a product of nonempty sets a row's sup is its sup over
-    the components it touches.  model.farkas_blocks records
-    (name, L2, L1, rows, faces), the row and face of each multiplier.
-    """
-    if not isinstance(G2_expr, AffExpr):
-        arr = np.atleast_2d(np.asarray(G2_expr, dtype=float))
-        G2_expr = AffExpr(arr.size, const=arr.reshape(-1))
-    if not isinstance(h2_expr, AffExpr):
-        arr = np.atleast_1d(np.asarray(h2_expr, dtype=float))
-        h2_expr = AffExpr(arr.size, const=arr)
-    if name is None:
-        name = f"Z{len(model.farkas_blocks)}"
-    family = _RobustRows(name, Polytope(G1, h1), G2_expr, h2_expr)
-    model.add_block(name, family.size, lb=0.0)
-    eq, ineq = family.farkas
-    model.add_eq(eq)
-    model.add_ineq(ineq)
-    model.farkas_blocks.append(family.layout)
-    return name
+    def dense(self, z):
+        """The block's values z as the full L2 x L1 multiplier matrix,
+        zero off the layout."""
+        Z = np.zeros((self.h_expr.rows, self.poly.num_faces))
+        Z[self.rows, self.faces] = z
+        return Z
 
 
 def add_robust_rows(model, unc, G_expr, h_expr, name):
     """Require G z <= h rowwise for every z in the uncertainty set unc.
 
-    G_expr and h_expr are as in add_farkas_block.  unc is either a nonempty
-    Polytope, which gets a Farkas multiplier block named name (see
-    add_farkas_block for its layout), or one point z0, whose rows are
-    substituted (G z0 <= h) with no multipliers: a robust counterpart is
-    built row by row, so a point needs none.  Records model.row_sups[name],
-    a function of the solved block values returning the certified sup of
-    G z over unc (Z h1 for a polytope, G z0 for a point).  On a polytope
-    the rows are kept apart, in model.robust[name] (a _RobustRows), with
-    the layout of their block in model.farkas_blocks: the model's LP gets
-    the block and its rows (LPModel), and _CutLoop solves the model
-    without them.
+    G_expr holds the L2 x d left-hand side flattened row-major into an
+    AffExpr of L2*d rows, and h_expr is an AffExpr of L2 rows; entries of
+    both may be affine in model variables.  unc is either a nonempty
+    Polytope {G1 z <= h1} or one point z0.
+
+    On a polytope the rows get one nonnegative Farkas multiplier block Z,
+    named name, with
+
+        Z G1 = G   (equality rows)
+        Z h1 <= h  (L2 inequality rows).
+
+    Row r of Z ranges over the faces of the components
+    (Polytope.components) that the structural columns of row r of G
+    touch, laid out row after row in face order, with equality rows for
+    the columns of those components only.  A row touching every component
+    gets all L1 faces and d equality rows (Z is a full L2 x L1 block
+    flattened row-major); a row with no structural column gets none.  This
+    is exact when unc is nonempty, which the caller must ensure: on a
+    product of nonempty sets a row's sup is its sup over the components it
+    touches.  The rows are kept apart, in model.robust[name] (a
+    _RobustRows, whose dense() gives Z as an L2 x L1 matrix): the model's
+    LP gets the block and its rows (LPModel), and _CutLoop solves the
+    model without them.
+
+    On a point the rows are substituted (G z0 <= h) with no multipliers: a
+    robust counterpart is built row by row, so a point needs none.
+
+    Records model.row_sups[name], a function of the solved block values
+    returning the certified sup of G z over unc (Z h1 for a polytope, G z0
+    for a point).
     """
     if isinstance(unc, Polytope):
         if name in model.blocks or name in model.robust:
             raise ValueError(f"duplicate block {name}")
         family = model.robust[name] = _RobustRows(name, unc, G_expr, h_expr)
-        model.farkas_blocks.append(family.layout)
         model.row_sups[name] = lambda values: family.Zh @ values[name]
     else:
         Gz = G_expr.premul(sp.kron(sp.eye(h_expr.rows), unc[None, :]))

@@ -278,9 +278,9 @@ def builtin_partition(name):
     """A named built-in partition, or one loaded from a JSON file path:
     "p1" is the unit-step partition on [-4, 4], "p2" the half-step one on
     [-6, 6]."""
-    if name in ("p1", "partition1"):
+    if name == "p1":
         return Partition.regular(-4.0, 4.0, 1.0)
-    if name in ("p2", "partition2"):
+    if name == "p2":
         return Partition.regular(-6.0, 6.0, 0.5)
     with open(name) as f:
         return Partition.from_json_dict(json.load(f))

@@ -51,8 +51,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
-from .synth_sign import (DEFAULT_ETA, _certificate, _gain_rhs, _search_blocks,
-                         _synthesize, _tile, _unit_scale)
+from .synth_sign import (DEFAULT_ETA, _built_sizes, _certificate, _gain_rhs,
+                         _search_blocks, _synthesize, _tile, _unit_scale)
 
 __all__ = [
     "AffineMParam",
@@ -244,21 +244,10 @@ def _extract_aarc(model, sol, poly, spec, n, mode, eta):
         full[r, c] = sol.values[name] * scale
     param = AffineMParam(m0=m0 * scale, ma=full[:, :n * n],
                          mb=full[:, n * n:])
+    search = (n + n * m + n * n + model.blocks["ma"][0]
+              + model.blocks["mb"][0])
     return _certificate(model, sol, poly, n, mode, eta, lam,
-                        _built_sizes(model, n, m), extras={"m_param": param})
-
-
-def _built_sizes(model, n, m):
-    """The count_constraints_aarc record of an assembled envelope model."""
-    return {
-        "robust_inequalities": n + n * n * 2 ** (m + 1),
-        "farkas_variables": sum(rows.size for *_, rows, _
-                                in model.farkas_blocks),
-        "equality_rows": model.num_eq_rows,
-        "inequality_rows": model.num_ineq_rows,
-        "search_variables": n + n * m + n * n + model.blocks["ma"][0]
-        + model.blocks["mb"][0],
-    }
+                        _built_sizes(model, search), extras={"m_param": param})
 
 
 def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,

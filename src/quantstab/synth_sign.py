@@ -172,10 +172,8 @@ def _certificate(model, sol, poly, n, mode, eta, lam, counts, M=None,
                            mode=mode, M=None if M is None else M * scale)
     if not isinstance(poly, Polytope):
         return SynthResult("feasible", cert)
-    Z = {}
-    for name, L2, L1, rows, faces in model.farkas_blocks:
-        Z[name] = np.zeros((L2, L1))
-        Z[name][rows, faces] = sol.values[name] * scale
+    Z = {name: family.dense(sol.values[name] * scale)
+         for name, family in model.robust.items()}
     return SynthResult("feasible", cert, {**(extras or {}), "Z": Z,
                                           "counts": counts})
 
@@ -186,20 +184,23 @@ def _extract_sign(model, sol, poly, spec, n, mode, eta):
     v = sol.values["v"] if mode == "ess" else np.ones(n)
     sups = model.row_sups["Z"](sol.values).reshape(-1, n)
     lam = max(0.0, float(np.max(sups / v)))
-    counts = (_built_sizes(model, n, spec.m)
+    counts = (_built_sizes(model, n + n * spec.m)
               if isinstance(poly, Polytope) else None)
     return _certificate(model, sol, poly, n, mode, eta, lam, counts)
 
 
-def _built_sizes(model, n, m):
-    """The count_constraints_sign record of an assembled sign model."""
+def _built_sizes(model, search_variables):
+    """The count_constraints_sign / count_constraints_aarc record of a
+    model on a polytope, whose search blocks hold search_variables
+    variables: its robust rows and Farkas multipliers are those of
+    model.robust."""
+    families = model.robust.values()
     return {
-        "robust_inequalities": n * 2 ** (n + m),
-        "farkas_variables": sum(rows.size for *_, rows, _
-                                in model.farkas_blocks),
+        "robust_inequalities": sum(f.h_expr.rows for f in families),
+        "farkas_variables": sum(f.size for f in families),
         "equality_rows": model.num_eq_rows,
         "inequality_rows": model.num_ineq_rows,
-        "search_variables": n + n * m,
+        "search_variables": search_variables,
     }
 
 

@@ -7,13 +7,17 @@ import pytest
 from scipy.optimize import linprog
 
 from quantstab import (
+    AffExpr,
     LinearSystem,
+    LPModel,
     Partition,
     Polytope,
     builtin_partition,
     builtin_system,
     lp_core,
+    solve,
 )
+from quantstab.lp_core import add_robust_rows
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +60,16 @@ def fresh_solves(backend=None):
         if backend is not None:
             patch.setattr(lp_core, "DEFAULT_BACKEND", backend)
         yield
+
+
+def farkas_status(P1, P2):
+    """Status of the Farkas LP certifying that the nonempty P1 lies in
+    P2: P2's faces as constant robust rows over P1, solved fresh.
+    "optimal" exactly when P1 is a subset of P2."""
+    model = LPModel()
+    add_robust_rows(model, P1, AffExpr(P2.G.size, const=P2.G.ravel()),
+                    AffExpr(P2.num_faces, const=P2.h), "Z")
+    return solve(model).status
 
 
 class InteriorPoint(lp_core.LinprogBackend):

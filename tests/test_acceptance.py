@@ -11,10 +11,8 @@ import pytest
 
 from quantstab import (
     LinearSystem,
-    LPModel,
     Polytope,
     QuantizerSpec,
-    add_farkas_block,
     build_polytope,
     check_cert,
     closed_loop_vertex_gain,
@@ -30,14 +28,13 @@ from quantstab import (
     prune_redundant,
     robust_verify,
     simulate_quantized,
-    solve,
     synthesize_aarc,
     synthesize_sign,
 )
 from quantstab.synth_aarc import _aarc_model
 from quantstab.synth_sign import _sign_model
 
-from conftest import box_polytope
+from conftest import box_polytope, farkas_status
 from oracles import check_containment_bruteforce
 from test_synth_sign import _singleton
 
@@ -213,9 +210,7 @@ def test_criterion_5_farkas_against_vertex_oracle():
         d = int(rng.integers(1, 4))
         P1, P2 = random_poly(d), random_poly(d)
         truth = check_containment_bruteforce(P1, P2)
-        model = LPModel()
-        add_farkas_block(model, P1.G, P1.h, P2.G, P2.h)
-        by_multipliers = solve(model).status == "optimal"
+        by_multipliers = farkas_status(P1, P2) == "optimal"
         assert by_multipliers == truth, \
             f"trial {trial}: multipliers={by_multipliers}, vertices={truth}"
     elapsed = time.monotonic() - t0
@@ -304,11 +299,9 @@ def test_criterion_8_pruning_on_large_dataset(sys2, part2):
     pruned = prune_redundant(poly)
     assert pruned.num_faces < poly.num_faces
     for first, second in ((pruned, poly), (poly, pruned)):
-        model = LPModel()
-        add_farkas_block(model, first.G, first.h, second.G, second.h)
-        sol = solve(model)
-        assert sol.status == "optimal", \
+        status = farkas_status(first, second)
+        assert status == "optimal", \
             f"containment {first.num_faces}->{second.num_faces} " \
-            f"unproven: {sol.status}"
+            f"unproven: {status}"
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0, f"pruning gate took {elapsed:.1f}s"

@@ -7,10 +7,8 @@ from quantstab import (
     DataSample,
     Dataset,
     LinearSystem,
-    LPModel,
     Partition,
     Polytope,
-    add_farkas_block,
     build_polytope,
     builtin_partition,
     builtin_system,
@@ -20,11 +18,10 @@ from quantstab import (
     plant_vec,
     prune_redundant,
     singleton_polytope,
-    solve,
 )
 
-from conftest import (box_polytope, fresh_solves, random_separable_polytope,
-                      random_stabilizable_system)
+from conftest import (box_polytope, farkas_status, fresh_solves,
+                      random_separable_polytope, random_stabilizable_system)
 from oracles import prune_whole_polytope
 
 
@@ -197,9 +194,7 @@ def test_truncate_is_prefix(sys1, part1):
 
 def _mutually_contained(P, Q):
     for first, second in ((P, Q), (Q, P)):
-        model = LPModel()
-        add_farkas_block(model, first.G, first.h, second.G, second.h)
-        if solve(model).status != "optimal":
+        if farkas_status(first, second) != "optimal":
             return False
     return True
 
@@ -245,9 +240,7 @@ def test_nested_prefix_polytopes_shrink(sys1, part1):
     large = build_polytope(ds)
     # every face of the prefix polytope appears in the full one, so the
     # full polytope is contained in the prefix polytope
-    model = LPModel()
-    add_farkas_block(model, large.G, large.h, small.G, small.h)
-    assert solve(model).status == "optimal"
+    assert farkas_status(large, small) == "optimal"
 
 
 def _assert_prunes_like_whole_polytope(poly):

@@ -7,7 +7,6 @@ from quantstab import (
     AffExpr,
     LPModel,
     Polytope,
-    add_farkas_block,
     lp_core,
     max_linear_over_polytope,
     solve,
@@ -15,7 +14,8 @@ from quantstab import (
 from quantstab.lp_core import (SolverError, _require_nonempty,
                                _SupportSession, add_robust_rows, solver)
 
-from conftest import box_polytope, fresh_solves, random_separable_polytope
+from conftest import (box_polytope, farkas_status, fresh_solves,
+                      random_separable_polytope)
 from oracles import check_containment_bruteforce, enumerate_vertices
 
 
@@ -134,22 +134,16 @@ def test_backend_exceptions_propagate(monkeypatch):
 
 
 def test_farkas_block_interval_inclusion():
-    model = LPModel()
-    dummy = None  # containment of {x <= 1} in {x <= 2}: constant data
-    G2 = np.array([[1.0]])
-    h2 = np.array([2.0])
-    add_farkas_block(model, np.array([[1.0]]), np.array([1.0]), G2, h2)
-    sol = solve(model)
-    assert sol.status == "optimal"
-    assert dummy is None
+    # containment of {x <= 1} in {x <= 2}: constant data
+    unit = Polytope(G=np.array([[1.0]]), h=np.array([1.0]))
+    two = Polytope(G=np.array([[1.0]]), h=np.array([2.0]))
+    assert farkas_status(unit, two) == "optimal"
 
 
 def test_farkas_block_rejects_reversed_inclusion():
-    model = LPModel()
-    add_farkas_block(model, np.array([[1.0]]), np.array([2.0]),
-                     np.array([[1.0]]), np.array([1.0]))
-    sol = solve(model)
-    assert sol.status == "infeasible"
+    unit = Polytope(G=np.array([[1.0]]), h=np.array([1.0]))
+    two = Polytope(G=np.array([[1.0]]), h=np.array([2.0]))
+    assert farkas_status(two, unit) == "infeasible"
 
 
 def test_farkas_matches_bruteforce_oracle(rng):
@@ -159,9 +153,7 @@ def test_farkas_matches_bruteforce_oracle(rng):
         P1 = _random_bounded_polytope(rng, d)
         P2 = _random_bounded_polytope(rng, d)
         truth = check_containment_bruteforce(P1, P2)
-        model = LPModel()
-        add_farkas_block(model, P1.G, P1.h, P2.G, P2.h)
-        by_farkas = solve(model).status == "optimal"
+        by_farkas = farkas_status(P1, P2) == "optimal"
         assert by_farkas == truth, f"trial {trial}: {by_farkas} vs {truth}"
         agree += 1
     assert agree == 30
@@ -313,8 +305,9 @@ def test_robust_rows_range_over_their_own_components(rng):
         add_robust_rows(model, P, AffExpr(3 * d, const=g.ravel()),
                         AffExpr(3, const=h), "Z")
         assert solve(model).optimal == feasible
-    _, L2, L1, rows, faces = model.farkas_blocks[0]
-    assert (L2, L1) == (3, P.num_faces)
+    family = model.robust["Z"]
+    rows, faces = family.rows, family.faces
+    assert family.dense(np.ones(family.size)).shape == (3, P.num_faces)
     own = np.flatnonzero(face_comp == col_comp[0])
     np.testing.assert_array_equal(faces[rows == 0], own)
     assert not np.any(rows == 1)

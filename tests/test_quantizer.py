@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from quantstab import (
     Partition,
     QuantizerSpec,
+    builtin_partition,
     delta_from_rho,
     interval_quantize,
     log_quantize,
@@ -245,3 +246,18 @@ def test_partition_json_round_trip(tmp_path):
     blob = json.dumps(p.to_json_dict())
     q = Partition.from_json_dict(json.loads(blob))
     np.testing.assert_allclose(q.edges, p.edges)
+
+
+def test_builtin_partition_names_only_p1_and_p2(tmp_path, monkeypatch):
+    np.testing.assert_array_equal(builtin_partition("p1").edges,
+                                  np.arange(-4.0, 4.5, 1.0))
+    np.testing.assert_array_equal(builtin_partition("p2").edges,
+                                  np.arange(-6.0, 6.25, 0.5))
+    # any other name is a JSON file path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "partition1").write_text(
+        json.dumps(Partition.regular(0.0, 2.0, 1.0).to_json_dict()))
+    np.testing.assert_array_equal(builtin_partition("partition1").edges,
+                                  [0.0, 1.0, 2.0])
+    with pytest.raises(FileNotFoundError):
+        builtin_partition("partition2")

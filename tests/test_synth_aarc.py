@@ -138,7 +138,8 @@ def test_aarc_model_has_two_multiplier_blocks():
     poly = Polytope(G=rng.normal(size=(L, n * (n + m))),
                     h=rng.uniform(1.0, 2.0, size=L))
     model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
-    assert [(name, L2, L1) for name, L2, L1, *_ in model.farkas_blocks] \
+    assert [(name, f.h_expr.rows, f.poly.num_faces)
+            for name, f in model.robust.items()] \
         == [("ZM", n, L), ("Zb", 2 * n * n * 2 ** m, L)]
 
 

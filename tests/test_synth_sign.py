@@ -148,8 +148,8 @@ def test_sign_model_has_one_multiplier_block():
                     h=rng.uniform(1.0, 2.0, size=6))
     spec = QuantizerSpec.uniform(0.5, m)
     model = _sign_model(poly, spec, n, "ess", 1e-6)
-    assert [name for name, *_ in model.farkas_blocks] == ["Z"]
-    assert model.farkas_blocks[0][1] == n * 2 ** (n + m)
+    assert list(model.robust) == ["Z"]
+    assert model.robust["Z"].h_expr.rows == n * 2 ** (n + m)
 
 
 def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
@@ -159,7 +159,7 @@ def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
     z0 = np.concatenate([sys.A.flatten("F"), sys.B.flatten("F")])
     spec = QuantizerSpec.uniform(0.4, m)
     model = _sign_model(z0, spec, n, "ess", 1e-6)
-    assert model.farkas_blocks == []
+    assert model.robust == {}
     v = rng.uniform(0.5, 2.0, size=n)
     S = rng.normal(size=(m, n))
     got = model.row_sups["Z"]({"v": v, "S": S.flatten("F")})

@@ -1,4 +1,4 @@
-"""Sign synthesis by vertex cuts (lp_core._CutLoop) against the Farkas LP.
+"""Synthesis by vertex cuts (lp_core._CutLoop) against the Farkas LP.
 
 On a data polytope synthesize_sign replaces every robust row by cuts at
 vertices of its component and certifies each row's support with Farkas
@@ -13,9 +13,11 @@ import pytest
 
 from quantstab import (LinearSystem, LPModel, Polytope, QuantizerSpec,
                        build_polytope, build_sign_polytope_rows,
-                       count_constraints_sign, generate_dataset, lp_core,
-                       min_feasible_rho, plant_vec, prune_redundant,
-                       sign_vectors, singleton_polytope, synthesize_sign)
+                       count_constraints_aarc, count_constraints_sign,
+                       generate_dataset, lp_core, min_feasible_rho, plant_vec,
+                       prune_redundant, sign_vectors, singleton_polytope,
+                       synthesize_aarc, synthesize_sign)
+from quantstab.synth_aarc import _aarc_model, _envelope_pattern
 
 from conftest import box_polytope, fresh_solves
 
@@ -88,6 +90,35 @@ def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
         assert np.all(Z @ pruned_sys1.h
                       <= cert.lam * np.tile(cert.v, len(pairs)) + 1e-9)
         assert res.extras["counts"] == count_constraints_sign(n, m, row_faces)
+
+
+def test_aarc_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
+    # Z_M and Z_b, filled by the cut engine, certify the envelope model's
+    # rows rebuilt at the certificate: (v, S), m_param and lam v
+    n, m, nsq = sys1.n, sys1.m, sys1.n ** 2
+    spec = QuantizerSpec.uniform(0.7, m)
+    pattern = _envelope_pattern(pruned_sys1, n)
+    row_faces = [np.count_nonzero(pruned_sys1.G[:, i::n].any(axis=1))
+                 for i in range(n)]
+    for objective in ("feasibility", "min-lambda"):
+        res = synthesize_aarc(pruned_sys1, spec, mode="ess",
+                              objective=objective)
+        cert, param = res.certificate, res.extras["m_param"]
+        model = _aarc_model(pruned_sys1, spec, n, "ess", cert.eta,
+                            lam_fixed=cert.lam)
+        values = {"v": cert.v, "S": cert.S.flatten("F"), "m0": param.m0,
+                  "ma": param.ma[pattern[:, :nsq]],
+                  "mb": param.mb[pattern[:, nsq:]],
+                  ("lam", "v"): cert.lam * cert.v}   # LPModel.param_expr
+        assert list(res.extras["Z"]) == list(model.robust) == ["ZM", "Zb"]
+        for name, family in model.robust.items():
+            Z = res.extras["Z"][name]
+            G = family.G_expr.value(values).reshape(len(Z), -1)
+            assert np.all(Z >= 0.0)
+            assert np.abs(Z @ pruned_sys1.G - G).max() <= 1e-9
+            assert np.all(Z @ pruned_sys1.h
+                          <= family.h_expr.value(values) + 1e-9)
+        assert res.extras["counts"] == count_constraints_aarc(n, m, row_faces)
 
 
 def _row_polytope(A, B, halfwidth=0.2, open_col=None, flat_row=None):
