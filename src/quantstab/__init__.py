@@ -16,15 +16,15 @@ from .quantizer import (QuantizerSpec, Partition, builtin_partition,
 from .sysmodel import (LinearSystem, builtin_system, StabCertificate,
                        SynthResult, sign_vectors, recover_controller,
                        scaled_infty_norm, closed_loop_vertex_gain,
-                       simulate_quantized, check_cert, decay_check)
+                       simulate_quantized, decay_check)
 from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
                       solve, max_linear_over_polytope)
 from .consistency import (DataSample, Dataset, generate_dataset,
                           build_polytope, plant_vec, singleton_polytope,
                           contains_plant, prune_redundant)
 from .nominal import NominalProblem, synthesize_nominal_sign
-from .synth_sign import (build_sign_polytope_rows, synthesize_sign,
-                         count_constraints_sign, min_feasible_rho)
+from .synth_sign import (synthesize_sign, count_constraints_sign,
+                         min_feasible_rho)
 from .synth_aarc import (AffineMParam, eval_affine_M, synthesize_aarc,
                          count_constraints_aarc)
 from .verify import VerificationReport, robust_verify
@@ -36,13 +36,13 @@ __all__ = [
     "log_quantize_vector", "interval_quantize",
     "LinearSystem", "StabCertificate", "SynthResult", "sign_vectors",
     "recover_controller", "scaled_infty_norm", "closed_loop_vertex_gain",
-    "simulate_quantized", "check_cert", "decay_check",
+    "simulate_quantized", "decay_check",
     "Polytope", "AffExpr", "LPModel", "LPSolution", "LinprogBackend",
     "solve", "max_linear_over_polytope",
     "DataSample", "Dataset", "generate_dataset", "build_polytope",
     "plant_vec", "contains_plant", "prune_redundant",
     "NominalProblem", "synthesize_nominal_sign",
-    "build_sign_polytope_rows", "synthesize_sign", "count_constraints_sign",
+    "synthesize_sign", "count_constraints_sign",
     "AffineMParam", "eval_affine_M", "synthesize_aarc",
     "count_constraints_aarc",
     "VerificationReport", "robust_verify",

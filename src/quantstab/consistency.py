@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import Polytope, _require_nonempty, _SupportSession
+from .lp_core import (Polytope, _best_vertices, _require_nonempty,
+                      _SupportSession)
 from .quantizer import interval_quantize
 
 logger = logging.getLogger(__name__)
@@ -232,18 +233,12 @@ def contains_plant(poly, A, B, tol=CONTAIN_TOL):
 
 
 def _hull_redundant(hull):
-    """Mask of the faces of a component whose support over the others,
-    G_r x0 + s_r g_r, is below h_r by more than HULL_MARGIN: x0 is the
-    Chebyshev centre, s_r = h_r - G_r x0, and g_r the gauge of G_r / s_r
-    over the facets that miss the origin of the component's dual hull
-    (lp_core._DualHull, from Polytope.hulls)."""
-    dual = hull.G / hull.slack[:, None]
-    # One face at a time, without BLAS: the whole faces-by-facets product
-    # took 29 MB on sys2/T=350, and a threaded GEMM of that shape slowed
-    # the LPs after it on two cores.
-    gauge = np.array([np.einsum("fd,d->f", hull.weights, y).max()
-                      for y in dual])
-    return hull.slack * (1.0 - gauge) > HULL_MARGIN
+    """Mask of the faces of a component whose support over its vertices
+    (lp_core._DualHull, from Polytope.hulls) is below h_r by more than
+    HULL_MARGIN.  The faces are scored by the cut engine's blocked scorer
+    (lp_core._best_vertices), whose blocks of SCORE_BLOCK scores keep the
+    whole faces-by-vertices product (29 MB on sys2/T=350) out of memory."""
+    return hull.h - _best_vertices(hull.G, hull.vertices)[1] > HULL_MARGIN
 
 
 def prune_redundant(poly):

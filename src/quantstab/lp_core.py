@@ -815,28 +815,26 @@ class _DualHull:
     With slack s = h - G x0 > 0 the set is x0 + {u : (G_r / s_r) u <= 1}.
     Its vertices are the facets a y = 1 of the convex hull of the origin
     and the dual points G_r / s_r that miss the origin: the vertex is
-    x0 + a (vertices, with a in weights), and the faces active there are
-    the points spanning the facet (simplices, component-local; qhull's
-    facets are simplices, d points each).  A facet through the origin is a recession
-    direction, so the set is bounded exactly when none is (bounded).
-    faces and cols place the component in its polytope.
+    x0 + a (vertices), and the faces active there are the points spanning
+    the facet (simplices, component-local; qhull's facets are simplices,
+    d points each).  A facet through the origin is a recession direction,
+    so the set is bounded exactly when none is (bounded).  faces and cols
+    place the component in its polytope.  The cut engine (_CutLoop) takes
+    its vertex sets from the bounded hulls, and pruning scores the faces
+    against the vertices (consistency._hull_redundant).
     """
 
-    def __init__(self, G, h, faces, cols, x0, slack, hull):
+    def __init__(self, G, h, faces, cols, x0, hull):
         d = cols.size
-        self.G, self.h, self.faces, self.cols = G, h, faces, cols
-        self.x0, self.slack = x0, slack
+        self.G, self.h, self.faces, self.cols, self.x0 = G, h, faces, cols, x0
         misses = hull.equations[:, d] < 0
-        self.weights = hull.equations[misses, :d] / -hull.equations[misses, d:]
-        self.simplices = hull.simplices[misses] - 1
-        self.bounded = bool(misses.all()) and 0 not in hull.vertices
-
-    @cached_property
-    def vertices(self):
         # Column-major, so that vertices.T is C-contiguous for the products
         # of _best_vertices: with C-ordered vertices one round of sys2
         # scoring took 7.7 ms instead of 3.9 ms (caches swept in between).
-        return np.asfortranarray(self.x0 + self.weights)
+        self.vertices = np.asfortranarray(
+            x0 + hull.equations[misses, :d] / -hull.equations[misses, d:])
+        self.simplices = hull.simplices[misses] - 1
+        self.bounded = bool(misses.all()) and 0 not in hull.vertices
 
 
 def _dual_hull(poly, faces, cols):
@@ -864,7 +862,7 @@ def _dual_hull(poly, faces, cols):
         hull = ConvexHull(np.vstack([np.zeros(d), G / slack[:, None]]))
     except QhullError:
         return None
-    return _DualHull(G, h, faces, cols, x0, slack, hull)
+    return _DualHull(G, h, faces, cols, x0, hull)
 
 
 class _NoCuts(Exception):

@@ -11,14 +11,16 @@ Restricting M to an affine function of the plant,
     vec(M(A, B)) = m0 + ma vec(A) + mb vec(B),
 
 turns both requirements into polytope containments over z = [vec(A); vec(B)]
-that are affine in the search variables (v, S, m0, ma, mb):
+that are affine in the search variables (v, S, m0, ma, mb).  With M_G the
+plant part of M, M_G z = ma vec(A) + mb vec(B) (_envelope_plant_part):
 
-  * a row-sum containment with G_M = (1^T kron I_n)[ma, mb] and
+  * a row-sum containment with G_M = (1^T kron I_n) M_G and
     h_M = v - eta 1 - (1^T kron I_n) m0, certified by Z_M >= 0;
-  * a two-sided envelope containment with, per sector vertex beta, the
-    rows [-ma -/+ (diag(v) kron I_n), -mb -/+ ((diag(beta) S)^T kron I_n)]
-    and right-hand side [m0; m0].  The rows of all 2^m vertices are
-    stacked into one G_b and certified by one Z_b >= 0.
+  * a two-sided envelope containment whose row (beta, -/+, j*n + i) is
+    the sign row of the unit sign vector -/+ e_j at the sector vertex
+    beta (synth_sign._signed_rows) minus row j*n + i of M_G, with
+    right-hand side entry j*n + i of m0.  The rows of all 2^m vertices
+    are stacked into one G_b and certified by one Z_b >= 0.
 
 Row-local rule: M_ij depends only on the columns of the components
 (Polytope.components) that row i of [A B] touches, so ma/mb exist only on
@@ -52,7 +54,8 @@ import scipy.sparse as sp
 
 from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
 from .synth_sign import (DEFAULT_ETA, _built_sizes, _certificate, _gain_rhs,
-                         _search_blocks, _synthesize, _tile, _unit_scale)
+                         _search_blocks, _signed_rows, _synthesize, _tile,
+                         _unit_scale)
 
 __all__ = [
     "AffineMParam",
@@ -123,10 +126,13 @@ def eval_affine_M(param, A, B):
     return vecM.reshape(n, n, order="F")
 
 
-def _rowsum_selector(n):
-    """(1^T kron I_n) as sparse n x n^2: picks row i of a vec'd matrix."""
-    cols = np.arange(n * n)
-    return sp.csr_matrix((np.ones(n * n), (cols % n, cols)), shape=(n, n * n))
+def _rowsum_selector(n, d=1):
+    """(1^T kron I_n) kron I_d as sparse n d x n^2 d: sums the d-row
+    blocks r = j*n + i of a stack into block i, which for d = 1 picks
+    row i of a vec'd matrix."""
+    f = np.arange(n * n * d)
+    return sp.csr_matrix((np.ones(f.size), ((f // d % n) * d + f % d, f)),
+                         shape=(n * d, f.size))
 
 
 def _envelope_pattern(poly, n):
@@ -152,50 +158,35 @@ def _pattern_blocks(pattern, n):
     return out
 
 
-def _ma_rowsum_terms(pattern, n, d):
-    """Coefficients of G_M = (1^T kron I_n)[ma, mb], flattened row-major."""
-    return {name: sp.csr_matrix((np.ones(size), ((r % n) * d + c,
-                                                 np.arange(size))),
-                                shape=(n * d, size))
-            for name, r, c, size in _pattern_blocks(pattern, n)}
+def _envelope_plant_part(pattern, n, d):
+    """M_G, the plant part of the envelope: G of n^2 d rows, flattened
+    row-major, whose row r*d + c carries the ma/mb variable of pattern
+    entry (r, c), so that M_G z = ma vec(A) + mb vec(B).  On a point
+    (pattern None) it has no terms."""
+    blocks = [] if pattern is None else _pattern_blocks(pattern, n)
+    return AffExpr(n * n * d, {
+        name: sp.csr_matrix((np.ones(size), (r * d + c, np.arange(size))),
+                            shape=(n * n * d, size))
+        for name, r, c, size in blocks})
 
 
-def _envelope_rows(v_expr, S_expr, m0_expr, betas, pattern):
+def _envelope_rows(v_expr, S_expr, m0_expr, betas, M_G):
     """(G_b, h_b) expressions of the envelope rows of every sector vertex.
 
-    betas is the 2^m x m array of vertices.  Rows are ordered vertex, then
-    lower before upper, then r = j*n + i, and G_b is flattened row-major:
-    row (beta, -/+, r) reads -/+ (A diag(v) + B diag(beta) S)_ij
-    - M(A, B)_ij <= 0 as G_b z <= h_b, with h_b the entry r of m0.
-    ma/mb enter on the entries of pattern (_envelope_pattern); without
-    one (a point) the envelope is m0 alone: no ma/mb terms.
+    betas is the 2^m x m array of vertices and M_G the plant part of the
+    envelope (_envelope_plant_part).  Row (beta, -/+, r = j*n + i) reads
+    -/+ (A diag(v) + B diag(beta) S)_ij - M(A, B)_ij <= 0 as
+    G_b z <= h_b, G_b flattened row-major: it is the sign row of the
+    unit sign vector -/+ e_j at beta (synth_sign._signed_rows), minus the
+    row r of M_G, and h_b is entry r of m0.  Rows are ordered vertex,
+    then lower before upper, then r.
     """
     n = v_expr.rows
-    m = betas.shape[1]
-    nsq, d = n * n, n * (n + m)
-    halves = 2 * betas.shape[0]
-    q = np.arange(halves)[:, None]      # half q: vertex q // 2, side q % 2
-    sign = np.where(q % 2, 1.0, -1.0)
-
-    def coeff(vals, r, c, col, width):
-        """Entry (r, c) of every half's G rows, scaled by vals (one row
-        of values per half), on column col of a width-wide block."""
-        return sp.csr_matrix(
-            (np.broadcast_to(vals, (halves, r.size)).ravel(),
-             (((q * nsq + r) * d + c).ravel(), np.tile(col, halves))),
-            shape=(halves * nsq * d, width))
-
-    terms = {} if pattern is None else {
-        name: coeff(-1.0, r, c, np.arange(size), size)
-        for name, r, c, size in _pattern_blocks(pattern, n)}
-    r = np.arange(nsq)
-    j, i, k = (a.ravel() for a in np.indices((n, n, m)))
-    G_expr = (AffExpr(halves * nsq * d, terms)
-              + v_expr.premul(coeff(sign, r, r, r // n, n))
-              + S_expr.premul(coeff(sign * betas[q[:, 0] // 2][:, k],
-                                    j * n + i, nsq + k * n + i, j * m + k,
-                                    n * m)))
-    return G_expr, _tile(m0_expr, halves)
+    halves = 2 * len(betas)
+    alpha = np.tile(np.vstack([-np.eye(n), np.eye(n)]), (len(betas), 1))
+    G_expr = _signed_rows(v_expr, S_expr, alpha,
+                          np.repeat(betas, 2 * n, axis=0))
+    return G_expr - _tile(M_G, halves), _tile(m0_expr, halves)
 
 
 def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
@@ -214,13 +205,13 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     if pattern is not None:
         for name, _, _, size in _pattern_blocks(pattern, n):
             model.add_block(name, size)
+    M_G = _envelope_plant_part(pattern, n, d)
     h_M = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam) \
         - model.identity_expr("m0").premul(_rowsum_selector(n))
-    G_M = AffExpr(n * d, None if pattern is None
-                  else _ma_rowsum_terms(pattern, n, d))
-    add_robust_rows(model, poly, G_M, h_M, "ZM")
+    add_robust_rows(model, poly, M_G.premul(_rowsum_selector(n, d)), h_M,
+                    "ZM")
     G_b, h_b = _envelope_rows(v_expr, S_expr, model.identity_expr("m0"),
-                              spec.beta_vertices(), pattern)
+                              spec.beta_vertices(), M_G)
     add_robust_rows(model, poly, G_b, h_b, "Zb")
     return model
 

@@ -47,7 +47,6 @@ from .quantizer import cube_vertices
 from .sysmodel import StabCertificate, SynthResult
 
 __all__ = [
-    "build_sign_polytope_rows",
     "synthesize_sign",
     "count_constraints_sign",
     "min_feasible_rho",
@@ -60,41 +59,47 @@ DEFAULT_ETA = 1e-6
 LAMBDA_BISECT_TOL = 1e-4
 
 
-def build_sign_polytope_rows(v_expr, S_expr, alpha, beta, eta=0.0):
-    """Expression form of the robust constraint polytopes of P pairs.
+def _signed_rows(v_expr, S_expr, alpha, beta):
+    """Expression of the stacked G_{alpha,beta} of P pairs.
 
     v_expr (n rows) and S_expr (m*n rows, vec of the m x n matrix S in
     column order) are affine expressions in the search variables; pair p
-    is the sign vector alpha[p] (alpha is P x n) and the sector vertex
-    beta[p] (beta is P x m), and a 1-D alpha and beta are one pair.
-    Returns (G_expr, h_expr): G_expr holds the Pn x n(n+m) stack of the
-    G_{alpha_p,beta_p}, rows ordered (p, i), flattened row by row; h_expr
-    is v - eta 1 repeated P times.  Numeric (v, S) in G_expr times
-    [vec(A); vec(B)] gives the signed row sums of A diag(v) + B diag(beta_p) S.
+    is the sign vector alpha[p] (alpha is P x n, entries in {-1, 0, 1})
+    and the sector vertex beta[p] (beta is P x m), and a 1-D alpha and
+    beta are one pair.  Returns the Pn x n(n+m) stack of the
+    G_{alpha_p,beta_p}, rows ordered (p, i), flattened row by row.
+    Numeric (v, S) in it times [vec(A); vec(B)] gives the signed row sums
+    of A diag(v) + B diag(beta_p) S; a unit alpha_p = +/-e_j leaves the
+    signed entries (i, j), the envelope rows of synth_aarc.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     n = v_expr.rows
     P, m = beta.shape
-    if alpha.shape != (P, n) or not np.all(np.abs(alpha) == 1.0):
-        raise ValueError("alpha must hold one length-n +/-1 row per beta")
+    if alpha.shape != (P, n) or not np.all(np.isin(alpha, (-1.0, 0.0, 1.0))):
+        raise ValueError("alpha must hold one length-n row of entries in "
+                         "{-1, 0, 1} per beta")
     if np.any(beta <= 0):
         raise ValueError("beta entries must be positive sector gains")
     if S_expr.rows != m * n:
         raise ValueError("S expression must have m*n rows")
     d = n * (n + m)
 
+    def matrix(vals, flat, col, width):
+        vals, flat, col = np.broadcast_arrays(vals, flat, col)
+        return sp.csr_matrix((vals.ravel(), (flat.ravel(), col.ravel())),
+                             shape=(P * n * d, width))
+
     # Flat row-major index of entry (p*n + i, c) of G is (p*n + i)*d + c.
-    # The vec(A) column j*n+i of row (p, i) carries alpha_pj v_j; the
-    # vec(B) column n^2 + k*n + i carries beta_pk (S alpha_p)_k.
-    p, i, j = (a.ravel() for a in np.indices((P, n, n)))
-    Pv = sp.csr_matrix((alpha[p, j], ((p * n + i) * d + j * n + i, j)),
-                       shape=(P * n * d, n))
-    p, i, k, j = (a.ravel() for a in np.indices((P, n, m, n)))
-    PS = sp.csr_matrix((alpha[p, j] * beta[p, k],
-                        ((p * n + i) * d + n * n + k * n + i, j * m + k)),
-                       shape=(P * n * d, n * m))
-    return v_expr.premul(Pv) + S_expr.premul(PS), _tile(v_expr - eta, P)
+    # Each nonzero alpha_pj puts alpha_pj v_j on the vec(A) column j*n+i
+    # of row (p, i), and beta_pk alpha_pj S_kj on its vec(B) column
+    # n^2 + k*n + i.  Axes: nonzero (p, j), then i, then k.
+    p, j = (a[:, None, None] for a in np.nonzero(alpha))
+    i, k = np.arange(n)[:, None], np.arange(m)
+    a, row = alpha[p, j], (p * n + i) * d
+    return (v_expr.premul(matrix(a, row + j * n + i, j, n))
+            + S_expr.premul(matrix(a * beta[p, k], row + n * n + k * n + i,
+                                  j * m + k, n * m)))
 
 
 def _tile(expr, reps):
@@ -149,8 +154,7 @@ def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     # Every (alpha, beta) pair, alpha outer and beta inner.
     pairs = cube_vertices(np.concatenate([-np.ones(n), 1.0 - spec.delta]),
                           np.concatenate([np.ones(n), 1.0 + spec.delta]))
-    G_expr, _ = build_sign_polytope_rows(v_expr, S_expr, pairs[:, :n],
-                                         pairs[:, n:])
+    G_expr = _signed_rows(v_expr, S_expr, pairs[:, :n], pairs[:, n:])
     add_robust_rows(model, poly, G_expr, _tile(h_expr, len(pairs)), "Z")
     return model
 
@@ -320,7 +324,7 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     optimum at or above 1 is 'infeasible' and keeps its gain in
     extras["lam"].  Returns a SynthResult whose extras["Z"] carries the
     Farkas multipliers for audit, {"Z": array of shape (n 2^(n+m), L)}
-    with rows ordered as in build_sign_polytope_rows (none on a point),
+    with rows ordered as in _signed_rows (none on a point),
     and extras["counts"] the size of the Farkas LP.  On a polytope the
     LPs are solved by vertex cuts, one cut pool for every probe of the
     call, and by the Farkas LP where the cuts cannot answer (see the

@@ -24,7 +24,6 @@ __all__ = [
     "scaled_infty_norm",
     "closed_loop_vertex_gain",
     "simulate_quantized",
-    "check_cert",
     "decay_check",
 ]
 
@@ -263,30 +262,6 @@ def simulate_quantized(sys, K, spec, x0, T):
             return np.array(traj), "diverged"
         traj.append(x.copy())
     return np.array(traj), "ok"
-
-
-def check_cert(sys, cert, spec):
-    """Envelope check of a certificate against a known plant.
-
-    Verifies |A Y + B diag(beta) S| <= M elementwise at every sector vertex
-    and sum_j M_ij <= v_i - eta rowwise.  When the certificate carries no M,
-    the minimal envelope max_beta |A Y + B diag(beta) S| is used, which is a
-    conservative test (row sums of entrywise maxima can exceed the true
-    worst row sum).  Returns (ok, margin) with margin the least row-sum
-    slack; envelope entries exceeding M count against the row sums.  A
-    spec without the plant's m channels raises ValueError.
-    """
-    v, S = cert.v, cert.S
-    Y = np.diag(v)
-    envelopes = []
-    for beta in _betas(sys, spec):
-        envelopes.append(np.abs(sys.A @ Y + sys.B @ (beta[:, None] * S)))
-    envelope = np.max(envelopes, axis=0)
-    dominated = cert.M is None or bool(
-        np.all(envelope <= cert.M + DECAY_SLACK))
-    eff = envelope if cert.M is None else np.maximum(cert.M, envelope)
-    margin = float(np.min(v - cert.eta - eff.sum(axis=1)))
-    return dominated and margin >= -DECAY_SLACK, margin
 
 
 def decay_check(trajectory, v, lam):

@@ -137,7 +137,7 @@ def robust_verify(poly, candidate, spec, eta=None):
     worst_case = {}
     betas = spec.beta_vertices()
     for alpha in sign_vectors(n):
-        Sa = S @ alpha if m else np.zeros(0)
+        Sa = S @ alpha
         for beta in betas:
             bsa = beta * Sa
             for i in range(n):

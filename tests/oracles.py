@@ -4,7 +4,8 @@ enumerate_vertices / check_containment_bruteforce decide polytope
 containment by vertex enumeration in small dimensions, against which the
 Farkas multiplier blocks are checked; prune_whole_polytope is the
 sequential redundancy test over the whole polytope, against which the
-per-component prune_redundant is checked.
+per-component prune_redundant is checked; check_cert is the envelope
+check of a certificate against a known plant.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from quantstab.lp_core import DEFAULT_BACKEND
 ABS_TOL = 1e-7
 VERTEX_DEDUP_TOL = 1e-7
 MAX_VERTEX_DIM = 6
+ENVELOPE_SLACK = 1e-9
 
 
 def _recession_unbounded(poly, tol=1e-9):
@@ -80,3 +82,28 @@ def prune_whole_polytope(poly, tol=1e-8):
         if support <= poly.h[r] + tol:
             retained.remove(r)
     return retained
+
+
+def check_cert(sys, cert, spec):
+    """Envelope check of a certificate against a known plant.
+
+    Verifies |A Y + B diag(beta) S| <= M elementwise at every sector vertex
+    and sum_j M_ij <= v_i - eta rowwise.  When the certificate carries no M,
+    the minimal envelope max_beta |A Y + B diag(beta) S| is used, which is a
+    conservative test (row sums of entrywise maxima can exceed the true
+    worst row sum).  Returns (ok, margin) with margin the least row-sum
+    slack; envelope entries exceeding M count against the row sums.  A
+    spec without the plant's m channels raises ValueError.
+    """
+    if spec.m != sys.m:
+        raise ValueError(f"the plant has m = {sys.m} inputs, but the spec "
+                         f"quantizes {spec.m}")
+    v, S = cert.v, cert.S
+    Y = np.diag(v)
+    envelope = np.max([np.abs(sys.A @ Y + sys.B @ (beta[:, None] * S))
+                       for beta in spec.beta_vertices()], axis=0)
+    dominated = cert.M is None or bool(
+        np.all(envelope <= cert.M + ENVELOPE_SLACK))
+    eff = envelope if cert.M is None else np.maximum(cert.M, envelope)
+    margin = float(np.min(v - cert.eta - eff.sum(axis=1)))
+    return dominated and margin >= -ENVELOPE_SLACK, margin

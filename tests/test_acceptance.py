@@ -14,7 +14,6 @@ from quantstab import (
     Polytope,
     QuantizerSpec,
     build_polytope,
-    check_cert,
     closed_loop_vertex_gain,
     contains_plant,
     count_constraints_aarc,
@@ -35,7 +34,7 @@ from quantstab.synth_aarc import _aarc_model
 from quantstab.synth_sign import _sign_model
 
 from conftest import box_polytope, farkas_status
-from oracles import check_containment_bruteforce
+from oracles import check_cert, check_containment_bruteforce
 from test_synth_sign import _singleton
 
 

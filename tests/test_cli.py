@@ -150,6 +150,30 @@ def test_synthesize_dumps_one_multiplier_block(tmp_path, data_file):
                   <= d["lambda"] * np.tile(d["v"], 2 ** 5) + 1e-7)
 
 
+def test_synthesize_dumps_the_envelope_multiplier_blocks(tmp_path, data_file):
+    # AARC writes Z_M and Z_b, which certify the written certificate's
+    # row-sum and envelope containments over the pruned polytope
+    pruned, cert, zfile = (tmp_path / name for name in
+                           ("pruned.json", "cert.json", "z.json"))
+    assert run("prune", "--data", data_file, "--out", str(pruned)) == OK
+    assert run("synthesize", "--system", "sys1", "--data", str(pruned),
+               "--method", "aarc", "--rho", "0.7", "--out", str(cert),
+               "--dump-z", str(zfile)) == OK
+    poly = Polytope.from_json_dict(json.loads(pruned.read_text()))
+    Z = json.loads(zfile.read_text())
+    assert list(Z) == ["ZM", "Zb"]
+    ZM, Zb = np.asarray(Z["ZM"]), np.asarray(Z["Zb"])
+    assert ZM.shape == (3, poly.num_faces)
+    assert Zb.shape == (2 * 3 * 3 * 2 ** 2, poly.num_faces)
+    assert ZM.min() >= -1e-12 and Zb.min() >= -1e-12
+    d = json.loads(cert.read_text())
+    m0 = np.asarray(d["m0"])
+    rowsums = m0.reshape(3, 3, order="F").sum(axis=1)
+    assert np.all(ZM @ poly.h + rowsums
+                  <= d["lambda"] * np.asarray(d["v"]) + 1e-7)
+    assert np.all(Zb @ poly.h <= np.tile(m0, 2 * 2 ** 2) + 1e-7)
+
+
 def test_synthesize_withholds_unverified_certificate(tmp_path, monkeypatch):
     monkeypatch.setattr("quantstab.cli.robust_verify",
                         lambda *args, **kw: VerificationReport(

@@ -8,7 +8,6 @@ from quantstab import (
     NominalProblem,
     QuantizerSpec,
     SynthResult,
-    check_cert,
     closed_loop_vertex_gain,
     min_feasible_rho,
     plant_vec,
@@ -22,6 +21,7 @@ from quantstab import (
 from quantstab.synth_sign import bisect_least
 
 from conftest import random_stabilizable_system
+from oracles import check_cert
 
 
 def _at_plant(synth, sys, rho, mode="ess", objective="feasibility"):

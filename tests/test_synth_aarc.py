@@ -21,7 +21,8 @@ from quantstab import (
     synthesize_aarc,
     synthesize_sign,
 )
-from quantstab.synth_aarc import _aarc_model, _envelope_pattern, _envelope_rows
+from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
+                                  _envelope_plant_part, _envelope_rows)
 
 from conftest import random_separable_polytope, random_stabilizable_system
 from test_synth_sign import _scalar_box, _singleton
@@ -100,12 +101,12 @@ def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
         model.add_block("ma", np.count_nonzero(pattern[:, :nsq]))
         model.add_block("mb", np.count_nonzero(pattern[:, nsq:]))
     betas = QuantizerSpec.uniform(0.4, m).beta_vertices()
+    d = n * (n + m)
     G_expr, h_expr = _envelope_rows(
         model.identity_expr("v"), model.identity_expr("S"),
-        model.identity_expr("m0"), betas, pattern)
+        model.identity_expr("m0"), betas, _envelope_plant_part(pattern, n, d))
     assert set(G_expr.terms) == ({"v", "S", "ma", "mb"} if affine
                                  else {"v", "S"})
-    d = n * (n + m)
     for _ in range(3):
         full = np.zeros((nsq, d))
         if affine:

@@ -10,7 +10,6 @@ from quantstab import (
     Polytope,
     QuantizerSpec,
     build_polytope,
-    build_sign_polytope_rows,
     closed_loop_vertex_gain,
     count_constraints_sign,
     generate_dataset,
@@ -22,7 +21,7 @@ from quantstab import (
     synthesize_sign,
 )
 from quantstab.lp_core import LinprogBackend
-from quantstab.synth_sign import _sign_model
+from quantstab.synth_sign import _sign_model, _signed_rows
 
 from conftest import (box_polytope, fresh_solves, random_separable_polytope,
                       random_stabilizable_system)
@@ -57,10 +56,9 @@ def test_row_assembly_matches_direct_kronecker(rng):
     S_expr = model.identity_expr("S")
     alpha = np.array([1.0, -1.0, 1.0])
     beta = np.array([0.7, 1.3])
-    G_expr, h_expr = build_sign_polytope_rows(v_expr, S_expr, alpha, beta,
-                                              eta=0.01)
+    G_expr = _signed_rows(v_expr, S_expr, alpha, beta)
     d = n * (n + m)
-    assert G_expr.rows == n * d and h_expr.rows == n
+    assert G_expr.rows == n * d
 
     v = rng.uniform(0.5, 2.0, size=n)
     S = rng.normal(size=(m, n))
@@ -71,7 +69,6 @@ def test_row_assembly_matches_direct_kronecker(rng):
     direct = np.hstack([np.kron((alpha * v).reshape(1, n), eye),
                         np.kron((beta * (S @ alpha)).reshape(1, m), eye)])
     np.testing.assert_allclose(got, direct, atol=1e-12)
-    np.testing.assert_allclose(h_expr.value(values), v - 0.01, atol=1e-12)
 
 
 def test_row_assembly_acts_on_plants_as_signed_rowsum(rng):
@@ -82,9 +79,8 @@ def test_row_assembly_acts_on_plants_as_signed_rowsum(rng):
     model.add_block("S", n * m)
     alpha = np.array([-1.0, 1.0])
     beta = np.array([1.25, 0.75])
-    G_expr, _ = build_sign_polytope_rows(model.identity_expr("v"),
-                                         model.identity_expr("S"),
-                                         alpha, beta)
+    G_expr = _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
+                          alpha, beta)
     v = rng.uniform(0.5, 2.0, size=n)
     S = rng.normal(size=(m, n))
     values = {"v": v, "S": S.T.reshape(-1)}
@@ -101,13 +97,39 @@ def test_row_assembly_validates_inputs():
     model.add_block("v", 2)
     model.add_block("S", 2)
     with pytest.raises(ValueError):
-        build_sign_polytope_rows(model.identity_expr("v"),
-                                 model.identity_expr("S"),
-                                 np.array([0.5, 1.0]), np.array([1.0]))
+        _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
+                     np.array([0.5, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        build_sign_polytope_rows(model.identity_expr("v"),
-                                 model.identity_expr("S"),
-                                 np.array([1.0, -1.0]), np.array([-0.2]))
+        _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
+                     np.array([1.0, -1.0]), np.array([-0.2]))
+
+
+def test_unit_sign_vector_gives_the_rows_of_its_entry(rng):
+    # alpha = s e_j leaves in row i exactly the terms of entry (i, j) of
+    # s (A diag(v) + B diag(beta) S), the envelope rows of synth_aarc: s v_j
+    # on vec(A) column j*n + i and s beta_k S_kj on vec(B) column
+    # n^2 + k*n + i, and stores no other coefficient
+    n, m = 3, 2
+    model = LPModel()
+    model.add_block("v", n)
+    model.add_block("S", n * m)
+    v, S = rng.uniform(0.5, 2.0, size=n), rng.normal(size=(m, n))
+    values = {"v": v, "S": S.flatten("F")}
+    beta = np.array([0.7, 1.3])
+    rows, k = np.arange(n), np.arange(m)
+    for j in range(n):
+        for sign in (-1.0, 1.0):
+            G_expr = _signed_rows(model.identity_expr("v"),
+                                  model.identity_expr("S"),
+                                  sign * np.eye(n)[j], beta)
+            expect = np.zeros((n, n * (n + m)))
+            expect[rows, j * n + rows] = sign * v[j]
+            expect[rows[:, None], n * n + k * n + rows[:, None]] = \
+                sign * beta * S[:, j]
+            np.testing.assert_array_equal(
+                G_expr.value(values).reshape(expect.shape), expect)
+            assert G_expr.terms["v"].nnz == n
+            assert G_expr.terms["S"].nnz == n * m
 
 
 def test_stacked_pairs_equal_single_pair_calls(rng):
@@ -120,25 +142,20 @@ def test_stacked_pairs_equal_single_pair_calls(rng):
     S_expr = model.identity_expr("S")
     alpha = rng.choice([-1.0, 1.0], size=(P, n))
     beta = rng.uniform(0.5, 1.5, size=(P, m))
-    G_expr, h_expr = build_sign_polytope_rows(v_expr, S_expr, alpha, beta,
-                                              eta=0.01)
+    G_expr = _signed_rows(v_expr, S_expr, alpha, beta)
     d = n * (n + m)
-    assert G_expr.rows == P * n * d and h_expr.rows == P * n
-    singles = [build_sign_polytope_rows(v_expr, S_expr, a, b, eta=0.01)
+    assert G_expr.rows == P * n * d
+    singles = [_signed_rows(v_expr, S_expr, a, b)
                for a, b in zip(alpha, beta)]
     for _ in range(3):
         values = {"v": rng.uniform(0.5, 2.0, size=n),
                   "S": rng.normal(size=n * m)}
         np.testing.assert_allclose(
             G_expr.value(values).reshape(P * n, d),
-            np.vstack([G.value(values).reshape(n, d) for G, _ in singles]),
-            atol=1e-12)
-        np.testing.assert_allclose(
-            h_expr.value(values),
-            np.concatenate([h.value(values) for _, h in singles]),
+            np.vstack([G.value(values).reshape(n, d) for G in singles]),
             atol=1e-12)
     with pytest.raises(ValueError):
-        build_sign_polytope_rows(v_expr, S_expr, alpha[:-1], beta)
+        _signed_rows(v_expr, S_expr, alpha[:-1], beta)
 
 
 def test_sign_model_has_one_multiplier_block():

@@ -7,7 +7,6 @@ from quantstab import (
     LinearSystem,
     QuantizerSpec,
     StabCertificate,
-    check_cert,
     closed_loop_vertex_gain,
     decay_check,
     plant_vec,
@@ -19,6 +18,7 @@ from quantstab import (
 )
 
 from conftest import random_stabilizable_system
+from oracles import check_cert
 
 
 def test_recover_controller_examples():

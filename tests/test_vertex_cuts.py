@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from quantstab import (LinearSystem, LPModel, Polytope, QuantizerSpec,
-                       build_polytope, build_sign_polytope_rows,
-                       count_constraints_aarc, count_constraints_sign,
+                       build_polytope, count_constraints_aarc,
+                       count_constraints_sign,
                        generate_dataset, lp_core, min_feasible_rho, plant_vec,
                        prune_redundant, sign_vectors, singleton_polytope,
                        synthesize_aarc, synthesize_sign)
 from quantstab.synth_aarc import _aarc_model, _envelope_pattern
+from quantstab.synth_sign import _signed_rows
 
 from conftest import box_polytope, fresh_solves
 
@@ -74,7 +75,7 @@ def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
     model.add_block("v", n)
     model.add_block("S", m * n)
     pairs = [(a, b) for a in sign_vectors(n) for b in spec.beta_vertices()]
-    G_expr, _ = build_sign_polytope_rows(
+    G_expr = _signed_rows(
         model.identity_expr("v"), model.identity_expr("S"),
         np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
     row_faces = [np.count_nonzero(pruned_sys1.G[:, i::n].any(axis=1))
