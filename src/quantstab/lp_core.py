@@ -34,10 +34,10 @@ Sequences of LPs that differ in a few numbers run in one persistent
 HiGHS model, a _WarmLP, whose costs, row bounds and single coefficients
 change between warm re-solves and which can grow by rows.  The support
 LPs of pruning and of the audit use it through _SupportSession (new
-costs, one changed row bound), and every synthesis LP through solver: a
-model built with a scalar parameter (LPModel.param_expr), as for the ESS
-min-lambda bisection, is assembled once, and each probe rewrites only
-the entries the parameter scales.
+costs, one changed row bound), and the cut loop of solver as its
+master: a model built with a scalar parameter (LPModel.param_expr), as
+for the ESS min-lambda bisection, is assembled once, and each probe
+rewrites only the entries the parameter scales.
 
 solver solves a model's robust rows without their Farkas blocks, by
 vertex cuts (_CutLoop), for the sign and the envelope forms alike.
@@ -53,15 +53,13 @@ a round costs a product with the master's point, one product of the
 rows with each vertex set, and one contraction for the new rows; each
 row's support is then certified by the dual of its best vertex's active
 faces, which fills the Farkas block's values.  No Farkas block is built
-on this path.  Where a family cannot be cut (a component without a
-bounded, full-dimensional vertex set), every family keeps its Farkas
-block and the master is the whole Farkas LP; a model without robust
-rows (a plant point) is its own master.  A call that the loop cannot
-answer is solved fresh by solve, that call alone.
+on this path, and a model without robust rows (a plant point) is its own
+master.  A call that the loop cannot answer is a numerical failure.
 
-This module alone picks the path: without scipy's private HiGHS module
-(_highs None) every LP is a fresh solve through DEFAULT_BACKEND and every
-robust row gets its Farkas block, the reference path.
+This module alone picks the path, once per model: where a family cannot
+be cut (a component without a bounded, full-dimensional vertex set), and
+without scipy's private HiGHS module (_highs None), every call is a fresh
+solve of the Farkas LP through DEFAULT_BACKEND, the reference path.
 """
 
 import copy
@@ -304,7 +302,7 @@ class LPModel:
         self._order = []
         self._eqs = []             # AffExpr == 0
         self._ineqs = []           # AffExpr <= 0
-        self._objective = None     # scalar AffExpr, minimized
+        self._objective = AffExpr(1)   # scalar AffExpr, minimized
         self.row_sups = {}         # robust row name -> values -> sup_z G z
         self.robust = {}           # robust row name -> _RobustRows
         self.params = {}           # parameter name -> value (param_expr)
@@ -385,53 +383,26 @@ class LPModel:
             at += size
         return offsets, at
 
-    @staticmethod
-    def _terms(exprs, offsets):
-        """(rows, cols, vals, param) of every term of exprs as COO
-        triplets, shifted to its expression's first row and its block's
-        first column; param is the parameter scaling it, or None."""
-        at = 0
-        for e in exprs:
-            for key, coeff in e.terms.items():
-                param, block = key if isinstance(key, tuple) else (None, key)
-                coo = coeff.tocoo()
-                yield coo.row + at, coo.col + offsets[block], coo.data, param
-            at += e.rows
-
-    def _csr(self, terms, shape):
-        """One CSR matrix summing the triplets of terms, each scaled by
-        the current value of its parameter."""
-        rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
-        vals = [np.zeros(0)]
-        for r, c, v, param in terms:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v if param is None else v * self.params[param])
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=shape)
-
-    def _stack(self, exprs, nvar, offsets):
-        """One CSR matrix of every expression's terms, plus the stacked
-        constants."""
+    def _stack(self, exprs):
+        """One CSR matrix of every expression's terms over the LP's
+        columns, plus the stacked constants; (None, None) for no rows."""
         nrows = sum(e.rows for e in exprs)
         if nrows == 0:
             return None, None
-        A = self._csr(self._terms(exprs, offsets), (nrows, nvar))
+        rows, cols, vals, _ = self._entries(exprs, None)
+        A = sp.csr_matrix((vals, (rows, cols)),
+                          shape=(nrows, self._offsets()[1]))
         return A, np.concatenate([e.const for e in exprs])
 
     def assemble(self):
         """Return (c, A_ub, b_ub, A_eq, b_eq, bounds) in linprog convention."""
         offsets, nvar = self._offsets()
-        c = np.zeros(nvar)
-        if self._objective is not None:
-            for name, coeff in self._objective.terms.items():
-                dense = np.asarray(coeff.todense()).ravel()
-                c[offsets[name]:offsets[name] + dense.size] += dense
+        _, cols, vals, _ = self._entries([self._objective], None)
+        c = _summed(cols, vals, nvar)
         ineqs, eqs = self._rows()
-        A_ub, ub_const = self._stack(ineqs, nvar, offsets)
+        A_ub, ub_const = self._stack(ineqs)
         b_ub = None if A_ub is None else -ub_const
-        A_eq, eq_const = self._stack(eqs, nvar, offsets)
+        A_eq, eq_const = self._stack(eqs)
         b_eq = None if A_eq is None else -eq_const
         bounds = np.empty((nvar, 2))
         for name, size, lbv, ubv in self._columns():
@@ -465,13 +436,18 @@ class LPModel:
         offsets, _ = self._offsets()
         rows, cols, base, slope = ([np.zeros(0, int)], [np.zeros(0, int)],
                                    [np.zeros(0)], [np.zeros(0)])
-        for r, c, v, p in self._terms(exprs, offsets):
-            rows.append(r)
-            cols.append(c)
-            sloped = p is not None and p == param
-            base.append(0.0 * v if sloped
-                        else v if p is None else v * self.params[p])
-            slope.append(v if sloped else 0.0 * v)
+        at = 0
+        for e in exprs:
+            for key, coeff in e.terms.items():
+                p, block = key if isinstance(key, tuple) else (None, key)
+                coo = coeff.tocoo()
+                rows.append(coo.row + at)
+                cols.append(coo.col + offsets[block])
+                v, sloped = coo.data, p is not None and p == param
+                base.append(0.0 * v if sloped
+                            else v if p is None else v * self.params[p])
+                slope.append(v if sloped else 0.0 * v)
+            at += e.rows
         return tuple(map(np.concatenate, (rows, cols, base, slope)))
 
     def split(self, x):
@@ -866,8 +842,8 @@ def _dual_hull(poly, faces, cols):
 
 
 class _NoCuts(Exception):
-    """The cut engine cannot cut a robust row family, or cannot answer a
-    call."""
+    """The cut engine cannot cut a robust row family (solver solves its
+    model fresh), or cannot answer a call (a numerical failure)."""
 
 
 def _best_vertices(C, vertices):
@@ -1063,27 +1039,23 @@ class _CutLoop:
     which fill the model's Farkas block in the returned LPSolution: its
     values are a solution of the model itself.
 
-    When a family cannot be cut (a component it touches has no bounded,
-    full-dimensional vertex set, or param scales its G), every family
-    keeps its Farkas block and the master is the model's whole LP, as it
-    is for a model without robust rows (a point): one master solve answers
-    a call.  A call raises _NoCuts when its master ends neither optimal nor
-    infeasible, warm and then once more cold (from no basis), when it needs
-    over MAX_ROUNDS master solves, or when a support LP beats every vertex.
-    cuts counts the vertex cuts added and rounds the master solves of the
-    last call.  Needs scipy's HiGHS module.
+    The loop raises _NoCuts when built on a family it cannot cut (a
+    component the family touches has no bounded, full-dimensional vertex
+    set, or param scales its G).  A model without robust rows (a point) is
+    its own master: one master solve answers a call.  A call answers
+    "numerical-failure", and logs a warning, when its master ends neither
+    optimal nor infeasible, warm and then once more cold (from no basis),
+    when it needs over MAX_ROUNDS master solves, or when a support LP
+    beats every vertex.  cuts counts the vertex cuts added and rounds the
+    master solves of the last call.  Needs scipy's HiGHS module.
     """
 
     def __init__(self, model, param=None):
         self.param = param
         self.master = copy.copy(model)
         self.master.robust = {}
-        try:
-            self.families = [_CutRows(family, self.master, param)
-                             for family in model.robust.values()]
-        except _NoCuts as why:
-            logger.info("keeping the Farkas blocks: %s", why)
-            self.master, self.families = model, []
+        self.families = [_CutRows(family, self.master, param)
+                         for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
         self.nrows = self.master.num_ineq_rows + self.master.num_eq_rows
         self.entries = (self.master.param_entries(param) if param is not None
@@ -1118,37 +1090,43 @@ class _CutLoop:
             self.master.params[self.param] = value
             rows, cols, base, slope = self.entries
             self.lp.set_coeffs(rows, cols, base + slope * value)
-        for self.rounds in range(1, MAX_ROUNDS + 1):
-            status, x, obj = self.lp.run()
-            if status not in ("optimal", "infeasible"):
-                # A warm start can fail where a cold solve answers: sys2's
-                # ESS min-lambda probe at 0.966796875 (rho = 0.7, T = 60).
-                self.lp.forget_basis()
+        try:
+            for self.rounds in range(1, MAX_ROUNDS + 1):
                 status, x, obj = self.lp.run()
-            if status == "infeasible":
-                return LPSolution(status, None, None)
-            if status != "optimal":
-                raise _NoCuts(f"a master LP ended {status}")
-            new = [cut for cut in (f.separate(x, value)
-                                   for f in self.families) if cut is not None]
-            if not new:
-                values = self.master.split(x)
-                values.update((f.name, f.certify()) for f in self.families)
-                return LPSolution("optimal", values, obj)
-            self.cuts += self._add(new)
-        raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")
+                if status not in ("optimal", "infeasible"):
+                    # A warm start can fail where a cold solve answers:
+                    # sys2's ESS min-lambda probe at 0.966796875
+                    # (rho = 0.7, T = 60).
+                    self.lp.forget_basis()
+                    status, x, obj = self.lp.run()
+                if status == "infeasible":
+                    return LPSolution(status, None, None)
+                if status != "optimal":
+                    raise _NoCuts(f"a master LP ended {status}")
+                new = [cut for cut in (f.separate(x, value)
+                                       for f in self.families)
+                       if cut is not None]
+                if not new:
+                    values = self.master.split(x)
+                    values.update((f.name, f.certify())
+                                  for f in self.families)
+                    return LPSolution("optimal", values, obj)
+                self.cuts += self._add(new)
+            raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")
+        except _NoCuts as why:
+            logger.warning("no answer at %s=%r: %s", self.param, value, why)
+            return LPSolution("numerical-failure", None, None)
 
 
 def solver(model, param=None):
     """solve(model) as a function of the value of parameter param
     (LPModel.param_expr), or of nothing when param is None.
 
-    Every call runs in one _CutLoop, built here: vertex cuts for the
-    robust rows that can be cut, else the model's whole LP in one warm
-    HiGHS model whose probes rewrite only the entries param scales.  A
-    call the loop cannot answer is solved fresh, alone, and its reason
-    logged: set model.params[param], then solve(model).  That is the
-    reference path, which every call takes without scipy's HiGHS module.
+    The path is picked here, once: one _CutLoop, whose probes rewrite only
+    the entries param scales, when every robust row family can be cut;
+    else, its reason logged, a fresh solve at every call (set
+    model.params[param], then solve(model)).  That is the reference path,
+    which every call takes without scipy's HiGHS module.
     """
 
     def fresh(value=None):
@@ -1158,13 +1136,8 @@ def solver(model, param=None):
 
     if _highs is None:
         return fresh
-    loop = _CutLoop(model, param)
-
-    def call(value=None):
-        try:
-            return loop(value)
-        except _NoCuts as why:
-            logger.info("solving the LP fresh: %s", why)
-            return fresh(value)
-
-    return call
+    try:
+        return _CutLoop(model, param)
+    except _NoCuts as why:
+        logger.info("solving fresh: %s", why)
+        return fresh

@@ -31,9 +31,8 @@ vertex of the component its columns touch, so a master over (v, S)
 alone takes the rows at the vertices it violates until none is
 violated, and the dual of each row's best vertex gives the multipliers
 Z.  The feasible set, the verdicts and the meaning of extras["Z"] are
-those of the Farkas LP, which is the master wherever the rows cannot be
-cut, answers fresh a call the cuts cannot (see lp_core) and is the
-reference without scipy's HiGHS module.
+those of the Farkas LP, which is solved fresh, as the reference, wherever
+the rows cannot be cut and without scipy's HiGHS module (see lp_core).
 """
 
 import logging
@@ -327,7 +326,7 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     with rows ordered as in _signed_rows (none on a point),
     and extras["counts"] the size of the Farkas LP.  On a polytope the
     LPs are solved by vertex cuts, one cut pool for every probe of the
-    call, and by the Farkas LP where the cuts cannot answer (see the
+    call, or fresh as the Farkas LP where the rows cannot be cut (see the
     module docstring); the known-plant LPs by the same warm master.
     An empty polytope raises ValueError, and a failed nonemptiness LP
     SolverError.

@@ -48,8 +48,7 @@ def _expected_rows(master, family, rows, points):
     pick = sp.csr_matrix((np.ones(K), (np.arange(K), rows)),
                          shape=(K, family.h_expr.rows))
     expr = family.G_expr.premul(at) - family.h_expr.premul(pick)
-    offsets, nvar = master._offsets()
-    A, const = master._stack([expr], nvar, offsets)
+    A, const = master._stack([expr])
     return A.toarray(), const
 
 

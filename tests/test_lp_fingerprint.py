@@ -38,6 +38,11 @@ def test_fingerprint_prints_every_group_of_lines():
         pattern = re.compile(rf"{label} cuts #0 lam={lam} [-+!] "
                              r"cuts=\d+ rounds=\d+")
         assert any(pattern.fullmatch(line) for line in lines), label
+    # the Farkas LP of a family that cannot be cut is solved fresh, after
+    # the polytope's nonemptiness LP (#0), and never in a warm model
+    dense = "sys1 dense aarc ess feasibility"
+    assert any(re.fullmatch(rf"{dense} #1 {SHA}", line) for line in lines)
+    assert not any(line.startswith(f"{dense} warm ") for line in lines)
     for label, result in (
             ("sys1 prune T=100", rf"\d+ faces sha256 {SHA}"),
             ("sys2 prune T=60", rf"\d+ faces sha256 {SHA}"),

@@ -3,9 +3,10 @@
 On a data polytope synthesize_sign replaces every robust row by cuts at
 vertices of its component and certifies each row's support with Farkas
 multipliers.  The Farkas LP is the reference, reached through
-conftest.fresh_solves().  It is the master wherever a component has no
-bounded, full-dimensional vertex set, and it answers fresh each call
-whose master ends neither optimal nor infeasible.
+conftest.fresh_solves().  A model with a component that has no bounded,
+full-dimensional vertex set is solved fresh, as that reference, at every
+call, and a call whose master ends neither optimal nor infeasible is a
+numerical failure.
 """
 
 import numpy as np
@@ -146,16 +147,6 @@ def _row_polytope(A, B, halfwidth=0.2, open_col=None, flat_row=None):
     return Polytope(G=G[keep], h=h[keep])
 
 
-def _fell_back(poly, spec, **kw):
-    """Assert the call's result is the Farkas reference's, bit for bit:
-    the engine's multipliers differ from the Farkas LP's."""
-    cuts, ref = _both(poly, spec, **kw)
-    assert cuts.status == ref.status == "feasible"
-    assert cuts.certificate.lam == ref.certificate.lam
-    np.testing.assert_array_equal(cuts.certificate.S, ref.certificate.S)
-    np.testing.assert_array_equal(cuts.extras["Z"]["Z"], ref.extras["Z"]["Z"])
-
-
 @pytest.fixture
 def small_plant():
     return LinearSystem(A=np.array([[0.2, 0.1], [-0.1, 0.15]]),
@@ -174,8 +165,8 @@ def test_row_polytope_runs_on_vertex_cuts(small_plant):
 
 @pytest.mark.parametrize("case", ["unbounded", "flat", "one-column",
                                   "singleton"])
-def test_components_without_a_vertex_set_take_the_farkas_lp(small_plant,
-                                                            case):
+def test_components_without_a_vertex_set_are_solved_fresh(monkeypatch,
+                                                          small_plant, case):
     A, B = small_plant.A, small_plant.B
     d = plant_vec(A, B).size
     poly = {"unbounded": lambda: _row_polytope(A, B, open_col=d - 1),
@@ -183,25 +174,50 @@ def test_components_without_a_vertex_set_take_the_farkas_lp(small_plant,
             "one-column": lambda: box_polytope(plant_vec(A, B),
                                                np.full(d, 0.2)),
             "singleton": lambda: singleton_polytope(small_plant)}[case]()
+    # the Chebyshev LPs of the vertex sets are warm, so they run first
     assert any(hull is None or not hull.bounded for hull in poly.hulls)
-    _fell_back(poly, QuantizerSpec.uniform(0.5, 1), mode="ess")
+    built, init = [], lp_core._WarmLP.__init__
+
+    def counted(self, *lp):
+        built.append(None)
+        init(self, *lp)
+
+    monkeypatch.setattr(lp_core._WarmLP, "__init__", counted)
+    cuts, ref = _both(poly, QuantizerSpec.uniform(0.5, 1), mode="ess")
+    assert built == []
+    assert cuts.status == ref.status == "feasible"
+    assert cuts.certificate.lam == ref.certificate.lam
+    np.testing.assert_array_equal(cuts.certificate.S, ref.certificate.S)
+    np.testing.assert_array_equal(cuts.extras["Z"]["Z"], ref.extras["Z"]["Z"])
 
 
-def test_failed_master_hands_the_call_to_the_farkas_lp(monkeypatch, caplog,
-                                                       pruned_sys1):
-    # each probe whose master fails warm and cold is solved fresh, and says
-    # so in the log
+def test_failed_master_reports_numerical_failure(monkeypatch, caplog,
+                                                 pruned_sys1):
+    # a master that fails warm and cold answers its call with a numerical
+    # failure, solves no LP another way and says so in the log; the
+    # bisection then stops at its first probe
     spec = QuantizerSpec.uniform(0.7, 2)
     pruned_sys1.hulls       # the Chebyshev LPs run before the patch
+    lp_core._require_nonempty(pruned_sys1)
+    solves, solve = [], lp_core.LinprogBackend.solve
+
+    def counted(self, *lp):
+        solves.append(None)
+        return solve(self, *lp)
+
+    monkeypatch.setattr(lp_core.LinprogBackend, "solve", counted)
     monkeypatch.setattr(lp_core._WarmLP, "run",
                         lambda self: ("numerical-failure", None, None))
     with caplog.at_level("INFO", logger="quantstab.lp_core"):
-        _fell_back(pruned_sys1, spec, mode="ess", objective="min-lambda")
-    fresh = [r.getMessage() for r in caplog.records
-             if r.name == "quantstab.lp_core"]
-    assert len(fresh) == 15
-    assert set(fresh) == {"solving the LP fresh: a master LP ended "
-                          "numerical-failure"}
+        res = synthesize_sign(pruned_sys1, spec, mode="ess",
+                              objective="min-lambda")
+    assert res.status == "numerical-failure"
+    assert res.extras["failed_lam"] == [1.0]
+    assert solves == []
+    logged = [(r.levelname, r.getMessage()) for r in caplog.records
+              if r.name == "quantstab.lp_core"]
+    assert logged == [("WARNING", "no answer at lam=1.0: a master LP ended "
+                                  "numerical-failure")]
 
 
 def test_support_lps_certify_where_vertex_duals_do_not(monkeypatch,

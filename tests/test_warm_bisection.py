@@ -76,17 +76,16 @@ def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
     assert warm_fresh == (1 if where == "polytope" else 0)
 
 
-def _warm_runs_fail(patch, failing):
-    """Make the warm solves numbered in failing (from 1) report a numerical
-    failure, or every warm solve when failing is None, with the
-    MonkeyPatch patch."""
+def _warm_runs_fail(patch, failing, status="numerical-failure"):
+    """Make the warm solves numbered in failing (from 1) end with status,
+    with the MonkeyPatch patch."""
     runs = []
     run = lp_core._WarmLP.run
 
     def patched(self):
         runs.append(None)
-        if failing is None or len(runs) in failing:
-            return "numerical-failure", None, None
+        if len(runs) in failing:
+            return status, None, None
         return run(self)
 
     patch.setattr(lp_core._WarmLP, "run", patched)
@@ -114,23 +113,15 @@ def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
     check(res, probes)
     assert fresh == 0
 
-    # when every warm run fails, one fresh solve answers each probe
-    with monkeypatch.context() as patch:
-        _warm_runs_fail(patch, None)
-        res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
-    check(res, probes)
-    assert fresh == len(probes)
-
-    # when the fresh solve fails too, the probe is listed and counted
-    # infeasible
-    with monkeypatch.context() as patch:
-        _warm_runs_fail(patch, {3, 4})
-        patch.setattr(LinprogBackend, "solve",
-                      lambda self, *args: ("numerical-failure", None, None))
-        res = synthesize_sign(z, QuantizerSpec.uniform(0.7, 2), mode="ess",
-                              objective="min-lambda")
-    assert res.extras["failed_lam"] == [0.75]
-    assert res.feasible and res.certificate.lam > 0.75
+    # when the cold solve fails too, or ends unbounded, the probe is listed
+    # and counted infeasible, and no fresh solve is tried
+    for status in ("numerical-failure", "unbounded"):
+        with monkeypatch.context() as patch:
+            _warm_runs_fail(patch, {3, 4}, status)
+            res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+        assert res.extras["failed_lam"] == [0.75], status
+        assert res.feasible and res.certificate.lam > 0.75
+        assert fresh == 0
 
 
 def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,

@@ -22,12 +22,13 @@ AARC alike, the master is the model's own LP without its robust rows, so
 its base hash covers that LP alone: the rows at the components'
 Chebyshev centres and the vertex cuts are added to it after it is built,
 and are not hashed.  They are compiled from the robust rows
-(lp_core._CutRows).  Where a robust row family cannot be cut (the dense
-polytope's one component has too many columns for a vertex set), the
-master is the whole Farkas LP, and on a plant point, which has no robust
-rows, it is the point's LP.  The Chebyshev LPs of the vertex sets are
-warm models too, so they also get warm lines.  A call the engine cannot
-answer is solved fresh through LinprogBackend.solve and hashed as usual.
+(lp_core._CutRows).  On a plant point, which has no robust rows, the
+master is the point's LP.  The Chebyshev LPs of the vertex sets are warm
+models too, so they also get warm lines.  The Farkas LP is never warm:
+where a robust row family cannot be cut (the dense polytope's one
+component has too many columns for a vertex set), every call of the
+model is solved fresh through LinprogBackend.solve and hashed as usual,
+and a call the engine cannot answer is a numerical failure, "!".
 
 The script patches the engine's class too, where it exists, and prints
 one line per engine solve after its call's result: the lambda it was
