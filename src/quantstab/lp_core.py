@@ -31,13 +31,13 @@ block.  Multipliers are laid out row after row, so a caller stacks every
 robust row of a constraint family into one G2 and gets one block.
 
 Sequences of LPs that differ in a few numbers run in one persistent
-HiGHS model, a _WarmLP, whose costs, row bounds and single coefficients
-change between warm re-solves and which can grow by rows.  The support
-LPs of pruning and of the audit use it through _SupportSession (new
-costs, one changed row bound), and the cut loop of solver as its
-master: a model built with a scalar parameter (LPModel.param_expr), as
-for the ESS min-lambda bisection, is assembled once, and each probe
-rewrites only the entries the parameter scales.
+HiGHS model, a _WarmLP, an LP of inequality rows only, whose costs, row
+bounds and single coefficients change between warm re-solves and which
+can grow by rows.  The support LPs of pruning and of the audit use it
+through _SupportSession (new costs, one changed row bound), and the cut
+loop of solver as its master: a model built with a scalar parameter
+(LPModel.param_expr), as for the ESS min-lambda bisection, is assembled
+once, and each probe rewrites only the entries the parameter scales.
 
 solver solves a model's robust rows without their Farkas blocks, by
 vertex cuts (_CutLoop), for the sign and the envelope forms alike.
@@ -197,9 +197,9 @@ class AffExpr:
     """Vector of affine expressions over named variable blocks.
 
     terms maps a block name to an (rows x block_size) coefficient matrix;
-    const is the constant part.  Supports +, -, scaling and left
-    multiplication by a constant matrix, which is all the assembly code
-    needs.
+    const is the constant part.  Supports the sum and difference of two
+    expressions, subtracting a constant, negation and left multiplication
+    by a constant matrix, which is all the assembly code needs.
     """
 
     def __init__(self, rows, terms=None, const=None):
@@ -223,10 +223,6 @@ class AffExpr:
                        self.const.copy())
 
     def __add__(self, other):
-        if np.isscalar(other) or isinstance(other, np.ndarray):
-            out = self.copy()
-            out.const = out.const + other
-            return out
         if other.rows != self.rows:
             raise ValueError("row mismatch in expression addition")
         out = self.copy()
@@ -238,8 +234,6 @@ class AffExpr:
         out.const = out.const + other.const
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         return AffExpr(self.rows, {k: -v for k, v in self.terms.items()},
                        -self.const)
@@ -250,15 +244,6 @@ class AffExpr:
             out.const = out.const - other
             return out
         return self + (-other)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            raise TypeError("only scalar multiplication is supported")
-        return AffExpr(self.rows,
-                       {k: v * float(scalar) for k, v in self.terms.items()},
-                       self.const * float(scalar))
-
-    __rmul__ = __mul__
 
     def premul(self, P):
         """Left-multiply by a constant matrix: rows become P @ self."""
@@ -291,16 +276,16 @@ class LPSolution:
 class LPModel:
     """Linear program over named, bounded variable blocks.
 
-    Robust rows (add_robust_rows) are kept apart in robust, one
-    _RobustRows per family, and the model's LP is its own
-    blocks and rows followed, family by family, by each block and its
-    rows: the sizes, assemble(), param_entries() and split() are those of
-    that LP, whose blocks and rows are built at the first assemble()."""
+    The model's own rows are inequalities (add_ineq).  Robust rows
+    (add_robust_rows) are kept apart in robust, one _RobustRows per
+    family, and the model's LP is its own blocks and rows followed, family
+    by family, by each Farkas block and its rows, which hold every
+    equality row of the LP: the sizes, assemble() and split() are those of
+    that LP, whose Farkas rows are built at the first assemble()."""
 
     def __init__(self):
         self.blocks = {}           # name -> (size, lb array, ub array)
         self._order = []
-        self._eqs = []             # AffExpr == 0
         self._ineqs = []           # AffExpr <= 0
         self._objective = AffExpr(1)   # scalar AffExpr, minimized
         self.row_sups = {}         # robust row name -> values -> sup_z G z
@@ -326,15 +311,12 @@ class LPModel:
     def param_expr(self, param, block, value):
         """The AffExpr param * block for a scalar parameter param, set to
         value.  Its terms are keyed (param, block): assemble() multiplies
-        them by the current self.params[param], and param_entries(param)
-        lists the matrix entries they reach, so the parameter can change
-        without a rebuild."""
+        them by the current self.params[param], so the parameter can
+        change without a rebuild, and solver(model, param) finds the
+        matrix entries they reach."""
         self.params[param] = float(value)
         size = self.blocks[block][0]
         return AffExpr(size, {(param, block): sp.eye(size, format="csr")})
-
-    def add_eq(self, expr):
-        self._eqs.append(expr)
 
     def add_ineq(self, expr):
         self._ineqs.append(expr)
@@ -353,23 +335,9 @@ class LPModel:
             yield (family.name, family.size, np.zeros(family.size),
                    np.full(family.size, np.inf))
 
-    def _rows(self):
-        """(ineqs, eqs): the LP's rows, the model's own first."""
-        ineqs, eqs = list(self._ineqs), list(self._eqs)
-        for family in self.robust.values():
-            eq, ineq = family.farkas
-            eqs.append(eq)
-            ineqs.append(ineq)
-        return ineqs, eqs
-
-    @property
-    def num_variables(self):
-        return sum(size for _, size, _, _ in self._columns())
-
     @property
     def num_eq_rows(self):
-        return (sum(e.rows for e in self._eqs)
-                + sum(f.eq_rows.size for f in self.robust.values()))
+        return sum(f.eq_rows.size for f in self.robust.values())
 
     @property
     def num_ineq_rows(self):
@@ -399,34 +367,17 @@ class LPModel:
         offsets, nvar = self._offsets()
         _, cols, vals, _ = self._entries([self._objective], None)
         c = _summed(cols, vals, nvar)
-        ineqs, eqs = self._rows()
-        A_ub, ub_const = self._stack(ineqs)
+        farkas = [family.farkas for family in self.robust.values()]
+        A_ub, ub_const = self._stack(self._ineqs
+                                     + [ineq for _, ineq in farkas])
         b_ub = None if A_ub is None else -ub_const
-        A_eq, eq_const = self._stack(eqs)
+        A_eq, eq_const = self._stack([eq for eq, _ in farkas])
         b_eq = None if A_eq is None else -eq_const
         bounds = np.empty((nvar, 2))
         for name, size, lbv, ubv in self._columns():
             bounds[offsets[name]:offsets[name] + size, 0] = lbv
             bounds[offsets[name]:offsets[name] + size, 1] = ubv
         return c, A_ub, b_ub, A_eq, b_eq, bounds
-
-    def param_entries(self, param):
-        """(rows, cols, base, slope) of every constraint matrix entry that
-        parameter param scales: at parameter value p the entry is
-        base + slope * p, base being the sum of its other terms.  Rows
-        count the A_ub rows of assemble() first, then its A_eq rows.  Four
-        empty arrays, rows and cols of integers, when param reaches no
-        entry."""
-        ineqs, eqs = self._rows()
-        rows, cols, base, slope = self._entries(ineqs + eqs, param)
-        shape = (sum(e.rows for e in ineqs + eqs), self._offsets()[1])
-        base = sp.csr_matrix((base, (rows, cols)), shape=shape)
-        slope = sp.csr_matrix((slope, (rows, cols)), shape=shape)
-        rows, cols = slope.nonzero()
-        if rows.size == 0:     # base[rows, cols] would be a sparse (1, 0)
-            return rows, cols, np.zeros(0), np.zeros(0)
-        return (rows, cols, np.asarray(base[rows, cols]).ravel(),
-                np.asarray(slope[rows, cols]).ravel())
 
     def _entries(self, exprs, param):
         """(rows, cols, base, slope): the entries of the terms of exprs,
@@ -660,28 +611,24 @@ def max_linear_over_polytope(c, poly, return_point=False):
 class _WarmLP:
     """One assembled LP in a persistent HiGHS model, re-solved warm.
 
-    Built from linprog's arrays (c, A_ub, b_ub, A_eq, b_eq, bounds) and
-    held as the A_ub rows, bounded above by b_ub, followed by the A_eq
-    rows, fixed at b_eq.  set_costs, set_row_bounds and set_coeffs change
-    the model in place; run() re-solves it from the last basis and
-    returns (status, x, objective) as LinprogBackend.solve does, x a
-    copy.  A call costs a few simplex iterations instead of a fresh
-    linprog setup.  Needs scipy's HiGHS module (_highs not None).
+    Built from linprog's arrays (c, A_ub, b_ub, A_eq, b_eq, bounds), as
+    LPModel.assemble() returns them, of an LP without equality rows (a
+    cut master or a support LP; a non-None A_eq raises ValueError), and
+    held as the A_ub rows, bounded above by b_ub.  set_costs,
+    set_row_bounds and set_coeffs change the model in place and add_rows
+    grows it; run() re-solves it from the last basis and returns
+    (status, x, objective) as LinprogBackend.solve does, x a copy.  A
+    call costs a few simplex iterations instead of a fresh linprog setup.
+    Needs scipy's HiGHS module (_highs not None).
     """
 
     def __init__(self, c, A_ub, b_ub, A_eq, b_eq, bounds):
-        nvar = len(c)
-        mats = [sp.csc_matrix((0, nvar))]
-        lower, upper = [np.zeros(0)], [np.zeros(0)]
-        if A_ub is not None:
-            mats.append(sp.csc_matrix(A_ub))
-            lower.append(np.full(len(b_ub), -np.inf))
-            upper.append(b_ub)
         if A_eq is not None:
-            mats.append(sp.csc_matrix(A_eq))
-            lower.append(b_eq)
-            upper.append(b_eq)
-        A = sp.vstack(mats, format="csc")
+            raise ValueError("a warm LP takes no equality rows")
+        nvar = len(c)
+        if A_ub is None:
+            A_ub, b_ub = sp.csc_matrix((0, nvar)), np.zeros(0)
+        A = sp.csc_matrix(A_ub)
         bounds = np.asarray(bounds, dtype=float)
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = nvar
@@ -693,8 +640,8 @@ class _WarmLP:
         lp.col_cost_ = np.asarray(c, dtype=float)
         lp.col_lower_ = bounds[:, 0]
         lp.col_upper_ = bounds[:, 1]
-        lp.row_lower_ = np.concatenate(lower)
-        lp.row_upper_ = np.concatenate(upper)
+        lp.row_lower_ = np.full(A.shape[0], -np.inf)
+        lp.row_upper_ = np.array(b_ub, dtype=float)
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         if self._highs.passModel(lp) == _highs.HighsStatus.kError:
@@ -1033,11 +980,14 @@ class _CutLoop:
     (_CutRows).  The master is one _WarmLP, which first gets the rows at
     each component's Chebyshev centre; every round adds the most violated
     vertex cut of each violated row (addRows), and a call rewrites the
-    entries param scales (LPModel.param_entries), so the probes of one
-    loop share its basis and its cut pool.  Once no cut is violated, every
-    row's support is certified by Farkas multipliers (_CutRows.certify),
-    which fill the model's Farkas block in the returned LPSolution: its
-    values are a solution of the model itself.
+    entries param scales, so the probes of one loop share its basis and
+    its cut pool.  One helper (_locate) finds those entries, in the
+    master's own rows when it is built and in every row added after, and
+    keeps them as entries, (rows, cols, base, slope): base + p * slope at
+    value p.  Once no cut is violated, every row's support is certified
+    by Farkas multipliers (_CutRows.certify), which fill the model's
+    Farkas block in the returned LPSolution: its values are a solution of
+    the model itself.
 
     The loop raises _NoCuts when built on a family it cannot cut (a
     component the family touches has no bounded, full-dimensional vertex
@@ -1057,9 +1007,17 @@ class _CutLoop:
         self.families = [_CutRows(family, self.master, param)
                          for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
-        self.nrows = self.master.num_ineq_rows + self.master.num_eq_rows
-        self.entries = (self.master.param_entries(param) if param is not None
-                        else None)
+        self.nrows = 0
+        if param is not None:
+            self.entries = (np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                            np.zeros(0), np.zeros(0))
+            rows, cols, base, slope = self.master._entries(
+                self.master._ineqs, param)
+            shape = (self.master.num_ineq_rows, self.master._offsets()[1])
+            flat = rows * shape[1] + cols
+            self._locate(_summed(flat, base, shape),
+                         _summed(flat, slope, shape))
+        self.nrows = self.master.num_ineq_rows
         if self.families:
             self._add([family.centre_cuts() for family in self.families])
         self.cuts, self.rounds = 0, 0
@@ -1068,22 +1026,28 @@ class _CutLoop:
         """Append the rows of the rows_at blocks; returns their count."""
         base, slope, const = zip(*blocks)
         base, const = np.vstack(base), np.concatenate(const)
-        slope = None if self.param is None else np.vstack(slope)
-        if slope is None:
+        if self.param is None:
             values, used = base, base != 0
         else:
+            slope = np.vstack(slope)
             values = base + self.master.params[self.param] * slope
             used = (base != 0) | (slope != 0)
-            rows, cols = np.nonzero(slope)
-            self.entries = tuple(np.concatenate([old, new]) for old, new in
-                                 zip(self.entries,
-                                     (rows + self.nrows, cols,
-                                      base[rows, cols], slope[rows, cols])))
+            self._locate(base, slope)
         rows, cols = np.nonzero(used)
         self.lp.add_rows(np.append(0, np.cumsum(used.sum(axis=1))), cols,
                          values[rows, cols], -const)
         self.nrows += len(base)
         return len(base)
+
+    def _locate(self, base, slope):
+        """Append to entries the (rows, cols, base, slope) of the entries
+        base + p * slope that the parameter reaches in the dense rows base
+        and slope, which go into the master from row nrows on."""
+        rows, cols = np.nonzero(slope)
+        self.entries = tuple(
+            np.concatenate([old, new]) for old, new in
+            zip(self.entries, (rows + self.nrows, cols, base[rows, cols],
+                               slope[rows, cols])))
 
     def __call__(self, value=None):
         if self.param is not None:

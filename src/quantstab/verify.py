@@ -1,6 +1,6 @@
 """Independent certificate audit by direct support-function evaluation.
 
-Given a candidate (v, S) and a consistency polytope P, each robust
+Given a certificate (v, S, eta) and a consistency polytope P, each robust
 stability inequality
 
     max_{(A,B) in P} sum_j alpha_j (A_ij v_j + sum_k beta_k B_ik S_kj)
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp_core import _SupportSession
-from .synth_sign import DEFAULT_ETA, ENUM_GUARD
-from .sysmodel import StabCertificate, sign_vectors
+from .synth_sign import ENUM_GUARD
+from .sysmodel import sign_vectors
 
 __all__ = ["VerificationReport", "robust_verify", "MARGIN_TOL"]
 
@@ -71,17 +71,6 @@ class VerificationReport:
         return out
 
 
-def _candidate_vS(candidate):
-    if isinstance(candidate, StabCertificate):
-        return candidate.v, candidate.S
-    if isinstance(candidate, tuple) and len(candidate) == 2:
-        v = np.atleast_1d(np.asarray(candidate[0], dtype=float))
-        S = np.asarray(candidate[1], dtype=float).reshape(-1, v.size)
-        return v, S
-    K = np.atleast_2d(np.asarray(candidate, dtype=float))
-    return np.ones(K.shape[1]), K
-
-
 def _row_columns(n, m, i):
     """Columns of row i of [A B] in z = [vec(A); vec(B)] (column-major)."""
     return np.concatenate([np.arange(n) * n + i, n * n + np.arange(m) * n + i])
@@ -101,17 +90,17 @@ def _row_block(poly, n, m, i):
     return faces, np.flatnonzero(inside)
 
 
-def robust_verify(poly, candidate, spec, eta=None):
-    """Audit a candidate controller against every plant consistent with P.
+def robust_verify(poly, certificate, spec):
+    """Audit a StabCertificate against every plant consistent with P.
 
-    candidate may be a StabCertificate, a (v, S) pair, or a bare gain
-    matrix K (then v = 1 and S = K).  Runs one nonemptiness LP and
-    n * 2^(n+m) support LPs, each over its row's block of P (see the module
-    docstring), and aggregates the margins; never consults the synthesis
-    code path.  An empty P raises ValueError.  The LPs are warm unless
-    scipy lacks its HiGHS module (see lp_core).
+    The inequalities are those of the certificate's v, S and margin eta.
+    Runs one nonemptiness LP and n * 2^(n+m) support LPs, each over its
+    row's block of P (see the module docstring), and aggregates the
+    margins; never consults the synthesis code path.  An empty P, or a
+    certificate whose shape does not fit spec and P, raises ValueError.
+    The LPs are warm unless scipy lacks its HiGHS module (see lp_core).
     """
-    v, S = _candidate_vS(candidate)
+    v, S, eta = certificate.v, certificate.S, certificate.eta
     n = v.size
     m = S.shape[0]
     shape = f"the certificate has n = {n}, m = {m}, but"
@@ -122,11 +111,6 @@ def robust_verify(poly, candidate, spec, eta=None):
     if poly.dim != n * (n + m):
         raise ValueError(f"{shape} the polytope has dimension {poly.dim}, "
                          f"not n(n+m) = {n * (n + m)}")
-    if eta is None:
-        eta = candidate.eta if isinstance(candidate, StabCertificate) \
-            else DEFAULT_ETA
-    if np.any(v <= 0):
-        raise ValueError("weights v must be positive")
 
     # Raises ValueError on an empty polytope, as every support LP would.
     _, point = _SupportSession(poly.G, poly.h).maximize(np.zeros(poly.dim))

@@ -23,7 +23,7 @@ def _scalar_model(lb=None, ub=None, objective=None):
     model = LPModel()
     model.add_block("x", 1, lb=lb, ub=ub)
     if objective is not None:
-        model.set_objective(objective * model.identity_expr("x"))
+        model.set_objective(AffExpr(1, {"x": [[objective]]}))
     return model
 
 
@@ -64,19 +64,6 @@ def test_solve_deterministic():
     assert abs(objectives[0] - objectives[1]) <= 1e-9
 
 
-def test_equality_constraints_assemble():
-    model = LPModel()
-    model.add_block("x", 2)
-    expr = model.identity_expr("x")
-    # x0 + x1 = 3, x0 - x1 = 1
-    model.add_eq(expr.premul(np.array([[1.0, 1.0]])) - 3.0)
-    model.add_eq(expr.premul(np.array([[1.0, -1.0]])) - 1.0)
-    model.set_objective(expr.premul(np.array([[1.0, 0.0]])))
-    sol = solve(model)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.values["x"], [2.0, 1.0], atol=1e-8)
-
-
 def test_affexpr_evaluation_matches_assembly():
     model = LPModel()
     model.add_block("x", 3)
@@ -84,7 +71,7 @@ def test_affexpr_evaluation_matches_assembly():
     ex = model.identity_expr("x")
     ey = model.identity_expr("y")
     P = np.arange(6.0).reshape(2, 3)
-    combo = ex.premul(P) + 2.0 * ey - np.array([1.0, 1.0])
+    combo = ex.premul(P) + ey.premul(2.0 * np.eye(2)) - np.array([1.0, 1.0])
     assignment = {"x": np.array([1.0, -2.0, 0.5]), "y": np.array([3.0, 4.0])}
     expect = P @ assignment["x"] + 2.0 * assignment["y"] - 1.0
     np.testing.assert_allclose(combo.value(assignment), expect)
@@ -103,19 +90,14 @@ def test_assembly_places_terms_at_block_offsets(rng):
         AffExpr(4, {"b": rng.normal(size=(4, 3)),
                     "d": rng.normal(size=(4, 4))}),
     ]
-    for e in exprs[:2]:
+    for e in exprs:
         model.add_ineq(e)
-    for e in exprs[2:]:
-        model.add_eq(e)
     c, A_ub, b_ub, A_eq, b_eq, bounds = model.assemble()
-    assert A_ub.shape == (5, 10) and A_eq.shape == (5, 10)
+    assert A_ub.shape == (10, 10) and A_eq is None and b_eq is None
     x = rng.normal(size=10)
     values = model.split(x)
     np.testing.assert_allclose(
-        A_ub @ x - b_ub, np.concatenate([e.value(values) for e in exprs[:2]]),
-        atol=1e-12)
-    np.testing.assert_allclose(
-        A_eq @ x - b_eq, np.concatenate([e.value(values) for e in exprs[2:]]),
+        A_ub @ x - b_ub, np.concatenate([e.value(values) for e in exprs]),
         atol=1e-12)
 
 
@@ -315,6 +297,16 @@ def test_robust_rows_range_over_their_own_components(rng):
     assert model.num_eq_rows == np.count_nonzero(col_comp == col_comp[0]) + d
 
 
+def test_warm_lp_refuses_equality_rows():
+    # every equality row is a Farkas row, which only a fresh solve takes
+    model = LPModel()
+    add_robust_rows(model, box_polytope(np.zeros(1), np.ones(1)),
+                    AffExpr(1, const=[1.0]), AffExpr(1, const=[2.0]), "Z")
+    assert model.assemble()[3] is not None
+    with pytest.raises(ValueError):
+        lp_core._WarmLP(*model.assemble())
+
+
 def test_require_nonempty_tells_empty_from_solver_failure(monkeypatch):
     box = Polytope(G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]))
     assert _require_nonempty(box) is None
@@ -366,49 +358,51 @@ def test_support_session_reports_solver_failure():
 
 def _param_model(p):
     """min -x1 over 0 <= x <= 10 with x0 + x1 <= 1, x0 + x1 >= 1/2 and
-    p x0 - x1 == 0, p a model parameter: x1 = p x0, so the optimum is
-    -p / (1 + p) for p >= 0 and the LP is infeasible for p < 0."""
+    p x0 - x1 == 0 (as two inequalities), p a model parameter: x1 = p x0,
+    so the optimum is -p / (1 + p) for p >= 0 and the LP is infeasible for
+    p < 0."""
     model = LPModel()
     model.add_block("x", 2, lb=0.0, ub=10.0)
     total = AffExpr(1, {"x": np.ones((1, 2))})
     model.add_ineq(total - 1.0)
-    model.add_ineq(-total + 0.5)
+    model.add_ineq(-(total - 0.5))
     px = model.param_expr("p", "x", p)
-    model.add_eq(AffExpr(1, {"x": [[0.0, -1.0]]})
-                 + px.premul(np.array([[1.0, 0.0]])))
+    gap = px.premul(np.array([[1.0, 0.0]])) - AffExpr(1, {"x": [[0.0, 1.0]]})
+    model.add_ineq(gap)
+    model.add_ineq(-gap)
     model.set_objective(AffExpr(1, {"x": [[0.0, -1.0]]}))
     return model
 
 
 def test_param_entries_locate_the_parameter_in_the_assembled_rows():
     model = _param_model(2.0)
-    rows, cols, base, slope = model.param_entries("p")
-    # the equality row follows the two inequality rows
-    assert rows.tolist() == [2] and cols.tolist() == [0]
-    assert base.tolist() == [0.0] and slope.tolist() == [1.0]
+    # the warm loop rewrites entry (row, col) to base + slope * p: the
+    # two rows of p x0 - x1 == 0 follow the two rows of the sum
+    rows, cols, base, slope = solver(model, "p").entries
+    assert rows.tolist() == [2, 3] and cols.tolist() == [0, 0]
+    assert base.tolist() == [0.0, 0.0] and slope.tolist() == [1.0, -1.0]
     for p in (2.0, -0.5, 3.25):
         model.params["p"] = p
         _, A_ub, _, A_eq, _, _ = model.assemble()
-        assert A_eq.toarray().tolist() == [[base[0] + slope[0] * p, -1.0]]
-        assert A_ub.toarray().tolist() == [[1.0, 1.0], [-1.0, -1.0]]
+        assert A_eq is None
+        assert A_ub.toarray().tolist() == [[1.0, 1.0], [-1.0, -1.0],
+                                           [p, -1.0], [-p, 1.0]]
 
 
 def test_param_entries_of_an_unused_parameter_are_empty_arrays():
-    # a parameter that reaches no row: no entry to rewrite, and a warm
+    # a parameter that reaches no row: no entry to rewrite, and the warm
     # model takes the empty rewrite
     model = LPModel()
     model.add_block("x", 2, lb=0.0, ub=10.0)
     model.add_ineq(AffExpr(1, {"x": np.ones((1, 2))}) - 1.0)
     model.set_objective(AffExpr(1, {"x": [[0.0, -1.0]]}))
     model.param_expr("p", "x", 2.0)
-    rows, cols, base, slope = model.param_entries("p")
-    for entries in (rows, cols, base, slope):
+    loop = solver(model, "p")
+    for entries in loop.entries:
         assert isinstance(entries, np.ndarray) and entries.shape == (0,)
-    assert rows.dtype.kind == cols.dtype.kind == "i"
-    lp = lp_core._WarmLP(*model.assemble())
-    lp.set_coeffs(rows, cols, base + slope * 3.0)
-    status, x, obj = lp.run()
-    assert status == "optimal" and obj == pytest.approx(-1.0)
+    assert loop.entries[0].dtype.kind == loop.entries[1].dtype.kind == "i"
+    sol = loop(3.0)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(-1.0)
 
 
 def test_solver_warm_matches_fresh_solves():

@@ -299,7 +299,7 @@ def test_size_record_matches_assembled_model(n, m, L):
     counts = count_constraints_aarc(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
     assert model.num_eq_rows == counts["equality_rows"]
-    assert model.num_variables - counts["search_variables"] \
+    assert len(model.assemble()[0]) - counts["search_variables"] \
         == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n + n * n * 2 ** (m + 1)
 
@@ -316,7 +316,7 @@ def test_size_record_matches_row_separable_model(n, m):
     counts = count_constraints_aarc(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
     assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = model.num_variables - counts["search_variables"]
+    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     per_state = 1 + 2 * n * 2 ** m      # row sum and envelope rows of i
     assert counts["farkas_variables"] == per_state * sum(row_faces)

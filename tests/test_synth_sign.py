@@ -367,7 +367,7 @@ def test_size_record_matches_assembled_model(n, m, L):
     counts = count_constraints_sign(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
     assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = model.num_variables - counts["search_variables"]
+    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n * 2 ** (n + m)
 
@@ -384,7 +384,7 @@ def test_size_record_matches_row_separable_model(n, m):
     counts = count_constraints_sign(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
     assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = model.num_variables - counts["search_variables"]
+    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     assert counts["farkas_variables"] == 2 ** (n + m) * sum(row_faces)
     assert counts["equality_rows"] == 2 ** (n + m) * n * (n + m)

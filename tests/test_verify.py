@@ -24,10 +24,17 @@ from conftest import fresh_solves
 from test_synth_sign import _scalar_box
 
 
+def _gain(K):
+    """The superstability certificate of the gain K: v = 1, S = K and no
+    margin."""
+    return StabCertificate(v=np.ones(np.shape(K)[1]), S=K, lam=0.0, eta=0.0,
+                           mode="ss")
+
+
 def test_scalar_controller_passes_with_wide_margin():
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     spec = QuantizerSpec.uniform(1.0, 1)
-    report = robust_verify(poly, np.array([[-0.5]]), spec, eta=0.0)
+    report = robust_verify(poly, _gain([[-0.5]]), spec)
     assert report.verified
     # worst closed loop over the box is |A + B K| = 0.15, so slack is 0.85
     assert report.worst_margin == pytest.approx(0.85, abs=1e-7)
@@ -36,7 +43,7 @@ def test_scalar_controller_passes_with_wide_margin():
 def test_scalar_destabilizing_gain_fails():
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     spec = QuantizerSpec.uniform(1.0, 1)
-    report = robust_verify(poly, np.array([[1.0]]), spec, eta=0.0)
+    report = robust_verify(poly, _gain([[1.0]]), spec)
     assert not report.verified
     # A + B at the top corner reaches 1.7, violating the unit bound by 0.7
     assert report.worst_margin == pytest.approx(-0.7, abs=1e-7)
@@ -53,7 +60,7 @@ def _attained(report, v, S):
 def test_worst_case_plant_is_consistent_and_tight(sys1, part1):
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     spec = QuantizerSpec.uniform(0.5, 1)
-    report = robust_verify(poly, np.array([[-0.5]]), spec, eta=0.0)
+    report = robust_verify(poly, _gain([[-0.5]]), spec)
     wc = report.worst_case
     assert contains_plant(poly, wc["A"], wc["B"], tol=1e-6)
     attained = _attained(report, np.ones(1), np.array([[-0.5]]))
@@ -118,20 +125,7 @@ def test_empty_polytope_is_refused():
     empty = Polytope(G=np.vstack([box.G, [[1.0, 0.0]]]),
                      h=np.append(box.h, 0.3))
     with pytest.raises(ValueError):
-        robust_verify(empty, np.array([[-0.5]]), QuantizerSpec.uniform(0.5, 1))
-
-
-def test_accepts_certificate_and_tuple_candidates(sys1, part1):
-    ds = generate_dataset(sys1, part1, 50, seed=3)
-    poly = prune_redundant(build_polytope(ds))
-    spec = QuantizerSpec.uniform(0.7, 2)
-    res = synthesize_sign(poly, spec, mode="ess")
-    cert = res.certificate
-    by_cert = robust_verify(poly, cert, spec)
-    by_tuple = robust_verify(poly, (cert.v, cert.S), spec, eta=cert.eta)
-    assert by_cert.verified and by_tuple.verified
-    assert by_cert.worst_margin == pytest.approx(by_tuple.worst_margin,
-                                                 abs=1e-9)
+        robust_verify(empty, _gain([[-0.5]]), QuantizerSpec.uniform(0.5, 1))
 
 
 def test_flags_tampered_controller(sys1, part1):
@@ -151,7 +145,7 @@ def test_unbounded_data_directions_refuse_verification():
     # a single face cannot pin down the plant: support values diverge
     poly = Polytope(G=np.array([[1.0, 0.0]]), h=np.array([1.0]))
     spec = QuantizerSpec.uniform(0.5, 1)
-    report = robust_verify(poly, np.array([[-0.5]]), spec)
+    report = robust_verify(poly, _gain([[-0.5]]), spec)
     assert not report.verified
     assert report.worst_margin == -np.inf
     assert "unbounded" in report.diagnostic
@@ -160,7 +154,7 @@ def test_unbounded_data_directions_refuse_verification():
 def test_report_json_schema():
     poly = _scalar_box(0.4, 0.6, 0.9, 1.1)
     spec = QuantizerSpec.uniform(0.5, 1)
-    report = robust_verify(poly, np.array([[-0.5]]), spec, eta=0.0)
+    report = robust_verify(poly, _gain([[-0.5]]), spec)
     d = report.to_json_dict()
     assert set(d) >= {"verified", "worst_margin", "worst_case"}
     assert set(d["worst_case"]) == {"i", "alpha", "beta", "A", "B"}
@@ -170,14 +164,14 @@ def test_report_json_schema():
 def test_dimension_guards(sys1):
     poly = _scalar_box(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        robust_verify(poly, np.array([[-0.5]]), QuantizerSpec.uniform(0.5, 2))
+        robust_verify(poly, _gain([[-0.5]]), QuantizerSpec.uniform(0.5, 2))
     with pytest.raises(ValueError):
-        robust_verify(poly, (np.array([1.0, -1.0]), np.array([[0.5, 0.5]])),
+        robust_verify(poly, _gain([[0.5, 0.5]]),
                       QuantizerSpec.uniform(0.5, 1))
 
 
 def test_shape_errors_name_the_certificate_and_the_mismatch(sys1):
-    cert = (np.ones(3), np.zeros((2, 3)))
+    cert = _gain(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"^the certificate has n = 3, "
                        r"m = 2, but the quantizer has 3 channels$"):
         robust_verify(singleton_polytope(sys1), cert,

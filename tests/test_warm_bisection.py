@@ -25,10 +25,12 @@ def pruned_sys1(sys1, part1):
                                                            seed=1)))
 
 
-def _min_lambda(monkeypatch, synth, target, fresh_path=False, rho=0.7):
+def _min_lambda(monkeypatch, synth, target, plant, fresh_path=False,
+                rho=0.7):
     """(result, [(lam, verdict) of every probe], linprog solve count) of
-    one ESS min-lambda bisection at density rho, on the reference path of
-    fresh solves when fresh_path is set."""
+    one ESS min-lambda bisection of plant's data or point target, for
+    plant.m channels at density rho, on the reference path of fresh solves
+    when fresh_path is set."""
     probes, fresh = [], []
     bisect, linprog_solve = synth_sign.bisect_least, LinprogBackend.solve
     if isinstance(target, Polytope):
@@ -52,20 +54,24 @@ def _min_lambda(monkeypatch, synth, target, fresh_path=False, rho=0.7):
         patch.setattr(LinprogBackend, "solve", counted)
         if fresh_path:
             patch.setattr(lp_core, "_highs", None)
-        res = synth(target, QuantizerSpec.uniform(rho, 2), mode="ess",
+        res = synth(target, QuantizerSpec.uniform(rho, plant.m), mode="ess",
                     objective="min-lambda")
     return res, probes, len(fresh)
 
 
 @pytest.mark.parametrize("synth", [synthesize_sign, synthesize_aarc],
                          ids=["sign", "aarc"])
-@pytest.mark.parametrize("where", ["polytope", "point"])
+@pytest.mark.parametrize("where", ["polytope", "point", "sys2 point"])
 def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
-                                             pruned_sys1, sys1):
+                                             pruned_sys1, sys1, sys2):
+    # the sys2 point (n = 5, m = 3) is the largest point master: its sign
+    # LP has 1,280 rows whose entries lambda scales
+    plant = sys2 if where == "sys2 point" else sys1
     target = pruned_sys1 if where == "polytope" \
-        else plant_vec(sys1.A, sys1.B)
-    warm, warm_probes, warm_fresh = _min_lambda(monkeypatch, synth, target)
-    ref, ref_probes, _ = _min_lambda(monkeypatch, synth, target,
+        else plant_vec(plant.A, plant.B)
+    warm, warm_probes, warm_fresh = _min_lambda(monkeypatch, synth, target,
+                                                plant)
+    ref, ref_probes, _ = _min_lambda(monkeypatch, synth, target, plant,
                                      fresh_path=True)
     assert len(warm_probes) == 15
     assert warm_probes == ref_probes
@@ -91,13 +97,14 @@ def _warm_runs_fail(patch, failing, status="numerical-failure"):
     patch.setattr(lp_core._WarmLP, "run", patched)
 
 
-def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
-                                                               sys1):
+def test_warm_non_answer_is_retried_cold_then_failed_without_fresh_solve(
+        monkeypatch, sys1):
     # the third probe of the sys1 point at rho = 0.7 is lambda = 0.75, and
     # one warm master solve answers each probe: the third warm run is that
     # probe's, the fourth its cold retry
     z = plant_vec(sys1.A, sys1.B)
-    clean, clean_probes, _ = _min_lambda(monkeypatch, synthesize_sign, z)
+    clean, clean_probes, _ = _min_lambda(monkeypatch, synthesize_sign, z,
+                                         sys1)
     assert clean_probes[2] == (0.75, True)
 
     def check(res, probes):
@@ -109,7 +116,8 @@ def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
     # a failed warm run is answered cold, in the same HiGHS model
     with monkeypatch.context() as patch:
         _warm_runs_fail(patch, {3})
-        res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+        res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z,
+                                         sys1)
     check(res, probes)
     assert fresh == 0
 
@@ -118,7 +126,8 @@ def test_warm_non_answer_is_solved_again_on_the_reference_path(monkeypatch,
     for status in ("numerical-failure", "unbounded"):
         with monkeypatch.context() as patch:
             _warm_runs_fail(patch, {3, 4}, status)
-            res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, z)
+            res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign,
+                                             z, sys1)
         assert res.extras["failed_lam"] == [0.75], status
         assert res.feasible and res.certificate.lam > 0.75
         assert fresh == 0
@@ -132,7 +141,8 @@ def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
     poly = build_polytope(generate_dataset(sys1, part1, 20, seed=5))
     spec = QuantizerSpec.uniform(0.7, 2)
     pruned = prune_redundant(poly)
-    warm, warm_probes, _ = _min_lambda(monkeypatch, synthesize_sign, pruned)
+    warm, warm_probes, _ = _min_lambda(monkeypatch, synthesize_sign, pruned,
+                                       sys1)
     report = robust_verify(pruned, warm.certificate, spec)
 
     def built(*args):
@@ -143,7 +153,8 @@ def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
     fresh_pruned = prune_redundant(poly)
     np.testing.assert_array_equal(fresh_pruned.G, pruned.G)
     np.testing.assert_array_equal(fresh_pruned.h, pruned.h)
-    res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, pruned)
+    res, probes, fresh = _min_lambda(monkeypatch, synthesize_sign, pruned,
+                                     sys1)
     assert probes == warm_probes
     assert fresh == 1 + len(probes)
     assert res.certificate.lam == pytest.approx(warm.certificate.lam,
@@ -154,16 +165,17 @@ def test_without_the_highs_module_every_lp_is_a_fresh_solve(monkeypatch,
 
 
 def test_aarc_min_lambda_at_unit_density_answers_every_probe(monkeypatch,
-                                                             pruned_sys1):
+                                                             pruned_sys1,
+                                                             sys1):
     # the probe lambda = 0.48980712890625 ended in a numerical failure on
     # HiGHS's simplex, warm and fresh, when the AARC ran on its Farkas LP;
     # the verdicts of fresh interior-point solves are the reference
     res, probes, _ = _min_lambda(monkeypatch, synthesize_aarc, pruned_sys1,
-                                 rho=1.0)
+                                 sys1, rho=1.0)
     assert res.extras["failed_lam"] == []
     assert res.certificate.lam == pytest.approx(0.4898681640625, abs=1e-6)
     with fresh_solves(InteriorPoint()):
         ref, ref_probes, _ = _min_lambda(monkeypatch, synthesize_aarc,
-                                         pruned_sys1, rho=1.0)
+                                         pruned_sys1, sys1, rho=1.0)
     assert ref.extras["failed_lam"] == []
     assert probes == ref_probes
