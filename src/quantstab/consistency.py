@@ -11,7 +11,6 @@ is a polytope in z = [vec(A); vec(B)] via the identity
 vec(P X Q) = (Q^T kron P) vec(X); vectorization is column-major throughout.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -108,10 +107,6 @@ class Dataset:
     def m(self):
         return self.samples[0].u_hat.size
 
-    def truncate(self, T):
-        """Dataset with only the first T samples (shared prefix)."""
-        return Dataset(self.samples[:T], self.epsilon, self.meta)
-
     def to_json_dict(self):
         def clean(vec):
             return [None if not np.isfinite(x) else float(x) for x in vec]
@@ -136,16 +131,6 @@ class Dataset:
                               q=unclean(s["q"], +1.0))
                    for s in d["samples"]]
         return cls(samples, float(d.get("epsilon", 0.0)), d.get("meta"))
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
 
 def generate_dataset(sys, partition, T, seed, noise=0.0):

@@ -38,6 +38,9 @@ through _SupportSession (new costs, one changed row bound), and the cut
 loop of solver as its master: a model built with a scalar parameter
 (LPModel.param_expr), as for the ESS min-lambda bisection, is assembled
 once, and each probe rewrites only the entries the parameter scales.
+The parameter must stay in the model's own rows: the ESS models give
+lambda v its own rows u - lambda v <= 0 and bound the robust rows by u,
+so the robust rows, their compiled form and every cut are free of it.
 
 solver solves a model's robust rows without their Farkas blocks, by
 vertex cuts (_CutLoop), for the sign and the envelope forms alike.
@@ -334,10 +337,6 @@ class LPModel:
         for family in self.robust.values():
             yield (family.name, family.size, np.zeros(family.size),
                    np.full(family.size, np.inf))
-
-    @property
-    def num_eq_rows(self):
-        return sum(f.eq_rows.size for f in self.robust.values())
 
     @property
     def num_ineq_rows(self):
@@ -848,15 +847,19 @@ class _CutRows:
     pool, and the layout of its Farkas block, into which certify writes
     the multipliers.  Every cut row is a contraction of the compiled
     arrays with its point (rows_at): no expression is built per round.
-    The loop's parameter may scale h, as lambda v does in the ESS gain
-    rows; a family whose G it scales raises _NoCuts."""
+    The rows carry no parameter: a family that the loop's parameter
+    reaches, through G or h, raises _NoCuts."""
 
     def __init__(self, family, master, param):
         poly, d = family.poly, family.poly.dim
         self.name, self.L2 = family.name, family.h_expr.rows
-        r, v, base, slope = master._entries([family.G_expr], param)
-        if slope.any():
-            raise _NoCuts("the parameter scales a robust row's G")
+        entries = [master._entries([expr], param)
+                   for expr in (family.G_expr, family.h_expr)]
+        if any(slope.any() for *_, slope in entries):
+            raise _NoCuts("the parameter reaches a robust row")
+        (r, v, base, _), (hr, hv, h, _) = entries
+        _, nvar = master._offsets()
+        self.h = _summed(hr * nvar + hv, h, (self.L2, nvar))
         r, c = np.divmod(r, d)
         comp_of = poly.components[1][c]
         self.comps = []
@@ -869,11 +872,6 @@ class _CutRows:
                 np.flatnonzero(family.touched[:, k]), hull, self.L2, d,
                 (r[on], c[on], v[on], base[on]),
                 family.G_expr.const))
-        r, v, base, slope = master._entries([family.h_expr], param)
-        _, nvar = master._offsets()
-        flat, shape = r * nvar + v, (self.L2, nvar)
-        self.h = _summed(flat, base, shape)
-        self.h_slope = None if param is None else _summed(flat, slope, shape)
         self.h_const = family.h_expr.const
         self.slot = np.full((self.L2, poly.num_faces), -1)
         self.slot[family.rows, family.faces] = np.arange(family.size)
@@ -882,21 +880,18 @@ class _CutRows:
         self.pool = set()
 
     def rows_at(self, rows, points):
-        """(base, slope, const) of the rows G_r(x) z_r - h_r(x) <= 0 at the
-        points z_r, points[j] holding their coordinates on component j
-        (ignored for a row not touching it): the row of rows[k] is
-        (base[k] + p * slope[k]) x + const[k] at value p of the loop's
-        parameter, over the master's columns; slope is None without a
-        parameter."""
+        """(base, const) of the rows G_r(x) z_r - h_r(x) <= 0 at the points
+        z_r, points[j] holding their coordinates on component j (ignored
+        for a row not touching it): the row of rows[k] is
+        base[k] x + const[k] over the master's columns."""
         base, const = -self.h[rows], -self.h_const[rows]
-        slope = None if self.h_slope is None else -self.h_slope[rows]
         for comp, z in zip(self.comps, points):
             k = np.flatnonzero(comp.at[rows] >= 0)
             at, z = comp.at[rows[k]], z[k]
             base[k[:, None], comp.cols] += np.einsum("kc,kcv->kv", z,
                                                      comp.G[at])
             const[k] += np.einsum("kc,kc->k", z, comp.c[at])
-        return base, slope, const
+        return base, const
 
     def centre_cuts(self):
         """The rows at every component's Chebyshev centre, all rows."""
@@ -905,15 +900,13 @@ class _CutRows:
                    for c in self.comps]
         return self.rows_at(rows, centres)
 
-    def separate(self, x, p):
+    def separate(self, x):
         """The most violated vertex cut of every row that is violated by
         more than CUT_TOL at the master's point x and not yet in the pool,
         as rows_at gives them (None when there is none).  Scores every
         row against its components' vertex sets (_best_vertices), and
         keeps the rows' entries and best vertices for certify."""
         h = self.h @ x + self.h_const
-        if self.h_slope is not None:
-            h += p * (self.h_slope @ x)
         sup = np.zeros(self.L2)
         self.g = [comp.entries(x) for comp in self.comps]
         self.best = np.zeros((self.L2, len(self.comps)), dtype=int)
@@ -981,23 +974,24 @@ class _CutLoop:
     each component's Chebyshev centre; every round adds the most violated
     vertex cut of each violated row (addRows), and a call rewrites the
     entries param scales, so the probes of one loop share its basis and
-    its cut pool.  One helper (_locate) finds those entries, in the
-    master's own rows when it is built and in every row added after, and
-    keeps them as entries, (rows, cols, base, slope): base + p * slope at
-    value p.  Once no cut is violated, every row's support is certified
-    by Farkas multipliers (_CutRows.certify), which fill the model's
-    Farkas block in the returned LPSolution: its values are a solution of
-    the model itself.
+    its cut pool.  Those entries lie in the master's own rows alone, as
+    in the ESS models' rows u - lambda v <= 0, and are found once, when
+    the master is built: entries holds their (rows, cols, base, slope),
+    base + p * slope at value p.  Once no cut is violated, every row's
+    support is certified by Farkas multipliers (_CutRows.certify), which
+    fill the model's Farkas block in the returned LPSolution: its values
+    are a solution of the model itself.
 
     The loop raises _NoCuts when built on a family it cannot cut (a
     component the family touches has no bounded, full-dimensional vertex
-    set, or param scales its G).  A model without robust rows (a point) is
-    its own master: one master solve answers a call.  A call answers
-    "numerical-failure", and logs a warning, when its master ends neither
-    optimal nor infeasible, warm and then once more cold (from no basis),
-    when it needs over MAX_ROUNDS master solves, or when a support LP
-    beats every vertex.  cuts counts the vertex cuts added and rounds the
-    master solves of the last call.  Needs scipy's HiGHS module.
+    set, or param reaches its G or h).  A model without robust rows (a
+    point) is its own master: one master solve answers a call.  A call
+    answers "numerical-failure", and logs a warning, when its master ends
+    neither optimal nor infeasible, warm and then once more cold (from no
+    basis), when it needs over MAX_ROUNDS master solves, or when a
+    support LP beats every vertex.  cuts counts the vertex cuts added and
+    rounds the master solves of the last call.  Needs scipy's HiGHS
+    module.
     """
 
     def __init__(self, model, param=None):
@@ -1007,51 +1001,28 @@ class _CutLoop:
         self.families = [_CutRows(family, self.master, param)
                          for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
-        self.nrows = 0
         if param is not None:
-            self.entries = (np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                            np.zeros(0), np.zeros(0))
             rows, cols, base, slope = self.master._entries(
                 self.master._ineqs, param)
             shape = (self.master.num_ineq_rows, self.master._offsets()[1])
             flat = rows * shape[1] + cols
-            self._locate(_summed(flat, base, shape),
-                         _summed(flat, slope, shape))
-        self.nrows = self.master.num_ineq_rows
+            base, slope = (_summed(flat, a, shape) for a in (base, slope))
+            rows, cols = np.nonzero(slope)
+            self.entries = rows, cols, base[rows, cols], slope[rows, cols]
         if self.families:
             self._add([family.centre_cuts() for family in self.families])
         self.cuts, self.rounds = 0, 0
 
     def _add(self, blocks):
         """Append the rows of the rows_at blocks; returns their count."""
-        base, slope, const = zip(*blocks)
-        base, const = np.vstack(base), np.concatenate(const)
-        if self.param is None:
-            values, used = base, base != 0
-        else:
-            slope = np.vstack(slope)
-            values = base + self.master.params[self.param] * slope
-            used = (base != 0) | (slope != 0)
-            self._locate(base, slope)
-        rows, cols = np.nonzero(used)
-        self.lp.add_rows(np.append(0, np.cumsum(used.sum(axis=1))), cols,
-                         values[rows, cols], -const)
-        self.nrows += len(base)
+        base, const = (np.concatenate(part) for part in zip(*blocks))
+        rows, cols = np.nonzero(base)
+        indptr = np.append(0, np.cumsum(np.count_nonzero(base, axis=1)))
+        self.lp.add_rows(indptr, cols, base[rows, cols], -const)
         return len(base)
-
-    def _locate(self, base, slope):
-        """Append to entries the (rows, cols, base, slope) of the entries
-        base + p * slope that the parameter reaches in the dense rows base
-        and slope, which go into the master from row nrows on."""
-        rows, cols = np.nonzero(slope)
-        self.entries = tuple(
-            np.concatenate([old, new]) for old, new in
-            zip(self.entries, (rows + self.nrows, cols, base[rows, cols],
-                               slope[rows, cols])))
 
     def __call__(self, value=None):
         if self.param is not None:
-            self.master.params[self.param] = value
             rows, cols, base, slope = self.entries
             self.lp.set_coeffs(rows, cols, base + slope * value)
         try:
@@ -1067,8 +1038,7 @@ class _CutLoop:
                     return LPSolution(status, None, None)
                 if status != "optimal":
                     raise _NoCuts(f"a master LP ended {status}")
-                new = [cut for cut in (f.separate(x, value)
-                                       for f in self.families)
+                new = [cut for cut in (f.separate(x) for f in self.families)
                        if cut is not None]
                 if not new:
                     values = self.master.split(x)
@@ -1087,10 +1057,11 @@ def solver(model, param=None):
     (LPModel.param_expr), or of nothing when param is None.
 
     The path is picked here, once: one _CutLoop, whose probes rewrite only
-    the entries param scales, when every robust row family can be cut;
-    else, its reason logged, a fresh solve at every call (set
-    model.params[param], then solve(model)).  That is the reference path,
-    which every call takes without scipy's HiGHS module.
+    the entries param scales in the model's own rows, when every robust
+    row family can be cut and param reaches none; else, its reason
+    logged, a fresh solve at every call (set model.params[param], then
+    solve(model)).  That is the reference path, which every call takes
+    without scipy's HiGHS module.
     """
 
     def fresh(value=None):

@@ -256,10 +256,6 @@ class Partition:
             raise ValueError("partition edges must be strictly increasing")
         object.__setattr__(self, "edges", edges)
 
-    @property
-    def num_bins(self):
-        return self.edges.size + 1
-
     @classmethod
     def regular(cls, lo, hi, step):
         """Evenly spaced edges from lo to hi inclusive."""

@@ -131,12 +131,17 @@ def _search_blocks(model, n, m, mode):
 
 
 def _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam):
-    """Right-hand side of the gain rows: lam * v for a fixed lam, the
-    model parameter "lam" (LPModel.param_expr) set to lam_fixed, which
-    needs the 'ess' block v; a free minimized lam (adds its block and the
-    objective); else v - eta."""
+    """Right-hand side of the gain rows: for a fixed lam, a free block u
+    with the model's own rows u <= lam * v, lam the model parameter "lam"
+    (LPModel.param_expr) set to lam_fixed, which needs the 'ess' block v;
+    the robust rows are only looser for a larger u, so u = lam * v loses
+    nothing, and lam stays out of the robust rows (lp_core._CutLoop).  A
+    free minimized lam adds its block and the objective; else v - eta."""
     if lam_fixed is not None:
-        return model.param_expr("lam", "v", lam_fixed)
+        model.add_block("u", v_expr.rows)
+        u_expr = model.identity_expr("u")
+        model.add_ineq(u_expr - model.param_expr("lam", "v", lam_fixed))
+        return u_expr
     if minimize_lam:
         model.add_block("lam", 1)
         model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
@@ -195,14 +200,17 @@ def _extract_sign(model, sol, poly, spec, n, mode, eta):
 def _built_sizes(model, search_variables):
     """The count_constraints_sign / count_constraints_aarc record of a
     model on a polytope, whose search blocks hold search_variables
-    variables: its robust rows and Farkas multipliers are those of
-    model.robust."""
+    variables: every other count is read from model.robust, whose h rows
+    are the inequality rows (the model's own rows, such as the u rows of
+    a fixed lam, are not counted) and whose Farkas blocks hold the
+    multipliers and the equality rows."""
     families = model.robust.values()
+    robust = sum(f.h_expr.rows for f in families)
     return {
-        "robust_inequalities": sum(f.h_expr.rows for f in families),
+        "robust_inequalities": robust,
         "farkas_variables": sum(f.size for f in families),
-        "equality_rows": model.num_eq_rows,
-        "inequality_rows": model.num_ineq_rows,
+        "equality_rows": sum(f.eq_rows.size for f in families),
+        "inequality_rows": robust,
         "search_variables": search_variables,
     }
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quantstab import (
+    Dataset,
     LinearSystem,
     Polytope,
     QuantizerSpec,
@@ -257,8 +258,8 @@ def test_criterion_6_end_to_end_soundness(sys1, part1):
 def test_criterion_7_conservatism_and_monotonicity(sys1, part1):
     """Method ordering, sample-count monotonicity, sector-shrink validity."""
     ds = generate_dataset(sys1, part1, 100, seed=11)
-    prefixes = {T: prune_redundant(build_polytope(ds.truncate(T)))
-                for T in (60, 80, 100)}
+    prefixes = {T: prune_redundant(build_polytope(
+        Dataset(ds.samples[:T], ds.epsilon, ds.meta))) for T in (60, 80, 100)}
 
     base = prefixes[80]
     r_nominal = _nominal_min_rho(sys1, "ess")

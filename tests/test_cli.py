@@ -72,7 +72,8 @@ def pruned_file(tmp_path_factory, data_file):
 
 
 def test_gendata_writes_dataset(data_file, sys1):
-    ds = Dataset.load(data_file)
+    with open(data_file) as f:
+        ds = Dataset.from_json_dict(json.load(f))
     assert len(ds) == 100
     assert (ds.n, ds.m) == (3, 2)
 
@@ -90,7 +91,8 @@ def test_gendata_empty(tmp_path):
     out = tmp_path / "empty.json"
     assert run("gendata", "--system", "sys1", "--T", "0", "--out",
                str(out)) == OK
-    assert len(Dataset.load(out)) == 0
+    with open(out) as f:
+        assert len(Dataset.from_json_dict(json.load(f))) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,10 @@ def _expected_rows(master, family, rows, points):
                                   "sign sys1 ss"])
 def test_compiled_cut_rows_equal_the_assembled_rows(case, pruned_sys1,
                                                     pruned_sys2, sys1, sys2):
-    # ESS models at a fixed lambda, the loop's parameter; the SS model has
-    # a constant v and a lambda block instead, and no parameter
+    # ESS models at a fixed lambda, the loop's parameter, which reaches
+    # only the model's own rows u <= lambda v: the compiled rows must
+    # equal the assembled ones at every lambda.  The SS model has a
+    # constant v and a lambda block instead, and no parameter
     method, system, *ss = case.split()
     plant, poly = {"sys1": (sys1, pruned_sys1),
                    "sys2": (sys2, pruned_sys2)}[system]
@@ -83,18 +85,39 @@ def test_compiled_cut_rows_equal_the_assembled_rows(case, pruned_sys1,
         for comp, z in zip(cut_rows.comps, picks):
             touch = comp.at[rows] >= 0
             points[np.ix_(touch, comp.hull.cols)] = z[touch]
-        base, slope, const = cut_rows.rows_at(rows, picks)
+        base, const = cut_rows.rows_at(rows, picks)
         for lam in lams:
             if lam is not None:
                 loop.master.params["lam"] = lam
             A, expected = _expected_rows(loop.master, family, rows, points)
-            got = base if lam is None else base + lam * slope
-            np.testing.assert_allclose(got, A, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(base, A, rtol=0, atol=1e-12)
             np.testing.assert_allclose(const, expected, rtol=0, atol=1e-12)
     # the engine solves without ever building a Farkas block
     assert loop(*lams[:1]).optimal
     assert all("farkas" not in family.__dict__
                for family in model.robust.values())
+
+
+@pytest.mark.parametrize("build", [_sign_model, _aarc_model],
+                         ids=["sign", "aarc"])
+def test_lambda_reaches_only_the_u_rows_of_the_master(build, pruned_sys1,
+                                                      sys1):
+    # the ESS min-lambda models bound their robust rows by u and keep
+    # lambda in their own rows u - lambda v <= 0, so a probe rewrites the
+    # n entries -lambda on v of those rows, and no cut carries lambda
+    n = sys1.n
+    model = build(pruned_sys1, QuantizerSpec.uniform(0.7, sys1.m), n, "ess",
+                  DEFAULT_ETA, lam_fixed=1.0)
+    loop = lp_core._CutLoop(model, "lam")
+    rows, cols, base, slope = loop.entries
+    offsets, _ = loop.master._offsets()
+    A = loop.master.assemble()[1].toarray()
+    assert A.shape[0] == n
+    np.testing.assert_array_equal(A[:, offsets["u"]:offsets["u"] + n],
+                                  np.eye(n))
+    assert rows.tolist() == list(range(n))
+    assert cols.tolist() == list(offsets["v"] + np.arange(n))
+    assert base.tolist() == [0.0] * n and slope.tolist() == [-1.0] * n
 
 
 def test_aarc_rows_on_vertex_cuts_give_the_fresh_probe_verdicts(pruned_sys1,

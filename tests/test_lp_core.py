@@ -294,7 +294,8 @@ def test_robust_rows_range_over_their_own_components(rng):
     np.testing.assert_array_equal(faces[rows == 0], own)
     assert not np.any(rows == 1)
     np.testing.assert_array_equal(faces[rows == 2], np.arange(P.num_faces))
-    assert model.num_eq_rows == np.count_nonzero(col_comp == col_comp[0]) + d
+    assert model.assemble()[3].shape[0] \
+        == np.count_nonzero(col_comp == col_comp[0]) + d
 
 
 def test_warm_lp_refuses_equality_rows():
@@ -403,6 +404,41 @@ def test_param_entries_of_an_unused_parameter_are_empty_arrays():
     assert loop.entries[0].dtype.kind == loop.entries[1].dtype.kind == "i"
     sol = loop(3.0)
     assert sol.status == "optimal" and sol.objective == pytest.approx(-1.0)
+
+
+def _robust_param_model(p):
+    """min x0 over 0 <= x <= 10 with z0 + z1 <= p x0 for every z of the
+    triangle z0 + z1 <= 1, z >= -1, one bounded component of two columns:
+    p reaches the robust row's h, so the optimum is 1 / p for p >= 1/10
+    and the LP is infeasible for p <= 0."""
+    model = LPModel()
+    model.add_block("x", 2, lb=0.0, ub=10.0)
+    triangle = Polytope(G=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                        h=np.ones(3))
+    px0 = model.param_expr("p", "x", p).premul(np.array([[1.0, 0.0]]))
+    add_robust_rows(model, triangle, AffExpr(2, const=[1.0, 1.0]), px0, "Z")
+    model.set_objective(AffExpr(1, {"x": [[1.0, 0.0]]}))
+    return model
+
+
+def test_a_parameter_in_a_robust_row_is_solved_fresh(caplog):
+    # the cut engine compiles robust rows without the parameter, so a
+    # family it reaches takes the reference path, the fresh Farkas LP;
+    # at its own value the same model runs on vertex cuts
+    assert isinstance(solver(_robust_param_model(1.0)), lp_core._CutLoop)
+    with caplog.at_level("INFO", logger="quantstab.lp_core"):
+        solve_at = solver(_robust_param_model(1.0), "p")
+    assert not isinstance(solve_at, lp_core._CutLoop)
+    assert [r.getMessage() for r in caplog.records] == [
+        "solving fresh: the parameter reaches a robust row"]
+    with fresh_solves():
+        reference = solver(_robust_param_model(1.0), "p")
+    for p in (1.0, 0.5, 4.0, -1.0):
+        a, b = solve_at(p), reference(p)
+        assert a.status == b.status == ("infeasible" if p < 0 else "optimal")
+        if p > 0:
+            assert a.objective == b.objective == pytest.approx(1 / p)
+            np.testing.assert_array_equal(a.values["x"], b.values["x"])
 
 
 def test_solver_warm_matches_fresh_solves():

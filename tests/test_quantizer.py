@@ -205,7 +205,6 @@ def test_beta_vertices_binary_order():
 def test_regular_partition_edges():
     p = Partition.regular(-4, 4, 1)
     np.testing.assert_allclose(p.edges, np.arange(-4, 5))
-    assert p.num_bins == 10
 
 
 def test_interval_lookup_interior_and_ends():

@@ -298,9 +298,9 @@ def test_size_record_matches_assembled_model(n, m, L):
     model = _aarc_model(poly, spec, n, "ess", 1e-6)
     counts = count_constraints_aarc(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
-    assert model.num_eq_rows == counts["equality_rows"]
-    assert len(model.assemble()[0]) - counts["search_variables"] \
-        == counts["farkas_variables"]
+    c, _, _, A_eq, _, _ = model.assemble()
+    assert A_eq.shape[0] == counts["equality_rows"]
+    assert len(c) - counts["search_variables"] == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n + n * n * 2 ** (m + 1)
 
 
@@ -315,8 +315,9 @@ def test_size_record_matches_row_separable_model(n, m):
     model = _aarc_model(poly, spec, n, "ess", 1e-6)
     counts = count_constraints_aarc(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
-    assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
+    c, _, _, A_eq, _, _ = model.assemble()
+    assert A_eq.shape[0] == counts["equality_rows"]
+    farkas_vars = len(c) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     per_state = 1 + 2 * n * 2 ** m      # row sum and envelope rows of i
     assert counts["farkas_variables"] == per_state * sum(row_faces)

@@ -366,8 +366,9 @@ def test_size_record_matches_assembled_model(n, m, L):
     model = _sign_model(poly, spec, n, "ess", 1e-6)
     counts = count_constraints_sign(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
-    assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
+    c, _, _, A_eq, _, _ = model.assemble()
+    assert A_eq.shape[0] == counts["equality_rows"]
+    farkas_vars = len(c) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     assert counts["robust_inequalities"] == n * 2 ** (n + m)
 
@@ -383,8 +384,9 @@ def test_size_record_matches_row_separable_model(n, m):
     model = _sign_model(poly, spec, n, "ess", 1e-6)
     counts = count_constraints_sign(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
-    assert model.num_eq_rows == counts["equality_rows"]
-    farkas_vars = len(model.assemble()[0]) - counts["search_variables"]
+    c, _, _, A_eq, _, _ = model.assemble()
+    assert A_eq.shape[0] == counts["equality_rows"]
+    farkas_vars = len(c) - counts["search_variables"]
     assert farkas_vars == counts["farkas_variables"]
     assert counts["farkas_variables"] == 2 ** (n + m) * sum(row_faces)
     assert counts["equality_rows"] == 2 ** (n + m) * n * (n + m)

@@ -96,7 +96,7 @@ def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
 
 def test_aarc_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
     # Z_M and Z_b, filled by the cut engine, certify the envelope model's
-    # rows rebuilt at the certificate: (v, S), m_param and lam v
+    # rows rebuilt at the certificate: (v, S), m_param and u = lam v
     n, m, nsq = sys1.n, sys1.m, sys1.n ** 2
     spec = QuantizerSpec.uniform(0.7, m)
     pattern = _envelope_pattern(pruned_sys1, n)
@@ -111,7 +111,7 @@ def test_aarc_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
         values = {"v": cert.v, "S": cert.S.flatten("F"), "m0": param.m0,
                   "ma": param.ma[pattern[:, :nsq]],
                   "mb": param.mb[pattern[:, nsq:]],
-                  ("lam", "v"): cert.lam * cert.v}   # LPModel.param_expr
+                  "u": cert.lam * cert.v}
         assert list(res.extras["Z"]) == list(model.robust) == ["ZM", "Zb"]
         for name, family in model.robust.items():
             Z = res.extras["Z"][name]
