@@ -59,6 +59,17 @@ faces, which fills the Farkas block's values.  No Farkas block is built
 on this path, and a model without robust rows (a plant point) is its own
 master.  A call that the loop cannot answer is a numerical failure.
 
+A cut is a robust row taken at one vertex, which the robust row implies
+in every model, at every density: so the cuts outlive the call that
+found them.  Each family's cut pool, its (row, vertex) pairs, is kept on
+its Polytope (Polytope.cut_pools), and the next loop on that polytope, at
+another density of a rho bisection say, starts from the Chebyshev-centre
+rows plus the rows of every pooled pair.  The master stays a
+relaxation, and an optimal answer is still certified vertex by vertex, so
+the verdicts are those of a cold start, which is a loop on a new Polytope
+and its empty pool.  A loop writes a pool back only after an optimal
+answer (see _CutLoop).
+
 This module alone picks the path, once per model: where a family cannot
 be cut (a component without a bounded, full-dimensional vertex set), and
 without scipy's private HiGHS module (_highs None), every call is a fresh
@@ -176,6 +187,16 @@ class Polytope:
         return [_dual_hull(self, np.flatnonzero(face_comp == k),
                            np.flatnonzero(col_comp == k))
                 for k in range(col_comp.max(initial=-1) + 1)]
+
+    @cached_property
+    def cut_pools(self):
+        """The vertex cuts that cut loops (_CutLoop) on this polytope kept
+        for the next loop: per robust row family, keyed by its name, row
+        count and the components its rows touch, the (rows, vertex index
+        per component) of each cut (_CutRows).  A loop writes a family's
+        pool back only after an optimal answer.  A new Polytope has none,
+        so its first loop starts from the Chebyshev centres alone."""
+        return {}
 
     def contains(self, x, tol=1e-9):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -848,7 +869,14 @@ class _CutRows:
     the multipliers.  Every cut row is a contraction of the compiled
     arrays with its point (rows_at): no expression is built per round.
     The rows carry no parameter: a family that the loop's parameter
-    reaches, through G or h, raises _NoCuts."""
+    reaches, through G or h, raises _NoCuts.
+
+    A cut is a pair (row r, vertex index of r's point on each component),
+    and pool holds the pairs in the master.  Row r of any model's family
+    of the same name, row count and components implies its row at those
+    vertices, so a pair stays a valid cut of every later master: the pool
+    starts from the polytope's (Polytope.cut_pools), whose rows start_cuts
+    rebuilds for this master, and keep() writes it back."""
 
     def __init__(self, family, master, param):
         poly, d = family.poly, family.poly.dim
@@ -863,7 +891,8 @@ class _CutRows:
         r, c = np.divmod(r, d)
         comp_of = poly.components[1][c]
         self.comps = []
-        for k in np.flatnonzero(family.touched.any(axis=0)):
+        touched = np.flatnonzero(family.touched.any(axis=0))
+        for k in touched:
             hull = poly.hulls[k]
             if hull is None or not hull.bounded:
                 raise _NoCuts(f"component {k} has no vertex set")
@@ -877,7 +906,12 @@ class _CutRows:
         self.slot[family.rows, family.faces] = np.arange(family.size)
         self.size = family.size
         self.sessions = {}
-        self.pool = set()
+        self.poly, self.key = poly, (self.name, self.L2, tuple(touched))
+        # the pool's pairs as rows [r, vertex index per component]: the
+        # polytope's pool, then each round's cuts
+        self.pairs = [poly.cut_pools.get(
+            self.key, np.zeros((0, 1 + touched.size), dtype=int))]
+        self.pool = {(p[0], p[1:].tobytes()) for p in self.pairs[0]}
 
     def rows_at(self, rows, points):
         """(base, const) of the rows G_r(x) z_r - h_r(x) <= 0 at the points
@@ -893,12 +927,29 @@ class _CutRows:
             const[k] += np.einsum("kc,kc->k", z, comp.c[at])
         return base, const
 
-    def centre_cuts(self):
-        """The rows at every component's Chebyshev centre, all rows."""
-        rows = np.arange(self.L2)
-        centres = [np.broadcast_to(c.hull.x0, (rows.size, c.hull.x0.size))
-                   for c in self.comps]
-        return self.rows_at(rows, centres)
+    def start_cuts(self):
+        """The master's first rows: every row at its components' Chebyshev
+        centres, then the cuts of the pool it started from."""
+        pairs = self.pairs[0]
+        points = [np.vstack([np.broadcast_to(c.hull.x0,
+                                             (self.L2, c.hull.x0.size)),
+                             c.hull.vertices[pairs[:, 1 + j]]])
+                  for j, c in enumerate(self.comps)]
+        return self.rows_at(np.append(np.arange(self.L2), pairs[:, 0]),
+                            points)
+
+    def keep(self):
+        """Write the pool back to the polytope (Polytope.cut_pools), for
+        the next loop on a family like this one, its pairs sorted by row,
+        then by vertex index."""
+        # Sorted, not in the order found: HiGHS's answer on a master can
+        # hang on its row order.  With the pool in the order found, sys2's
+        # (T = 60) ESS feasibility master at rho = 0.375 ended unsolved,
+        # warm and cold, and so did 9 of 20 random orders of its pool.
+        if len(self.pairs) > 1:
+            pairs = np.vstack(self.pairs)
+            self.pairs = [pairs[np.lexsort(pairs.T[::-1])]]
+            self.poly.cut_pools[self.key] = self.pairs[0]
 
     def separate(self, x):
         """The most violated vertex cut of every row that is violated by
@@ -920,6 +971,7 @@ class _CutRows:
             return None
         self.pool.update((r, self.best[r].tobytes()) for r in new)
         new = np.array(new)
+        self.pairs.append(np.column_stack([new, self.best[new]]))
         return self.rows_at(new, [c.hull.vertices[self.best[new, j]]
                                   for j, c in enumerate(self.comps)])
 
@@ -971,16 +1023,21 @@ class _CutLoop:
     blocks, bounds, objective and rows without the robust families, and
     each family is compiled once into arrays over the master's columns
     (_CutRows).  The master is one _WarmLP, which first gets the rows at
-    each component's Chebyshev centre; every round adds the most violated
-    vertex cut of each violated row (addRows), and a call rewrites the
-    entries param scales, so the probes of one loop share its basis and
-    its cut pool.  Those entries lie in the master's own rows alone, as
-    in the ESS models' rows u - lambda v <= 0, and are found once, when
-    the master is built: entries holds their (rows, cols, base, slope),
-    base + p * slope at value p.  Once no cut is violated, every row's
+    each component's Chebyshev centre and the cuts pooled on the polytope
+    by earlier loops (Polytope.cut_pools); every round adds the most
+    violated vertex cut of each violated row (addRows), and a call
+    rewrites the entries param scales, so the probes of one loop share its
+    basis and its cut pool.  Those entries lie in the master's own rows
+    alone, as in the ESS models' rows u - lambda v <= 0, and are found
+    once, when the master is built: entries holds their (rows, cols, base,
+    slope), base + p * slope at value p.  Once no cut is violated, every row's
     support is certified by Farkas multipliers (_CutRows.certify), which
     fill the model's Farkas block in the returned LPSolution: its values
-    are a solution of the model itself.
+    are a solution of the model itself.  Then every family writes its pool
+    back to the polytope (_CutRows.keep), for the next loop there.  An
+    infeasible or failed call writes nothing back: with the cuts of
+    infeasible calls pooled too, sys2's (T = 60) ESS feasibility master at
+    rho = 0.4453125 of a rho bisection ended unsolved, warm and cold.
 
     The loop raises _NoCuts when built on a family it cannot cut (a
     component the family touches has no bounded, full-dimensional vertex
@@ -989,9 +1046,9 @@ class _CutLoop:
     answers "numerical-failure", and logs a warning, when its master ends
     neither optimal nor infeasible, warm and then once more cold (from no
     basis), when it needs over MAX_ROUNDS master solves, or when a
-    support LP beats every vertex.  cuts counts the vertex cuts added and
-    rounds the master solves of the last call.  Needs scipy's HiGHS
-    module.
+    support LP beats every vertex.  cuts counts the vertex cuts the
+    loop's rounds added (not those it started from) and rounds the master
+    solves of the last call.  Needs scipy's HiGHS module.
     """
 
     def __init__(self, model, param=None):
@@ -1010,7 +1067,7 @@ class _CutLoop:
             rows, cols = np.nonzero(slope)
             self.entries = rows, cols, base[rows, cols], slope[rows, cols]
         if self.families:
-            self._add([family.centre_cuts() for family in self.families])
+            self._add([family.start_cuts() for family in self.families])
         self.cuts, self.rounds = 0, 0
 
     def _add(self, blocks):
@@ -1044,6 +1101,8 @@ class _CutLoop:
                     values = self.master.split(x)
                     values.update((f.name, f.certify())
                                   for f in self.families)
+                    for f in self.families:
+                        f.keep()
                     return LPSolution("optimal", values, obj)
                 self.cuts += self._add(new)
             raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")

@@ -333,9 +333,14 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     Farkas multipliers for audit, {"Z": array of shape (n 2^(n+m), L)}
     with rows ordered as in _signed_rows (none on a point),
     and extras["counts"] the size of the Farkas LP.  On a polytope the
-    LPs are solved by vertex cuts, one cut pool for every probe of the
-    call, or fresh as the Farkas LP where the rows cannot be cut (see the
-    module docstring); the known-plant LPs by the same warm master.
+    LPs are solved by vertex cuts, or fresh as the Farkas LP where the
+    rows cannot be cut (see the module docstring); the known-plant LPs by
+    the same warm master.  The cut pool persists across calls: a call
+    starts from the cuts that earlier calls on the same Polytope object
+    kept, and keeps its own after each optimal answer, not after an
+    infeasible or failed one (lp_core._CutLoop), so the probes of a rho
+    bisection over one polytope build on each other; a new Polytope of
+    the same G and h starts cold.
     An empty polytope raises ValueError, and a failed nonemptiness LP
     SolverError.
     """

@@ -5,7 +5,10 @@ its master's columns (lp_core._CutRows); a cut is then one contraction of
 those arrays with its vertex, and must be the row that the family's
 expressions give at that vertex.  The engine builds no Farkas block, and
 a Polytope remembers a passed nonemptiness check, so a bisection over
-one polytope makes one nonemptiness LP.
+one polytope makes one nonemptiness LP.  It also keeps the vertex cuts of
+every call that answered optimal (Polytope.cut_pools), so that the next
+call on it starts from them; a new Polytope starts from none, the cold
+reference.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import scipy.sparse as sp
 
 from quantstab import (Polytope, QuantizerSpec, build_polytope,
                        generate_dataset, min_feasible_rho, prune_redundant,
-                       synthesize_sign)
+                       synthesize_aarc, synthesize_sign)
 from quantstab import lp_core
 from quantstab.lp_core import LinprogBackend, SolverError
 from quantstab.synth_aarc import _aarc_model
@@ -210,9 +213,15 @@ def _no_farkas_lp(monkeypatch):
 
 
 def test_failed_warm_master_is_solved_again_cold(monkeypatch, pruned_sys1):
+    # each call gets its own Polytope, so each starts from an empty cut
+    # pool (Polytope.cut_pools) and makes the same master solves; the
+    # second one's vertex sets are built first, so that only master solves
+    # are counted
     spec = QuantizerSpec.uniform(0.7, 2)
-    clean = synthesize_sign(pruned_sys1, spec, mode="ss",
-                            objective="min-lambda")
+    clean = synthesize_sign(Polytope(pruned_sys1.G, pruned_sys1.h), spec,
+                            mode="ss", objective="min-lambda")
+    cold = Polytope(pruned_sys1.G, pruned_sys1.h)
+    cold.hulls
     runs, run = [], lp_core._WarmLP.run
 
     def second_run_fails(self):
@@ -222,8 +231,7 @@ def test_failed_warm_master_is_solved_again_cold(monkeypatch, pruned_sys1):
 
     _no_farkas_lp(monkeypatch)
     monkeypatch.setattr(lp_core._WarmLP, "run", second_run_fails)
-    res = synthesize_sign(pruned_sys1, spec, mode="ss",
-                          objective="min-lambda")
+    res = synthesize_sign(cold, spec, mode="ss", objective="min-lambda")
     assert len(runs) > 2
     assert res.status == clean.status
     assert res.certificate.lam == pytest.approx(clean.certificate.lam,
@@ -240,3 +248,75 @@ def test_sys2_ess_min_lambda_answers_on_vertex_cuts(monkeypatch,
     assert res.feasible and res.extras["failed_lam"] == []
     assert res.certificate.lam == pytest.approx(0.9677124023437546,
                                                 abs=1e-6)
+
+
+def _rho_bisection(monkeypatch, synth, poly, m, cold):
+    """(rho*, [(rho, status)] of every probe, master solves of every cut
+    loop in all) of the ESS feasibility min_feasible_rho of synth over
+    poly: every probe on poly itself, or each on a new copy of it when
+    cold."""
+    verdicts, rounds, call = [], [], lp_core._CutLoop.__call__
+
+    def counted(self, value=None):
+        sol = call(self, value)
+        rounds.append(self.rounds)
+        return sol
+
+    def probe(rho):
+        target = Polytope(poly.G, poly.h) if cold else poly
+        res = synth(target, QuantizerSpec.uniform(rho, m))
+        verdicts.append((rho, res.status))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_core._CutLoop, "__call__", counted)
+        rho, _ = min_feasible_rho(probe)
+    return rho, verdicts, sum(rounds)
+
+
+@pytest.mark.parametrize("synth", [synthesize_sign, synthesize_aarc],
+                         ids=["sign", "aarc"])
+def test_pooled_rho_bisection_matches_cold_probes(monkeypatch, synth,
+                                                  pruned_sys1, sys1):
+    # every probe on one polytope starts from the cuts of the calls before
+    # it that answered optimal; on a new copy per probe every call starts
+    # from the Chebyshev centres alone
+    pooled = _rho_bisection(monkeypatch, synth,
+                            Polytope(pruned_sys1.G, pruned_sys1.h), sys1.m,
+                            cold=False)
+    cold = _rho_bisection(monkeypatch, synth, pruned_sys1, sys1.m, cold=True)
+    assert pooled[1] == cold[1]
+    assert pooled[0] == cold[0]
+    assert "numerical-failure" not in {s for _, s in pooled[1] + cold[1]}
+    assert pooled[2] < cold[2]
+
+
+def test_sys2_sign_rho_bisection_on_one_polytope(monkeypatch, pruned_sys2,
+                                                 sys2):
+    # with the pool written back after infeasible calls too, the probe at
+    # rho = 0.4453125 ended unsolved, warm and cold
+    rho, verdicts, _ = _rho_bisection(monkeypatch, synthesize_sign,
+                                      Polytope(pruned_sys2.G, pruned_sys2.h),
+                                      sys2.m, cold=False)
+    assert rho == 0.451171875
+    assert "numerical-failure" not in {s for _, s in verdicts}
+
+
+def test_an_infeasible_call_leaves_the_cut_pool_as_it_was(pruned_sys2,
+                                                          sys2):
+    poly = Polytope(pruned_sys2.G, pruned_sys2.h)
+
+    def loop(rho):
+        return lp_core._CutLoop(_sign_model(
+            poly, QuantizerSpec.uniform(rho, sys2.m), sys2.n, "ess",
+            DEFAULT_ETA))
+
+    assert loop(1.0)().optimal
+    (key, pool), = poly.cut_pools.items()
+    assert key[0] == "Z" and len(pool) > 0
+    # rho = 0.4375 is infeasible, in three master solves that add cuts
+    infeasible = loop(0.4375)
+    assert infeasible().status == "infeasible"
+    assert infeasible.cuts > 0
+    assert list(poly.cut_pools) == [key]
+    np.testing.assert_array_equal(poly.cut_pools[key], pool)

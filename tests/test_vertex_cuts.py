@@ -223,13 +223,15 @@ def test_failed_master_reports_numerical_failure(monkeypatch, caplog,
 def test_support_lps_certify_where_vertex_duals_do_not(monkeypatch,
                                                        pruned_sys1):
     # with a negative CERT_TOL no vertex's active faces certify a row, so
-    # every row's multipliers come from a warm support LP
+    # every row's multipliers come from a warm support LP; each call gets
+    # its own Polytope, so both start from an empty cut pool
+    # (Polytope.cut_pools) and reach the same optimum
     spec = QuantizerSpec.uniform(0.7, 2)
-    by_vertices = synthesize_sign(pruned_sys1, spec, mode="ss",
-                                  objective="min-lambda")
+    by_vertices = synthesize_sign(Polytope(pruned_sys1.G, pruned_sys1.h),
+                                  spec, mode="ss", objective="min-lambda")
     monkeypatch.setattr(lp_core, "CERT_TOL", -1.0)
-    by_lps = synthesize_sign(pruned_sys1, spec, mode="ss",
-                             objective="min-lambda")
+    by_lps = synthesize_sign(Polytope(pruned_sys1.G, pruned_sys1.h), spec,
+                             mode="ss", objective="min-lambda")
     assert by_lps.certificate.lam == pytest.approx(by_vertices.certificate.lam,
                                                    abs=1e-9)
     Z = by_lps.extras["Z"]["Z"]

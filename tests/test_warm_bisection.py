@@ -65,7 +65,8 @@ def _min_lambda(monkeypatch, synth, target, plant, fresh_path=False,
 def test_warm_bisection_matches_fresh_solves(monkeypatch, synth, where,
                                              pruned_sys1, sys1, sys2):
     # the sys2 point (n = 5, m = 3) is the largest point master: its sign
-    # LP has 1,280 rows whose entries lambda scales
+    # LP has 1,280 substituted rows, bounded by u, and lambda scales only
+    # the n = 5 entries on v of its rows u - lambda v <= 0
     plant = sys2 if where == "sys2 point" else sys1
     target = pruned_sys1 if where == "polytope" \
         else plant_vec(plant.A, plant.B)

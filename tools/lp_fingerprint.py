@@ -33,9 +33,12 @@ and a call the engine cannot answer is a numerical failure, "!".
 The script patches the engine's class too, where it exists, and prints
 one line per engine solve after its call's result: the lambda it was
 asked about (the probe's value in an ESS min-lambda bisection, None
-otherwise), its verdict as above, the vertex cuts in the master after it
-and the master solves it took.  The engine lines show whether the cuts
-cut the same way.
+otherwise), its verdict as above, the vertex cuts its rounds have added
+to the master by then and the master solves it took.  The engine lines
+show whether the cuts cut the same way.  A call on a polytope that an
+earlier call answered optimal on starts its master from that call's
+vertex cuts too (Polytope.cut_pools; they are not counted in cuts=), so
+its cuts=, rounds= and warm probe string differ from a cold start's.
 
 A polytope is checked for nonemptiness by one fresh LP, the first time a
 synthesis call needs it, so the later calls on the same polytope print
