@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from .lp_core import (AffExpr, LPModel, Polytope, _require_nonempty,
                       add_robust_rows, solver)
 from .quantizer import cube_vertices
-from .sysmodel import StabCertificate, SynthResult
+from .sysmodel import ENUM_GUARD, StabCertificate, SynthResult
 
 __all__ = [
     "synthesize_sign",
@@ -53,7 +53,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ENUM_GUARD = 20
 DEFAULT_ETA = 1e-6
 LAMBDA_BISECT_TOL = 1e-4
 

@@ -178,6 +178,11 @@ class SynthResult:
         return self.status == "feasible"
 
 
+# The largest n + m whose 2^(n+m) (alpha, beta) pairs the sign LP and the
+# audit enumerate.
+ENUM_GUARD = 20
+
+
 def sign_vectors(n):
     """All sign patterns alpha in {-1, +1}^n, low vertex first.
 

@@ -5,7 +5,9 @@ containment by vertex enumeration in small dimensions, against which the
 Farkas multiplier blocks are checked; prune_whole_polytope is the
 sequential redundancy test over the whole polytope, against which the
 per-component prune_redundant is checked; check_cert is the envelope
-check of a certificate against a known plant.
+check of a certificate against a known plant; every_row_margin solves
+every robust row of the audit over the whole polytope, against which
+robust_verify's skipped rows are checked.
 """
 
 import itertools
@@ -107,3 +109,27 @@ def check_cert(sys, cert, spec):
     eff = envelope if cert.M is None else np.maximum(cert.M, envelope)
     margin = float(np.min(v - cert.eta - eff.sum(axis=1)))
     return dominated and margin >= -ENVELOPE_SLACK, margin
+
+
+def every_row_margin(poly, certificate, spec):
+    """The margin v_i - eta - max over P of
+    sum_j alpha_j (A_ij v_j + sum_k beta_k B_ik S_kj) of every robust row,
+    each an LP over the whole polytope: {(i, alpha, beta): margin} with
+    alpha and beta tuples, in the audit's order (alpha outer, then beta,
+    then i), and -inf where the support is unbounded."""
+    v, S, eta = certificate.v, certificate.S, certificate.eta
+    n, m = v.size, S.shape[0]
+    sectors = [(1.0 - d, 1.0 + d) for d in spec.delta]
+    margins = {}
+    for alpha in itertools.product((-1.0, 1.0), repeat=n):
+        a = np.array(alpha)
+        for beta in itertools.product(*sectors):
+            for i in range(n):
+                # d/dz of (A (a v) + B (beta S a))_i, z = [vec(A); vec(B)]
+                dA, dB = np.zeros((n, n)), np.zeros((n, m))
+                dA[i] = a * v
+                dB[i] = np.array(beta) * (S @ a)
+                c = np.concatenate([dA.ravel(order="F"), dB.ravel(order="F")])
+                support = max_linear_over_polytope(c, poly)
+                margins[(i, alpha, beta)] = v[i] - eta - support
+    return margins

@@ -46,6 +46,7 @@ def test_fingerprint_prints_every_group_of_lines():
     for label, result in (
             ("sys1 prune T=100", rf"\d+ faces sha256 {SHA}"),
             ("sys2 prune T=60", rf"\d+ faces sha256 {SHA}"),
-            ("sys2 audit", r"verified=(True|False) worst_margin=\S+ i=\d+")):
+            ("sys2 audit",
+             r"verified=(True|False) worst_margin=\S+ i=\d+ lps=\d+")):
         pattern = re.compile(rf"{label} result {result}")
         assert any(pattern.fullmatch(line) for line in lines), label

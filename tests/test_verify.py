@@ -18,9 +18,11 @@ from quantstab import (
     singleton_polytope,
     synthesize_sign,
 )
-from quantstab.verify import _row_block
+from quantstab.lp_core import _SupportSession
+from quantstab.verify import MARGIN_TOL, _row_block
 
 from conftest import fresh_solves
+from oracles import every_row_margin
 from test_synth_sign import _scalar_box
 
 
@@ -191,3 +193,105 @@ def test_margin_tightens_with_sector(sys1, part1):
     margins = [robust_verify(poly, cert, QuantizerSpec.uniform(r, 2)).worst_margin
                for r in (1.0, 0.8, 0.6)]
     assert np.all(np.diff(margins) <= 1e-12)
+
+
+@pytest.fixture(scope="module")
+def audits(sys1):
+    """(polytope, certificate, spec) of each audit the row oracle checks."""
+    polys = {}
+    for system, (partition, T) in DATA.items():
+        ds = generate_dataset(builtin_system(system),
+                              builtin_partition(partition), T, 1)
+        full = build_polytope(ds)
+        polys[system] = full, prune_redundant(full)
+    out = {}
+    for rho in (0.7, 0.4):
+        spec = QuantizerSpec.uniform(rho, 2)
+        cert = synthesize_sign(polys["sys1"][1], spec, mode="ess",
+                               objective="min-lambda").certificate
+        out[f"sys1 min-lambda rho={rho}"] = polys["sys1"][1], cert, spec
+    poly, cert, spec = out["sys1 min-lambda rho=0.7"]
+    tampered = StabCertificate(v=cert.v, S=3.0 * cert.S, lam=cert.lam,
+                               eta=cert.eta, mode=cert.mode)
+    out["sys1 tampered"] = poly, tampered, spec
+    dense = _dense_polytope(sys1)
+    cert = synthesize_sign(dense, spec, mode="ess").certificate
+    out["dense"] = dense, cert, spec
+    spec2 = QuantizerSpec.uniform(0.7, 3)
+    full, pruned = polys["sys2"]
+    cert = synthesize_sign(pruned, spec2, mode="ess").certificate
+    out["sys2 pruned"] = pruned, cert, spec2
+    out["sys2 unpruned"] = full, cert, spec2
+    return out
+
+
+@pytest.mark.parametrize("case", ["sys1 min-lambda rho=0.7",
+                                  "sys1 min-lambda rho=0.4", "sys1 tampered",
+                                  "dense", "sys2 pruned", "sys2 unpruned"])
+def test_skipped_rows_leave_the_report_of_every_row(audits, case):
+    poly, cert, spec = audits[case]
+    report = robust_verify(poly, cert, spec)
+    margins = every_row_margin(poly, cert, spec)
+    least = min(margins.values())
+    assert report.verified == (least >= -MARGIN_TOL)
+    assert report.worst_margin == pytest.approx(least, abs=1e-9)
+    # of the rows that tie at the minimum, the first in order is reported
+    wc = report.worst_case
+    row = (wc["i"], tuple(wc["alpha"]), tuple(wc["beta"]))
+    assert margins[row] == pytest.approx(least, abs=1e-9)
+    assert row == next(r for r, mg in margins.items() if mg <= least + 1e-12)
+    assert contains_plant(poly, wc["A"], wc["B"], tol=1e-6)
+
+
+def _counted_support_lps(monkeypatch):
+    """A list that grows by one on every _SupportSession.maximize call."""
+    calls = []
+    maximize = _SupportSession.maximize
+
+    def counted(self, c):
+        calls.append(c)
+        return maximize(self, c)
+
+    monkeypatch.setattr(_SupportSession, "maximize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case,most", [("sys2 pruned", 400),
+                                       ("sys1 min-lambda rho=0.7", 60)])
+def test_box_bound_skips_most_support_lps(audits, monkeypatch, case, most):
+    poly, cert, spec = audits[case]
+    calls = _counted_support_lps(monkeypatch)
+    robust_verify(poly, cert, spec)
+    # 1 + n 2^(n+m) LPs without skipping: 1,281 on sys2 and 97 on sys1
+    assert len(calls) < most
+
+
+def test_a_box_without_a_bound_skips_no_row(monkeypatch):
+    # A in [0.4, 0.6], B >= 0.9: one column of the row block is unbounded
+    poly = Polytope(G=np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]),
+                    h=np.array([-0.4, 0.6, -0.9]))
+    spec = QuantizerSpec.uniform(0.5, 1)
+    # S = 0 costs nothing on B, so every row's box bound is 0 * inf, no
+    # bound, although every support is finite.  Dropping that term would
+    # bound the alpha = -1 rows (margin 1.4) above the margin at any
+    # point of P, and skip them.
+    calls = _counted_support_lps(monkeypatch)
+    report = robust_verify(poly, _gain([[0.0]]), spec)
+    assert report.verified
+    assert report.worst_margin == pytest.approx(0.4, abs=1e-9)
+    # the nonemptiness LP, 2 (n + m) box LPs and all n 2^(n+m) rows
+    assert len(calls) == 1 + 4 + 4
+    # S = 0.5: the alpha = +1 rows push B to +inf, so their box bound is
+    # -inf and their support unbounded; the first of them is reported,
+    # as solving every row in order finds it.
+    monkeypatch.undo()
+    cert = _gain([[0.5]])
+    report = robust_verify(poly, cert, spec)
+    assert "unbounded" in report.diagnostic
+    assert report.worst_margin == -np.inf
+    margins = every_row_margin(poly, cert, spec)
+    first = next(row for row, margin in margins.items()
+                 if margin == -np.inf)
+    wc = report.worst_case
+    assert (wc["i"], tuple(wc["alpha"]), tuple(wc["beta"])) == first
+    assert first == (0, (1.0,), (spec.beta_vertices()[0, 0],))

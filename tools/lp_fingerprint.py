@@ -49,7 +49,8 @@ sessions that never reach LinprogBackend.solve, so after the patch is
 removed the script prints one result line for each of them instead: the
 kept face count and a sha256 of the kept (G, h) for the sys1/T=100 and
 sys2/T=60 prunes, and the verdict, worst margin and worst-case row of
-the audit of the sys2 certificate.
+the audit of the sys2 certificate, with the number of LPs the audit
+solved (lps=; the audit skips the rows its box bound rules out).
 
 Usage, from the repository root:
 
@@ -117,9 +118,29 @@ def _faces(poly):
 
 
 def _audit(poly, res, spec):
-    rep = qs.robust_verify(poly, res.certificate, spec)
+    """The audit's result line, with the LPs it solved: warm runs, and
+    fresh solves where the warm model is missing."""
+    lps = 0
+    patched = [(cls, name, getattr(cls, name)) for cls, name in (
+        (getattr(lp_core, "_WarmLP", None), "run"),
+        (lp_core.LinprogBackend, "solve")) if cls is not None]
+
+    def counted(method):
+        def call(*args):
+            nonlocal lps
+            lps += 1
+            return method(*args)
+        return call
+
+    for cls, name, method in patched:
+        setattr(cls, name, counted(method))
+    try:
+        rep = qs.robust_verify(poly, res.certificate, spec)
+    finally:
+        for cls, name, method in patched:
+            setattr(cls, name, method)
     return (f"verified={rep.verified} worst_margin={rep.worst_margin:.9f} "
-            f"i={rep.worst_case['i']}")
+            f"i={rep.worst_case['i']} lps={lps}")
 
 
 def _pruned(system, partition, T):
