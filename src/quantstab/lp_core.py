@@ -124,6 +124,13 @@ CUT_TOL = 1e-9
 CERT_TOL = 1e-11
 # A cut loop that has not closed after MAX_ROUNDS master solves gives up.
 MAX_ROUNDS = 200
+# A warm master solve stops after MASTER_ITERATION_LIMIT simplex
+# iterations and is solved once more cold, uncapped.  Warm from the last
+# probe's basis, sys2's (T = 60, rho = 0.7) AARC ESS min-lambda master at
+# lambda = 0.97900390625 ran past 230 s (40,163 iterations in 15 s);
+# cold, it answers in under a second.  The warm solves of the benchmark
+# workloads take at most 161 iterations.
+MASTER_ITERATION_LIMIT = 2000
 # Rows are scored against a vertex set in blocks of about SCORE_BLOCK
 # scores (512 KB), which stay in cache for the argmax: scoring sys2's
 # 256-row blocks whole wrote and re-read 4 MB per component and took 38 ms
@@ -688,6 +695,13 @@ class _WarmLP:
         """Make the next run() a cold solve, from no basis."""
         self._highs.clearSolver()
 
+    def cap_iterations(self, limit=None):
+        """Stop each later run() after limit simplex iterations, as a
+        "numerical-failure"; None lifts the cap."""
+        self._highs.setOptionValue("simplex_iteration_limit",
+                                   _highs.kHighsIInf if limit is None
+                                   else limit)
+
     def row_duals(self):
         """The row duals of the last solve (HiGHS's sign convention: <= 0
         on an active upper bound of a minimization)."""
@@ -1046,9 +1060,12 @@ class _CutLoop:
     answers "numerical-failure", and logs a warning, when its master ends
     neither optimal nor infeasible, warm and then once more cold (from no
     basis), when it needs over MAX_ROUNDS master solves, or when a
-    support LP beats every vertex.  cuts counts the vertex cuts the
-    loop's rounds added (not those it started from) and rounds the master
-    solves of the last call.  Needs scipy's HiGHS module.
+    support LP beats every vertex.  A warm master run stops after
+    MASTER_ITERATION_LIMIT simplex iterations, so a warm solve that
+    wanders reaches the cold one, which runs uncapped.  cuts counts the
+    vertex cuts the loop's rounds added (not those it started from) and
+    rounds the master solves of the last call.  Needs scipy's HiGHS
+    module.
     """
 
     def __init__(self, model, param=None):
@@ -1058,6 +1075,7 @@ class _CutLoop:
         self.families = [_CutRows(family, self.master, param)
                          for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
+        self.lp.cap_iterations(MASTER_ITERATION_LIMIT)
         if param is not None:
             rows, cols, base, slope = self.master._entries(
                 self.master._ineqs, param)
@@ -1086,11 +1104,13 @@ class _CutLoop:
             for self.rounds in range(1, MAX_ROUNDS + 1):
                 status, x, obj = self.lp.run()
                 if status not in ("optimal", "infeasible"):
-                    # A warm start can fail where a cold solve answers:
-                    # sys2's ESS min-lambda probe at 0.966796875
-                    # (rho = 0.7, T = 60).
+                    # A warm start can fail, or hit its iteration cap,
+                    # where a cold solve answers: sys2's ESS min-lambda
+                    # probe at 0.966796875 (rho = 0.7, T = 60).
                     self.lp.forget_basis()
+                    self.lp.cap_iterations()
                     status, x, obj = self.lp.run()
+                    self.lp.cap_iterations(MASTER_ITERATION_LIMIT)
                 if status == "infeasible":
                     return LPSolution(status, None, None)
                 if status != "optimal":

@@ -53,9 +53,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
-from .synth_sign import (DEFAULT_ETA, _built_sizes, _certificate, _gain_rhs,
-                         _search_blocks, _signed_rows, _synthesize, _tile,
-                         _unit_scale)
+from .synth_sign import (DEFAULT_ETA, _gain_rhs, _search_blocks,
+                         _signed_rows, _synthesize, _tile)
 
 __all__ = [
     "AffineMParam",
@@ -107,12 +106,6 @@ class AffineMParam:
         return {"m0": self.m0.tolist(), "ma": self.ma.tolist(),
                 "mb": self.mb.tolist()}
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(m0=np.asarray(d["m0"], dtype=float),
-                   ma=np.asarray(d["ma"], dtype=float),
-                   mb=np.asarray(d["mb"], dtype=float))
-
 
 def eval_affine_M(param, A, B):
     """Envelope matrix at a concrete plant, un-vectorized column-major."""
@@ -146,28 +139,26 @@ def _envelope_pattern(poly, n):
     return touched[:, col_comp][np.arange(n * n) % n]
 
 
-def _pattern_blocks(pattern, n):
-    """(name, r, c, size) of the ma and mb blocks: the entries (r, c) the
-    pattern allows in each, row-major, so entry k is the block's LP
-    variable k; c counts the block's columns from the first vec(A) one."""
-    nsq = n * n
-    out = []
-    for name, cols in (("ma", slice(0, nsq)), ("mb", slice(nsq, None))):
-        r, c = np.nonzero(pattern[:, cols])
-        out.append((name, r, c + cols.start, r.size))
-    return out
+def _pattern_entries(pattern):
+    """Row and column indices of the entries the (n^2, d) pattern allows,
+    in the order of the block mz: the vec(A) columns first, then the
+    vec(B) ones, each part row-major, so entry k is mz's LP variable k."""
+    r, c = np.nonzero(pattern)
+    order = np.argsort(c >= len(pattern), kind="stable")
+    return r[order], c[order]
 
 
 def _envelope_plant_part(pattern, n, d):
     """M_G, the plant part of the envelope: G of n^2 d rows, flattened
-    row-major, whose row r*d + c carries the ma/mb variable of pattern
+    row-major, whose row r*d + c carries the mz variable of pattern
     entry (r, c), so that M_G z = ma vec(A) + mb vec(B).  On a point
     (pattern None) it has no terms."""
-    blocks = [] if pattern is None else _pattern_blocks(pattern, n)
-    return AffExpr(n * n * d, {
-        name: sp.csr_matrix((np.ones(size), (r * d + c, np.arange(size))),
-                            shape=(n * n * d, size))
-        for name, r, c, size in blocks})
+    if pattern is None:
+        return AffExpr(n * n * d, {})
+    r, c = _pattern_entries(pattern)
+    return AffExpr(n * n * d, {"mz": sp.csr_matrix(
+        (np.ones(r.size), (r * d + c, np.arange(r.size))),
+        shape=(n * n * d, r.size))})
 
 
 def _envelope_rows(v_expr, S_expr, m0_expr, betas, M_G):
@@ -190,9 +181,10 @@ def _envelope_rows(v_expr, S_expr, m0_expr, betas, M_G):
 
 
 def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
-    """The affine-envelope LP.  On a polytope ma/mb are allocated only on
-    the entries of _envelope_pattern, in row-major order; on a point (not
-    a Polytope) the envelope is the constant m0, with no ma/mb blocks."""
+    """The affine-envelope LP.  On a polytope the plant part of the
+    envelope is one block mz, allocated only on the entries of
+    _envelope_pattern, in the order of _pattern_entries; on a point (not
+    a Polytope) the envelope is the constant m0, with no mz block."""
     m = spec.m
     if m > VERTEX_GUARD:
         raise ValueError(f"vertex enumeration limited to m <= {VERTEX_GUARD}")
@@ -203,8 +195,7 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     v_expr, S_expr = _search_blocks(model, n, m, mode)
     model.add_block("m0", n * n)
     if pattern is not None:
-        for name, _, _, size in _pattern_blocks(pattern, n):
-            model.add_block(name, size)
+        model.add_block("mz", np.count_nonzero(pattern))
     M_G = _envelope_plant_part(pattern, n, d)
     h_M = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam) \
         - model.identity_expr("m0").premul(_rowsum_selector(n))
@@ -216,29 +207,21 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     return model
 
 
-def _extract_aarc(model, sol, poly, spec, n, mode, eta):
+def _extract_aarc(model, values, poly, n, v, scale):
     """Certified gain max_i (sup_z (G_M z)_i + (R m0)_i) / v_i: the row sums
     of the envelope.  On a point the certificate carries M = m0 (n x n,
     column-major); on a polytope the extras carry the AffineMParam, zero
-    off the pattern, and the sizes of the model built."""
-    m = spec.m
-    v = sol.values["v"] if mode == "ess" else np.ones(n)
-    m0 = sol.values["m0"]
-    rowsum_bound = model.row_sups["ZM"](sol.values) + _rowsum_selector(n) @ m0
+    off the pattern."""
+    m0 = values["m0"]
+    rowsum_bound = model.row_sups["ZM"](values) + _rowsum_selector(n) @ m0
     lam = float(np.max(rowsum_bound / v))
     if not isinstance(poly, Polytope):
-        return _certificate(model, sol, poly, n, mode, eta, lam, None,
-                            M=m0.reshape(n, n, order="F"))
-    scale = _unit_scale(v)
-    full = np.zeros((n * n, n * (n + m)))
-    for name, r, c, _ in _pattern_blocks(_envelope_pattern(poly, n), n):
-        full[r, c] = sol.values[name] * scale
+        return lam, m0.reshape(n, n, order="F") * scale, {}
+    full = np.zeros((n * n, poly.dim))
+    full[_pattern_entries(_envelope_pattern(poly, n))] = values["mz"] * scale
     param = AffineMParam(m0=m0 * scale, ma=full[:, :n * n],
                          mb=full[:, n * n:])
-    search = (n + n * m + n * n + model.blocks["ma"][0]
-              + model.blocks["mb"][0])
-    return _certificate(model, sol, poly, n, mode, eta, lam,
-                        _built_sizes(model, search), extras={"m_param": param})
+    return lam, None, {"m_param": param}
 
 
 def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,

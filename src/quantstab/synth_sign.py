@@ -162,47 +162,22 @@ def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     return model
 
 
-def _unit_scale(v):
-    """Factor lifting min(v) to 1: certificates are scale invariant, and
-    the bound v >= 1 holds only to solver tolerance."""
-    return 1.0 / float(np.min(v)) if np.min(v) < 1.0 else 1.0
-
-
-def _certificate(model, sol, poly, n, mode, eta, lam, counts, M=None,
-                 extras=None):
-    """SynthResult of a solved model, scaled by _unit_scale.  On a point
-    the result carries no multipliers and no size record."""
-    v = sol.values["v"] if mode == "ess" else np.ones(n)
-    S = sol.values["S"].reshape(n, -1).T
-    scale = _unit_scale(v)
-    cert = StabCertificate(v=v * scale, S=S * scale, lam=lam, eta=eta,
-                           mode=mode, M=None if M is None else M * scale)
-    if not isinstance(poly, Polytope):
-        return SynthResult("feasible", cert)
-    Z = {name: family.dense(sol.values[name] * scale)
-         for name, family in model.robust.items()}
-    return SynthResult("feasible", cert, {**(extras or {}), "Z": Z,
-                                          "counts": counts})
-
-
-def _extract_sign(model, sol, poly, spec, n, mode, eta):
+def _extract_sign(model, values, poly, n, v, scale):
     """Certified gain max (sup G z)_(p,i) / v_i over all rows: by weak
-    duality Z h_D on a polytope, the exact signed row sum on a point."""
-    v = sol.values["v"] if mode == "ess" else np.ones(n)
-    sups = model.row_sups["Z"](sol.values).reshape(-1, n)
-    lam = max(0.0, float(np.max(sups / v)))
-    counts = (_built_sizes(model, n + n * spec.m)
-              if isinstance(poly, Polytope) else None)
-    return _certificate(model, sol, poly, n, mode, eta, lam, counts)
+    duality Z h_D on a polytope, the exact signed row sum on a point.
+    The sign form carries no envelope and no payload."""
+    sups = model.row_sups["Z"](values).reshape(-1, n)
+    return max(0.0, float(np.max(sups / v))), None, {}
 
 
-def _built_sizes(model, search_variables):
+def _built_sizes(model, n):
     """The count_constraints_sign / count_constraints_aarc record of a
-    model on a polytope, whose search blocks hold search_variables
-    variables: every other count is read from model.robust, whose h rows
-    are the inequality rows (the model's own rows, such as the u rows of
-    a fixed lam, are not counted) and whose Farkas blocks hold the
-    multipliers and the equality rows."""
+    model on a polytope.  The search variables are the n weights v (a
+    block in 'ess', pinned in 'ss') and every other own block but the
+    gain helpers u and lam; every other count is read from model.robust,
+    whose h rows are the inequality rows (the model's own rows, such as
+    the u rows of a fixed lam, are not counted) and whose Farkas blocks
+    hold the multipliers and the equality rows."""
     families = model.robust.values()
     robust = sum(f.h_expr.rows for f in families)
     return {
@@ -210,7 +185,9 @@ def _built_sizes(model, search_variables):
         "farkas_variables": sum(f.size for f in families),
         "equality_rows": sum(f.eq_rows.size for f in families),
         "inequality_rows": robust,
-        "search_variables": search_variables,
+        "search_variables": n + sum(size for name, (size, _, _)
+                                    in model.blocks.items()
+                                    if name not in ("v", "u", "lam")),
     }
 
 
@@ -259,11 +236,19 @@ def min_feasible_rho(probe, tol=1e-4):
 
 
 def _synthesize(build, extract, poly, spec, mode, eta, objective):
-    """The objective dispatch shared by every synthesizer.
+    """The objective dispatch and the result of every synthesizer.
 
     build(poly, spec, n, mode, eta, lam_fixed=, minimize_lam=) returns an
-    LPModel and extract(model, sol, poly, spec, n, mode, eta) the
-    SynthResult of its solution, and lp_core.solver solves the model.
+    LPModel, and lp_core.solver solves it.  extract(model, values, poly,
+    n, v, scale) reads the form's part of a solution: (lam, M, payload),
+    the certified gain, the envelope matrix of the certificate (or None)
+    and the form's extras, M and payload scaled by scale.  The rest is
+    read here for both forms: v (the block in 'ess', ones in 'ss'), the
+    scale that lifts min(v) to 1 (certificates are scale invariant, and
+    the bound v >= 1 holds only to solver tolerance), S, and on a
+    polytope extras["Z"], each family's multipliers scaled likewise, and
+    extras["counts"] (_built_sizes); on a point the result carries no
+    multipliers and no size record.
     'min-lambda' is one LP in 'ss'; in 'ess' the bound lam * v_i is
     bilinear, so lam is bisected over (0, 1] with fixed-lam feasibility
     LPs: one model built with lam as its parameter, and one solver for
@@ -285,11 +270,11 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
         _require_nonempty(poly)
     else:
         poly = np.asarray(poly, dtype=float).ravel()
-    extras = {}
+    probes = {}
     if objective == "min-lambda" and mode == "ess":
         model = build(poly, spec, n, mode, eta, lam_fixed=1.0)
         solve_at = solver(model, "lam")
-        failed = extras["failed_lam"] = []
+        failed = probes["failed_lam"] = []
 
         def probe(lam):
             sol = solve_at(lam)
@@ -304,16 +289,25 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
         sol = solver(model)()
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
-                           else "numerical-failure", None, extras)
-    res = extract(model, sol, poly, spec, n, mode, eta)
-    res.extras.update(extras)
-    if res.certificate.lam >= 1.0:
+                           else "numerical-failure", None, probes)
+    values = sol.values
+    v = values["v"] if mode == "ess" else np.ones(n)
+    scale = 1.0 / float(np.min(v)) if np.min(v) < 1.0 else 1.0
+    lam, M, extras = extract(model, values, poly, n, v, scale)
+    S = values["S"].reshape(n, -1).T
+    cert = StabCertificate(v=v * scale, S=S * scale, lam=lam, eta=eta,
+                           mode=mode, M=M)
+    if isinstance(poly, Polytope):
+        extras["Z"] = {name: family.dense(values[name] * scale)
+                       for name, family in model.robust.items()}
+        extras["counts"] = _built_sizes(model, n)
+    extras.update(probes)
+    if cert.lam >= 1.0:
         # A gain of 1 or more certifies no stability: the optimum stays in
         # the extras, for plots and comparisons, but no certificate.
         return SynthResult("infeasible", None,
-                           {**res.extras, "lam": res.certificate.lam,
-                            "optimum": res.certificate})
-    return res
+                           {**extras, "lam": cert.lam, "optimum": cert})
+    return SynthResult("feasible", cert, extras)
 
 
 def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,

@@ -58,9 +58,6 @@ class LinearSystem:
     def m(self):
         return self.B.shape[1]
 
-    def to_json_dict(self):
-        return {"A": self.A.tolist(), "B": self.B.tolist()}
-
     @classmethod
     def from_json_dict(cls, d):
         return cls(A=np.asarray(d["A"], dtype=float),

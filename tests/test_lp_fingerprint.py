@@ -43,6 +43,16 @@ def test_fingerprint_prints_every_group_of_lines():
     dense = "sys1 dense aarc ess feasibility"
     assert any(re.fullmatch(rf"{dense} #1 {SHA}", line) for line in lines)
     assert not any(line.startswith(f"{dense} warm ") for line in lines)
+    # every synthesis call's result line ends in a digest of its whole
+    # SynthResult, certificate and extras
+    checks = ("sys1 prune T=100", "sys2 prune T=60", "sys2 audit")
+    synthesis = [label for label in results
+                 if not label.startswith("cli ") and label not in checks]
+    assert len(synthesis) == 15, results
+    for label in synthesis:
+        pattern = re.compile(rf"{re.escape(label)} result \S+ lambda=\S+ "
+                             rf"sha256 {SHA}")
+        assert any(pattern.fullmatch(line) for line in lines), label
     for label, result in (
             ("sys1 prune T=100", rf"\d+ faces sha256 {SHA}"),
             ("sys2 prune T=60", rf"\d+ faces sha256 {SHA}"),

@@ -1,5 +1,7 @@
 """Affine-envelope robust synthesis: tractable counterpart of the sign LP."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from quantstab import (
     synthesize_sign,
 )
 from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
-                                  _envelope_plant_part, _envelope_rows)
+                                  _envelope_plant_part, _envelope_rows,
+                                  _pattern_entries)
 
 from conftest import random_separable_polytope, random_stabilizable_system
 from test_synth_sign import _scalar_box, _singleton
@@ -58,15 +61,17 @@ def test_affine_envelope_entry_bookkeeping():
     np.testing.assert_allclose(M, expect)
 
 
-def test_affine_param_json_round_trip(rng):
+def test_affine_param_json_dict(rng):
+    # the CLI writes these three lists next to the certificate
     param = AffineMParam(m0=rng.normal(size=4),
                          ma=rng.normal(size=(4, 4)),
                          mb=rng.normal(size=(4, 2)))
-    back = AffineMParam.from_json_dict(param.to_json_dict())
-    np.testing.assert_allclose(back.m0, param.m0)
-    np.testing.assert_allclose(back.ma, param.ma)
-    np.testing.assert_allclose(back.mb, param.mb)
-    assert (back.n, back.m) == (2, 1)
+    d = json.loads(json.dumps(param.to_json_dict()))
+    assert list(d) == ["m0", "ma", "mb"]
+    np.testing.assert_array_equal(d["m0"], param.m0)
+    np.testing.assert_array_equal(d["ma"], param.ma)
+    np.testing.assert_array_equal(d["mb"], param.mb)
+    assert (param.n, param.m) == (2, 1)
 
 
 def test_affine_param_shape_validation():
@@ -90,7 +95,8 @@ def _row_local_pattern(n, m):
 def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
     # row (beta, -/+, j*n + i) of G_b z - h_b is -/+ (A Y + B diag(beta) S)_ij
     # - M(A, B)_ij, vertices in order, the lower row block first; ma/mb are
-    # drawn on the row-local pattern, zero elsewhere
+    # drawn on the row-local pattern, zero elsewhere, and mz holds them in
+    # the order of _pattern_entries
     n, m = 3, 2
     nsq = n * n
     pattern = _row_local_pattern(n, m) if affine else None
@@ -98,14 +104,13 @@ def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
     for name, size in (("v", n), ("S", n * m), ("m0", nsq)):
         model.add_block(name, size)
     if affine:
-        model.add_block("ma", np.count_nonzero(pattern[:, :nsq]))
-        model.add_block("mb", np.count_nonzero(pattern[:, nsq:]))
+        model.add_block("mz", np.count_nonzero(pattern))
     betas = QuantizerSpec.uniform(0.4, m).beta_vertices()
     d = n * (n + m)
     G_expr, h_expr = _envelope_rows(
         model.identity_expr("v"), model.identity_expr("S"),
         model.identity_expr("m0"), betas, _envelope_plant_part(pattern, n, d))
-    assert set(G_expr.terms) == ({"v", "S", "ma", "mb"} if affine
+    assert set(G_expr.terms) == ({"v", "S", "mz"} if affine
                                  else {"v", "S"})
     for _ in range(3):
         full = np.zeros((nsq, d))
@@ -118,8 +123,7 @@ def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
         A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
         values = {"v": v, "S": S.flatten("F"), "m0": param.m0}
         if affine:
-            values["ma"] = param.ma[pattern[:, :nsq]]
-            values["mb"] = param.mb[pattern[:, nsq:]]
+            values["mz"] = full[_pattern_entries(pattern)]
         rows = G_expr.value(values).reshape(-1, d) @ plant_vec(A, B) \
             - h_expr.value(values)
         rows = rows.reshape(len(betas), 2, nsq)
@@ -152,8 +156,7 @@ def test_dense_polytope_gets_the_full_envelope():
                     h=rng.uniform(1.0, 2.0, size=L))
     assert _envelope_pattern(poly, n).all()
     model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
-    assert model.blocks["ma"][0] == n ** 4
-    assert model.blocks["mb"][0] == n ** 3 * m
+    assert model.blocks["mz"][0] == n ** 4 + n ** 3 * m
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2)])
@@ -164,15 +167,19 @@ def test_data_polytope_allocates_only_the_row_local_envelope(n, m):
     pattern = _envelope_pattern(poly, n)
     np.testing.assert_array_equal(pattern, _row_local_pattern(n, m))
     model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
-    assert model.blocks["ma"][0] == n ** 3
-    assert model.blocks["mb"][0] == n * n * m
-    # no dangling column: every ma/mb variable enters some constraint
+    assert model.blocks["mz"][0] == n ** 3 + n * n * m
+    # the vec(A) entries come first, each part row-major
+    r, c = _pattern_entries(pattern)
+    split = n ** 3
+    assert np.all(c[:split] < n * n) and np.all(c[split:] >= n * n)
+    for part in (slice(None, split), slice(split, None)):
+        np.testing.assert_array_equal(np.lexsort((c[part], r[part])),
+                                      np.arange(r[part].size))
+    # no dangling column: every mz variable enters some constraint
     _, A_ub, _, A_eq, _, _ = model.assemble()
     used = (np.diff(A_ub.tocsc().indptr) > 0) | (np.diff(A_eq.tocsc().indptr) > 0)
-    offsets, _ = model._offsets()
-    for name in ("ma", "mb"):
-        start = offsets[name]
-        assert used[start:start + model.blocks[name][0]].all()
+    start = model._offsets()[0]["mz"]
+    assert used[start:start + model.blocks["mz"][0]].all()
 
 
 def test_extracted_envelope_is_zero_off_the_pattern(sys1, part1):

@@ -18,7 +18,8 @@ from quantstab import (LinearSystem, LPModel, Polytope, QuantizerSpec,
                        generate_dataset, lp_core, min_feasible_rho, plant_vec,
                        prune_redundant, sign_vectors, singleton_polytope,
                        synthesize_aarc, synthesize_sign)
-from quantstab.synth_aarc import _aarc_model, _envelope_pattern
+from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
+                                  _pattern_entries)
 from quantstab.synth_sign import _signed_rows
 
 from conftest import box_polytope, fresh_solves
@@ -82,7 +83,7 @@ def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
     row_faces = [np.count_nonzero(pruned_sys1.G[:, i::n].any(axis=1))
                  for i in range(n)]
     for mode, objective in (("ess", "feasibility"), ("ess", "min-lambda"),
-                            ("ss", "min-lambda")):
+                            ("ss", "feasibility"), ("ss", "min-lambda")):
         res = synthesize_sign(pruned_sys1, spec, mode=mode,
                               objective=objective)
         cert, Z = res.certificate, res.extras["Z"]["Z"]
@@ -96,22 +97,25 @@ def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
 
 def test_aarc_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
     # Z_M and Z_b, filled by the cut engine, certify the envelope model's
-    # rows rebuilt at the certificate: (v, S), m_param and u = lam v
-    n, m, nsq = sys1.n, sys1.m, sys1.n ** 2
+    # rows rebuilt at the certificate: (v, S), m_param and the gain lam,
+    # as u = lam v in 'ess' and as the block lam in 'ss'
+    n, m = sys1.n, sys1.m
     spec = QuantizerSpec.uniform(0.7, m)
     pattern = _envelope_pattern(pruned_sys1, n)
     row_faces = [np.count_nonzero(pruned_sys1.G[:, i::n].any(axis=1))
                  for i in range(n)]
-    for objective in ("feasibility", "min-lambda"):
-        res = synthesize_aarc(pruned_sys1, spec, mode="ess",
+    for mode, objective in (("ess", "feasibility"), ("ess", "min-lambda"),
+                            ("ss", "feasibility"), ("ss", "min-lambda")):
+        res = synthesize_aarc(pruned_sys1, spec, mode=mode,
                               objective=objective)
         cert, param = res.certificate, res.extras["m_param"]
-        model = _aarc_model(pruned_sys1, spec, n, "ess", cert.eta,
-                            lam_fixed=cert.lam)
+        gain = ({"lam_fixed": cert.lam} if mode == "ess"
+                else {"minimize_lam": True})
+        model = _aarc_model(pruned_sys1, spec, n, mode, cert.eta, **gain)
+        full = np.hstack([param.ma, param.mb])
         values = {"v": cert.v, "S": cert.S.flatten("F"), "m0": param.m0,
-                  "ma": param.ma[pattern[:, :nsq]],
-                  "mb": param.mb[pattern[:, nsq:]],
-                  "u": cert.lam * cert.v}
+                  "mz": full[_pattern_entries(pattern)],
+                  "u": cert.lam * cert.v, "lam": np.array([cert.lam])}
         assert list(res.extras["Z"]) == list(model.robust) == ["ZM", "Zb"]
         for name, family in model.robust.items():
             Z = res.extras["Z"][name]
@@ -218,6 +222,35 @@ def test_failed_master_reports_numerical_failure(monkeypatch, caplog,
               if r.name == "quantstab.lp_core"]
     assert logged == [("WARNING", "no answer at lam=1.0: a master LP ended "
                                   "numerical-failure")]
+
+
+def test_capped_warm_masters_fall_back_to_a_cold_solve(monkeypatch,
+                                                       pruned_sys1):
+    # a warm master that hits its simplex iteration cap is solved once more
+    # cold and uncapped, so a low cap changes the path of the bisection,
+    # not the gain it certifies; each call gets its own Polytope, so both
+    # start from an empty cut pool
+    spec = QuantizerSpec.uniform(0.7, 2)
+    cold, forget = [], lp_core._WarmLP.forget_basis
+
+    def counted(self):
+        cold.append(None)
+        forget(self)
+
+    def min_lambda():
+        return synthesize_aarc(Polytope(pruned_sys1.G, pruned_sys1.h), spec,
+                               mode="ess", objective="min-lambda")
+
+    monkeypatch.setattr(lp_core._WarmLP, "forget_basis", counted)
+    uncapped = min_lambda()
+    assert cold == []
+    monkeypatch.setattr(lp_core, "MASTER_ITERATION_LIMIT", 3)
+    capped = min_lambda()
+    assert cold
+    assert capped.status == uncapped.status == "feasible"
+    assert capped.extras["failed_lam"] == uncapped.extras["failed_lam"] == []
+    assert capped.certificate.lam == pytest.approx(uncapped.certificate.lam,
+                                                   abs=1e-6)
 
 
 def test_support_lps_certify_where_vertex_duals_do_not(monkeypatch,

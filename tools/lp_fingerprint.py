@@ -5,10 +5,13 @@ hash before HiGHS sees it.  The hash covers the canonical CSR form
 (indptr, indices, data) of A_ub and A_eq, and c, b_ub, b_eq and bounds,
 so two checkouts build the same LPs exactly when they print the same
 lines.  Datasets, polytopes and pruning are built before the patch goes
-in and are not hashed.  The last calls run the known-plant command
-`minrho --system sys1 --mode ss` through `quantstab.cli.main`, once with
-`--method sign` and once with `--method aarc`; their result is the exit
-code and summary line.
+in and are not hashed.  Each synthesis call's result line ends in a sha256
+of the whole SynthResult (_result_digest): the certificate, every extra
+and the optimum of an infeasible one, so two checkouts that print the
+same lines also return the same results.  The last calls run the
+known-plant command `minrho --system sys1 --mode ss` through
+`quantstab.cli.main`, once with `--method sign` and once with `--method
+aarc`; their result is the exit code and summary line.
 
 Every synthesis call solves its LPs through lp_core.solver, in one cut
 engine (lp_core._CutLoop) per model, whose master is a warm HiGHS model
@@ -110,6 +113,30 @@ def _digest(parts):
 def fingerprint(c, A_ub, b_ub, A_eq, b_eq, bounds):
     return _digest(_dense(c) + _canonical(A_ub) + _dense(b_ub)
                    + _canonical(A_eq) + _dense(b_eq) + _dense(bounds))
+
+
+def _cert_parts(cert):
+    if cert is None:
+        return [b"none"]
+    return (_dense(cert.v) + _dense(cert.S) + _dense(cert.K)
+            + _dense([cert.lam, cert.eta]) + _dense(cert.M))
+
+
+def _result_digest(res):
+    """sha256 of a SynthResult: its certificate, the Farkas multipliers
+    extras["Z"] block by block, the size record, the affine envelope, the
+    failed lambda probes, and the gain and optimum of an infeasible one."""
+    extras = res.extras
+    parts = _cert_parts(res.certificate)
+    for name, Z in extras.get("Z", {}).items():
+        parts += [name.encode()] + _dense(Z)
+    parts.append(repr(extras.get("counts")).encode())
+    param = extras.get("m_param")
+    parts += ([b"none"] if param is None else
+              _dense(param.m0) + _dense(param.ma) + _dense(param.mb))
+    parts += (_dense(extras.get("failed_lam")) + _dense(extras.get("lam"))
+              + _cert_parts(extras.get("optimum")))
+    return _digest(parts)
 
 
 def _faces(poly):
@@ -261,7 +288,8 @@ def main():
             res = results[label] = thunk()
             if not isinstance(res, str):
                 lam = res.certificate.lam if res.feasible else float("nan")
-                res = f"{res.status} lambda={lam:.9f}"
+                res = (f"{res.status} lambda={lam:.9f} "
+                       f"sha256 {_result_digest(res)}")
             print(f"{label} result {res}", file=out, flush=True)
             for k, (digest, verdicts) in enumerate(warm):
                 print(f"{label} warm #{k} base {digest} probes {verdicts}",
