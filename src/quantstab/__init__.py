@@ -17,8 +17,7 @@ from .sysmodel import (LinearSystem, builtin_system, StabCertificate,
                        SynthResult, sign_vectors, recover_controller,
                        scaled_infty_norm, closed_loop_vertex_gain,
                        simulate_quantized, decay_check)
-from .lp_core import (Polytope, AffExpr, LPModel, LPSolution, LinprogBackend,
-                      solve, max_linear_over_polytope)
+from .lp_core import Polytope, max_linear_over_polytope
 from .consistency import (DataSample, Dataset, generate_dataset,
                           build_polytope, plant_vec, singleton_polytope,
                           contains_plant, prune_redundant)
@@ -37,8 +36,7 @@ __all__ = [
     "LinearSystem", "StabCertificate", "SynthResult", "sign_vectors",
     "recover_controller", "scaled_infty_norm", "closed_loop_vertex_gain",
     "simulate_quantized", "decay_check",
-    "Polytope", "AffExpr", "LPModel", "LPSolution", "LinprogBackend",
-    "solve", "max_linear_over_polytope",
+    "Polytope", "max_linear_over_polytope",
     "DataSample", "Dataset", "generate_dataset", "build_polytope",
     "plant_vec", "contains_plant", "prune_redundant",
     "NominalProblem", "synthesize_nominal_sign",

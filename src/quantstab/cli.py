@@ -115,7 +115,7 @@ def _synthesize(args, target, m, rho, objective):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as f:
             f.write(text)

@@ -38,9 +38,10 @@ through _SupportSession (new costs, one changed row bound), and the cut
 loop of solver as its master: a model built with a scalar parameter
 (LPModel.param_expr), as for the ESS min-lambda bisection, is assembled
 once, and each probe rewrites only the entries the parameter scales.
-The parameter must stay in the model's own rows: the ESS models give
-lambda v its own rows u - lambda v <= 0 and bound the robust rows by u,
-so the robust rows, their compiled form and every cut are free of it.
+The parameter stays in the model's own rows (add_robust_rows refuses a
+robust row that holds one): the ESS models give lambda v its own rows
+u - lambda v <= 0 and bound the robust rows by u, so the robust rows,
+their compiled form and every cut are free of it.
 
 solver solves a model's robust rows without their Farkas blocks, by
 vertex cuts (_CutLoop), for the sign and the envelope forms alike.
@@ -297,7 +298,6 @@ class AffExpr:
 class LPSolution:
     status: str                # optimal | infeasible | unbounded | numerical-failure
     values: dict               # block name -> ndarray, present iff optimal
-    objective: float           # objective value, present iff optimal
 
     @property
     def optimal(self):
@@ -327,11 +327,9 @@ class LPModel:
         if name in self.blocks:
             raise ValueError(f"duplicate block {name}")
         size = int(size)
-        lbv = np.full(size, -np.inf if lb is None else lb, dtype=float) \
-            if np.isscalar(lb) or lb is None else np.asarray(lb, dtype=float)
-        ubv = np.full(size, np.inf if ub is None else ub, dtype=float) \
-            if np.isscalar(ub) or ub is None else np.asarray(ub, dtype=float)
-        self.blocks[name] = (size, lbv, ubv)
+        self.blocks[name] = (
+            size, np.full(size, -np.inf if lb is None else lb, dtype=float),
+            np.full(size, np.inf if ub is None else ub, dtype=float))
         self._order.append(name)
         return name
 
@@ -458,10 +456,10 @@ def solve(model):
     """Solve an LPModel fresh, returning an LPSolution.  Solver trouble
     arrives as DEFAULT_BACKEND's status ('numerical-failure' and so on);
     an exception it raises is a fault and propagates."""
-    status, x, obj = DEFAULT_BACKEND.solve(*model.assemble())
+    status, x, _ = DEFAULT_BACKEND.solve(*model.assemble())
     if status != "optimal":
-        return LPSolution(status, None, None)
-    return LPSolution("optimal", model.split(x), obj)
+        return LPSolution(status, None)
+    return LPSolution("optimal", model.split(x))
 
 
 def _row_support(expr):
@@ -569,8 +567,11 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
     LP gets the block and its rows (LPModel), and _CutLoop solves the
     model without them.
 
-    On a point the rows are substituted (G z0 <= h) with no multipliers: a
-    robust counterpart is built row by row, so a point needs none.
+    On a polytope no term of G or h may carry a parameter
+    (LPModel.param_expr): a parameter stays in the model's own rows, and
+    a robust row that holds one raises ValueError.  On a point the rows
+    are substituted (G z0 <= h) with no multipliers, into the model's own
+    rows: a robust counterpart is built row by row, so a point needs none.
 
     Records model.row_sups[name], a function of the solved block values
     returning the certified sup of G z over unc (Z h1 for a polytope, G z0
@@ -579,6 +580,10 @@ def add_robust_rows(model, unc, G_expr, h_expr, name):
     if isinstance(unc, Polytope):
         if name in model.blocks or name in model.robust:
             raise ValueError(f"duplicate block {name}")
+        if any(isinstance(key, tuple)
+               for expr in (G_expr, h_expr) for key in expr.terms):
+            raise ValueError("a parameter must stay in the model's own "
+                             "rows, not in a robust row")
         family = model.robust[name] = _RobustRows(name, unc, G_expr, h_expr)
         model.row_sups[name] = lambda values: family.Zh @ values[name]
     else:
@@ -882,8 +887,7 @@ class _CutRows:
     pool, and the layout of its Farkas block, into which certify writes
     the multipliers.  Every cut row is a contraction of the compiled
     arrays with its point (rows_at): no expression is built per round.
-    The rows carry no parameter: a family that the loop's parameter
-    reaches, through G or h, raises _NoCuts.
+    The rows carry no parameter (add_robust_rows refuses one).
 
     A cut is a pair (row r, vertex index of r's point on each component),
     and pool holds the pairs in the master.  Row r of any model's family
@@ -892,14 +896,12 @@ class _CutRows:
     starts from the polytope's (Polytope.cut_pools), whose rows start_cuts
     rebuilds for this master, and keep() writes it back."""
 
-    def __init__(self, family, master, param):
+    def __init__(self, family, master):
         poly, d = family.poly, family.poly.dim
         self.name, self.L2 = family.name, family.h_expr.rows
-        entries = [master._entries([expr], param)
-                   for expr in (family.G_expr, family.h_expr)]
-        if any(slope.any() for *_, slope in entries):
-            raise _NoCuts("the parameter reaches a robust row")
-        (r, v, base, _), (hr, hv, h, _) = entries
+        (r, v, base, _), (hr, hv, h, _) = (
+            master._entries([expr], None)
+            for expr in (family.G_expr, family.h_expr))
         _, nvar = master._offsets()
         self.h = _summed(hr * nvar + hv, h, (self.L2, nvar))
         r, c = np.divmod(r, d)
@@ -1043,36 +1045,36 @@ class _CutLoop:
     rewrites the entries param scales, so the probes of one loop share its
     basis and its cut pool.  Those entries lie in the master's own rows
     alone, as in the ESS models' rows u - lambda v <= 0, and are found
-    once, when the master is built: entries holds their (rows, cols, base,
-    slope), base + p * slope at value p.  Once no cut is violated, every row's
-    support is certified by Farkas multipliers (_CutRows.certify), which
-    fill the model's Farkas block in the returned LPSolution: its values
-    are a solution of the model itself.  Then every family writes its pool
-    back to the polytope (_CutRows.keep), for the next loop there.  An
-    infeasible or failed call writes nothing back: with the cuts of
-    infeasible calls pooled too, sys2's (T = 60) ESS feasibility master at
-    rho = 0.4453125 of a rho bisection ended unsolved, warm and cold.
+    once, when the master is built: entries holds their (rows, cols,
+    base, slope), base + p * slope at value p.  Once no cut is violated,
+    every row's support is certified by Farkas multipliers
+    (_CutRows.certify), which fill the model's Farkas block in the
+    returned LPSolution: its values are a solution of the model itself.
+    Then every family writes its pool back to the polytope
+    (_CutRows.keep), for the next loop there.  An infeasible or failed
+    call writes nothing back: with the cuts of infeasible calls pooled
+    too, sys2's (T = 60) ESS feasibility master at rho = 0.4453125 of a
+    rho bisection ended unsolved, warm and cold.
 
     The loop raises _NoCuts when built on a family it cannot cut (a
     component the family touches has no bounded, full-dimensional vertex
-    set, or param reaches its G or h).  A model without robust rows (a
-    point) is its own master: one master solve answers a call.  A call
-    answers "numerical-failure", and logs a warning, when its master ends
-    neither optimal nor infeasible, warm and then once more cold (from no
-    basis), when it needs over MAX_ROUNDS master solves, or when a
-    support LP beats every vertex.  A warm master run stops after
-    MASTER_ITERATION_LIMIT simplex iterations, so a warm solve that
-    wanders reaches the cold one, which runs uncapped.  cuts counts the
-    vertex cuts the loop's rounds added (not those it started from) and
-    rounds the master solves of the last call.  Needs scipy's HiGHS
-    module.
+    set).  A model without robust rows (a point) is its own master: one
+    master solve answers a call.  A call answers "numerical-failure", and
+    logs a warning, when its master ends neither optimal nor infeasible,
+    warm and then once more cold (from no basis), when it needs over
+    MAX_ROUNDS master solves, or when a support LP beats every vertex.  A
+    warm master run stops after MASTER_ITERATION_LIMIT simplex
+    iterations, so a warm solve that wanders reaches the cold one, which
+    runs uncapped.  cuts counts the vertex cuts the loop's rounds added
+    (not those it started from) and rounds the master solves of the last
+    call.  Needs scipy's HiGHS module.
     """
 
     def __init__(self, model, param=None):
         self.param = param
         self.master = copy.copy(model)
         self.master.robust = {}
-        self.families = [_CutRows(family, self.master, param)
+        self.families = [_CutRows(family, self.master)
                          for family in model.robust.values()]
         self.lp = _WarmLP(*self.master.assemble())
         self.lp.cap_iterations(MASTER_ITERATION_LIMIT)
@@ -1102,17 +1104,17 @@ class _CutLoop:
             self.lp.set_coeffs(rows, cols, base + slope * value)
         try:
             for self.rounds in range(1, MAX_ROUNDS + 1):
-                status, x, obj = self.lp.run()
+                status, x, _ = self.lp.run()
                 if status not in ("optimal", "infeasible"):
                     # A warm start can fail, or hit its iteration cap,
                     # where a cold solve answers: sys2's ESS min-lambda
                     # probe at 0.966796875 (rho = 0.7, T = 60).
                     self.lp.forget_basis()
                     self.lp.cap_iterations()
-                    status, x, obj = self.lp.run()
+                    status, x, _ = self.lp.run()
                     self.lp.cap_iterations(MASTER_ITERATION_LIMIT)
                 if status == "infeasible":
-                    return LPSolution(status, None, None)
+                    return LPSolution(status, None)
                 if status != "optimal":
                     raise _NoCuts(f"a master LP ended {status}")
                 new = [cut for cut in (f.separate(x) for f in self.families)
@@ -1123,12 +1125,12 @@ class _CutLoop:
                                   for f in self.families)
                     for f in self.families:
                         f.keep()
-                    return LPSolution("optimal", values, obj)
+                    return LPSolution("optimal", values)
                 self.cuts += self._add(new)
             raise _NoCuts(f"no answer after {MAX_ROUNDS} master solves")
         except _NoCuts as why:
             logger.warning("no answer at %s=%r: %s", self.param, value, why)
-            return LPSolution("numerical-failure", None, None)
+            return LPSolution("numerical-failure", None)
 
 
 def solver(model, param=None):
@@ -1137,10 +1139,9 @@ def solver(model, param=None):
 
     The path is picked here, once: one _CutLoop, whose probes rewrite only
     the entries param scales in the model's own rows, when every robust
-    row family can be cut and param reaches none; else, its reason
-    logged, a fresh solve at every call (set model.params[param], then
-    solve(model)).  That is the reference path, which every call takes
-    without scipy's HiGHS module.
+    row family can be cut; else, its reason logged, a fresh solve at
+    every call (set model.params[param], then solve(model)).  That is the
+    reference path, which every call takes without scipy's HiGHS module.
     """
 
     def fresh(value=None):

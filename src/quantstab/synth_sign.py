@@ -119,22 +119,18 @@ def _infer_state_dim(poly, m):
 def _search_blocks(model, n, m, mode):
     """(v, S) expressions.  In 'ess' the rows are homogeneous in every
     block, so v >= 1 is a pure normalization that keeps the LP away from
-    degenerate tiny-v solutions; 'ss' pins v = 1."""
-    if mode == "ess":
-        model.add_block("v", n, lb=1.0)
-        v_expr = model.identity_expr("v")
-    else:
-        v_expr = AffExpr(n, {}, np.ones(n))
+    degenerate tiny-v solutions; 'ss' pins v = 1 by its upper bound."""
+    model.add_block("v", n, lb=1.0, ub=1.0 if mode == "ss" else None)
     model.add_block("S", m * n)
-    return v_expr, model.identity_expr("S")
+    return model.identity_expr("v"), model.identity_expr("S")
 
 
 def _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam):
     """Right-hand side of the gain rows: for a fixed lam, a free block u
     with the model's own rows u <= lam * v, lam the model parameter "lam"
-    (LPModel.param_expr) set to lam_fixed, which needs the 'ess' block v;
-    the robust rows are only looser for a larger u, so u = lam * v loses
-    nothing, and lam stays out of the robust rows (lp_core._CutLoop).  A
+    (LPModel.param_expr) set to lam_fixed; the robust rows are only
+    looser for a larger u, so u = lam * v loses nothing, and lam stays
+    out of the robust rows (lp_core.add_robust_rows refuses it there).  A
     free minimized lam adds its block and the objective; else v - eta."""
     if lam_fixed is not None:
         model.add_block("u", v_expr.rows)
@@ -170,14 +166,13 @@ def _extract_sign(model, values, poly, n, v, scale):
     return max(0.0, float(np.max(sups / v))), None, {}
 
 
-def _built_sizes(model, n):
+def _built_sizes(model):
     """The count_constraints_sign / count_constraints_aarc record of a
-    model on a polytope.  The search variables are the n weights v (a
-    block in 'ess', pinned in 'ss') and every other own block but the
-    gain helpers u and lam; every other count is read from model.robust,
-    whose h rows are the inequality rows (the model's own rows, such as
-    the u rows of a fixed lam, are not counted) and whose Farkas blocks
-    hold the multipliers and the equality rows."""
+    model on a polytope.  The search variables are the model's own blocks
+    but the gain helpers u and lam; every other count is read from
+    model.robust, whose h rows are the inequality rows (the model's own
+    rows, such as the u rows of a fixed lam, are not counted) and whose
+    Farkas blocks hold the multipliers and the equality rows."""
     families = model.robust.values()
     robust = sum(f.h_expr.rows for f in families)
     return {
@@ -185,9 +180,9 @@ def _built_sizes(model, n):
         "farkas_variables": sum(f.size for f in families),
         "equality_rows": sum(f.eq_rows.size for f in families),
         "inequality_rows": robust,
-        "search_variables": n + sum(size for name, (size, _, _)
-                                    in model.blocks.items()
-                                    if name not in ("v", "u", "lam")),
+        "search_variables": sum(size for name, (size, _, _)
+                                in model.blocks.items()
+                                if name not in ("u", "lam")),
     }
 
 
@@ -243,7 +238,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
     n, v, scale) reads the form's part of a solution: (lam, M, payload),
     the certified gain, the envelope matrix of the certificate (or None)
     and the form's extras, M and payload scaled by scale.  The rest is
-    read here for both forms: v (the block in 'ess', ones in 'ss'), the
+    read here for both forms: v (pinned to ones in 'ss'), the
     scale that lifts min(v) to 1 (certificates are scale invariant, and
     the bound v >= 1 holds only to solver tolerance), S, and on a
     polytope extras["Z"], each family's multipliers scaled likewise, and
@@ -291,7 +286,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
         return SynthResult("infeasible" if sol.status == "infeasible"
                            else "numerical-failure", None, probes)
     values = sol.values
-    v = values["v"] if mode == "ess" else np.ones(n)
+    v = values["v"]
     scale = 1.0 / float(np.min(v)) if np.min(v) < 1.0 else 1.0
     lam, M, extras = extract(model, values, poly, n, v, scale)
     S = values["S"].reshape(n, -1).T
@@ -300,7 +295,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
     if isinstance(poly, Polytope):
         extras["Z"] = {name: family.dense(values[name] * scale)
                        for name, family in model.robust.items()}
-        extras["counts"] = _built_sizes(model, n)
+        extras["counts"] = _built_sizes(model)
     extras.update(probes)
     if cert.lam >= 1.0:
         # A gain of 1 or more certifies no stability: the optimum stays in

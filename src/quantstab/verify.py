@@ -76,21 +76,26 @@ class VerificationReport:
     diagnostic: str = ""
 
     def to_json_dict(self):
+        """The report as JSON values: a number that is not finite (the
+        -inf margin and NaN plant of an unbounded direction) is None."""
         out = {"verified": bool(self.verified),
-               "worst_margin": float(self.worst_margin),
+               "worst_margin": _finite(self.worst_margin),
                "worst_case": {}}
         wc = self.worst_case
         if wc:
-            out["worst_case"] = {
-                "i": int(wc["i"]),
-                "alpha": [float(a) for a in wc["alpha"]],
-                "beta": [float(b) for b in wc["beta"]],
-                "A": np.asarray(wc["A"]).tolist(),
-                "B": np.asarray(wc["B"]).tolist(),
-            }
+            out["worst_case"] = {"i": int(wc["i"]),
+                                 **{key: _finite(wc[key])
+                                    for key in ("alpha", "beta", "A", "B")}}
         if self.diagnostic:
             out["diagnostic"] = self.diagnostic
         return out
+
+
+def _finite(x):
+    """A number or array as floats in nested lists, None where it is not
+    finite: JSON has no infinity and no NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isfinite(x), x, None).tolist()
 
 
 def _row_columns(n, m, i):

@@ -7,17 +7,14 @@ import pytest
 from scipy.optimize import linprog
 
 from quantstab import (
-    AffExpr,
     LinearSystem,
-    LPModel,
     Partition,
     Polytope,
     builtin_partition,
     builtin_system,
     lp_core,
-    solve,
 )
-from quantstab.lp_core import add_robust_rows
+from quantstab.lp_core import AffExpr, LPModel, add_robust_rows, solve
 
 
 @pytest.fixture(scope="session")

@@ -276,6 +276,26 @@ def test_verify_of_a_dataset_agrees_with_its_pruned_polytope(
         f"verify: verified, worst margin {whole['worst_margin']:.6e}")
 
 
+def test_verify_writes_strict_json_for_an_unbounded_direction(tmp_path):
+    # three samples leave the polytope unbounded along the known-plant
+    # certificate's rows: no NaN or Infinity reaches the report file
+    data, cert, out = (tmp_path / name for name in ("d3.json", "cert.json",
+                                                    "report.json"))
+    assert run("gendata", "--system", "sys1", "--T", "3", "--seed", "1",
+               "--out", str(data)) == OK
+    assert run("synthesize", "--system", "sys1", "--method", "sign",
+               "--mode", "ess", "--rho", "0.7", "--out", str(cert)) == OK
+    assert run("verify", "--system", "sys1", "--data", str(data), "--cert",
+               str(cert), "--out", str(out)) == UNVERIFIED
+
+    def refuse(name):
+        raise ValueError(f"{name} in the report")
+
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    assert rep["verified"] is False and rep["worst_margin"] is None
+    assert "unbounded" in rep["diagnostic"]
+
+
 def test_simulate_writes_decaying_csv(tmp_path, cert_file):
     out = tmp_path / "traj.csv"
     assert run("simulate", "--system", "sys1", "--cert", cert_file, "--T",

@@ -8,7 +8,6 @@ import pytest
 from quantstab import (
     AffineMParam,
     LinearSystem,
-    LPModel,
     Polytope,
     QuantizerSpec,
     build_polytope,
@@ -23,6 +22,7 @@ from quantstab import (
     synthesize_aarc,
     synthesize_sign,
 )
+from quantstab.lp_core import LPModel
 from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
                                   _envelope_plant_part, _envelope_rows,
                                   _pattern_entries)

@@ -5,7 +5,6 @@ import pytest
 
 from quantstab import (
     LinearSystem,
-    LPModel,
     Partition,
     Polytope,
     QuantizerSpec,
@@ -20,7 +19,7 @@ from quantstab import (
     sign_vectors,
     synthesize_sign,
 )
-from quantstab.lp_core import LinprogBackend
+from quantstab.lp_core import LinprogBackend, LPModel
 from quantstab.synth_sign import _sign_model, _signed_rows
 
 from conftest import (box_polytope, fresh_solves, random_separable_polytope,
@@ -167,6 +166,43 @@ def test_sign_model_has_one_multiplier_block():
     model = _sign_model(poly, spec, n, "ess", 1e-6)
     assert list(model.robust) == ["Z"]
     assert model.robust["Z"].h_expr.rows == n * 2 ** (n + m)
+
+
+@pytest.mark.parametrize("mode,upper", [("ss", 1.0), ("ess", np.inf)])
+def test_both_modes_search_one_weight_block(mode, upper):
+    # 'ss' is 'ess' with v pinned to one by the bounds of the same block
+    rng = np.random.default_rng(4)
+    n, m = 2, 1
+    poly = Polytope(G=rng.normal(size=(6, n * (n + m))),
+                    h=rng.uniform(1.0, 2.0, size=6))
+    model = _sign_model(poly, QuantizerSpec.uniform(0.5, m), n, mode, 1e-6)
+    size, lb, ub = model.blocks["v"]
+    assert size == n and lb.tolist() == [1.0] * n
+    assert ub.tolist() == [upper] * n
+    assert list(model.blocks) == ["v", "S"]
+
+
+@pytest.mark.parametrize("objective", ["feasibility", "min-lambda"])
+def test_ss_weights_are_exactly_one_on_every_path(sys1, part1, objective):
+    # the pinned block's solved values are the bound itself, which the
+    # 'ss' StabCertificate requires, on vertex cuts and on the Farkas LP,
+    # over the data and at the plant point
+    poly = prune_redundant(build_polytope(generate_dataset(sys1, part1, 100,
+                                                           seed=1)))
+    spec = QuantizerSpec.uniform(0.7, sys1.m)
+    lams = []
+    for target in (poly, plant_vec(sys1.A, sys1.B)):
+        warm = synthesize_sign(target, spec, mode="ss", objective=objective)
+        with fresh_solves():
+            fresh = synthesize_sign(target, spec, mode="ss",
+                                    objective=objective)
+        for res in (warm, fresh):
+            assert res.feasible and res.certificate.mode == "ss"
+            assert np.array_equal(res.certificate.v, np.ones(sys1.n))
+            lams.append(res.certificate.lam)
+    if objective == "min-lambda":
+        assert lams[0] == pytest.approx(lams[1], abs=1e-6)
+        assert lams[2] == pytest.approx(lams[3], abs=1e-6)
 
 
 def test_sign_model_rows_run_alpha_outer_beta_inner(rng):

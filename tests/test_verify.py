@@ -1,5 +1,7 @@
 """Independent robust audit via support-function maximization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,27 @@ def test_unbounded_data_directions_refuse_verification():
     assert not report.verified
     assert report.worst_margin == -np.inf
     assert "unbounded" in report.diagnostic
+
+
+def test_report_of_an_unbounded_direction_is_strict_json():
+    # three sys1 samples leave the data polytope unbounded along the rows
+    # of the known-plant certificate: the -inf margin and the NaN plant
+    # are written as null, so the report is valid JSON
+    sys1 = builtin_system("sys1")
+    poly = build_polytope(generate_dataset(sys1, builtin_partition("p1"), 3,
+                                           seed=1))
+    spec = QuantizerSpec.uniform(0.7, sys1.m)
+    cert = synthesize_sign(plant_vec(sys1.A, sys1.B), spec,
+                           mode="ess").certificate
+    report = robust_verify(poly, cert, spec)
+    assert not report.verified and report.worst_margin == -np.inf
+    d = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+    assert d["worst_margin"] is None and d["verified"] is False
+    wc = d["worst_case"]
+    assert np.shape(wc["A"]) == (3, 3) and np.shape(wc["B"]) == (3, 2)
+    assert {x for row in wc["A"] + wc["B"] for x in row} == {None}
+    assert wc["alpha"] == report.worst_case["alpha"].tolist()
+    assert wc["beta"] == report.worst_case["beta"].tolist()
 
 
 def test_report_json_schema():

@@ -12,12 +12,13 @@ numerical failure.
 import numpy as np
 import pytest
 
-from quantstab import (LinearSystem, LPModel, Polytope, QuantizerSpec,
+from quantstab import (LinearSystem, Polytope, QuantizerSpec,
                        build_polytope, count_constraints_aarc,
                        count_constraints_sign,
                        generate_dataset, lp_core, min_feasible_rho, plant_vec,
                        prune_redundant, sign_vectors, singleton_polytope,
                        synthesize_aarc, synthesize_sign)
+from quantstab.lp_core import LPModel
 from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
                                   _pattern_entries)
 from quantstab.synth_sign import _signed_rows
