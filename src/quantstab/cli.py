@@ -28,7 +28,7 @@ from .consistency import (Dataset, build_polytope, generate_dataset,
 from .lp_core import Polytope, SolverError
 from .quantizer import QuantizerSpec, builtin_partition
 from .synth_aarc import synthesize_aarc
-from .synth_sign import DEFAULT_ETA, min_feasible_rho, synthesize_sign
+from .synth_sign import min_feasible_rho, synthesize_sign
 from .sysmodel import (StabCertificate, builtin_system, decay_check,
                        simulate_quantized)
 from .verify import robust_verify
@@ -52,22 +52,44 @@ EXIT_CONFIG = 4
 DEFAULT_PARTITION = {"sys1": "p1", "sys2": "p2"}
 
 
+def _parsed(path, read):
+    """read(path), for a reader of the JSON input file path.  A file of
+    the wrong shape (a list for an object, a null or a string for a
+    number or a list) makes the reader raise TypeError, AttributeError
+    or KeyError; that becomes a ValueError naming the file, a
+    configuration error."""
+    try:
+        return read(path)
+    except (TypeError, AttributeError, KeyError) as e:
+        raise ValueError(f"{path} is not a valid input file "
+                         f"({type(e).__name__}: {e})") from e
+
+
+def _json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _read_data(path):
+    d = _json(path)
+    return (Polytope.from_json_dict(d) if "G" in d
+            else Dataset.from_json_dict(d))
+
+
 def _system(args):
     if not args.system:
         raise ValueError("a plant is required; pass --system")
-    return builtin_system(args.system)
+    return _parsed(args.system, builtin_system)
 
 
 def _load_data(path):
     """(polytope, plant shape) of a data file: a Dataset JSON, whose
     consistency polytope is built here and whose samples fix (n, m), or a
     bare Polytope JSON, which fixes neither (None)."""
-    with open(path) as f:
-        d = json.load(f)
-    if "G" not in d:
-        ds = Dataset.from_json_dict(d)
-        return build_polytope(ds), (ds.n, ds.m)
-    return Polytope.from_json_dict(d), None
+    data = _parsed(path, _read_data)
+    if isinstance(data, Polytope):
+        return data, None
+    return build_polytope(data), (data.n, data.m)
 
 
 def _given(args):
@@ -81,7 +103,7 @@ def _given(args):
         return singleton_polytope(sys), sys.m, plant_vec(sys.A, sys.B)
     poly, shape = _load_data(args.data)
     if args.system:
-        sys = builtin_system(args.system)
+        sys = _system(args)
         d = sys.n * (sys.n + sys.m)
         if shape not in (None, (sys.n, sys.m)) or poly.dim != d:
             held = (f"n = {shape[0]}, m = {shape[1]}" if shape else
@@ -96,10 +118,8 @@ def _given(args):
 
 
 def _resolve(args):
-    """(synthesis set, m, audit polytope) of a synthesis command, after
-    checking --eta: the --data polytope pruned, or the point of --system."""
-    if args.eta <= 0:
-        raise ValueError("stability tolerance eta must be positive")
+    """(synthesis set, m, audit polytope) of a synthesis command: the
+    --data polytope pruned, or the point of --system."""
     poly, m, point = _given(args)
     return (prune_redundant(poly) if args.data else point), m, poly
 
@@ -109,8 +129,7 @@ def _synthesize(args, target, m, rho, objective):
     spec)."""
     spec = QuantizerSpec.uniform(rho, m)
     synth = synthesize_aarc if args.method == "aarc" else synthesize_sign
-    res = synth(target, spec, mode=args.mode, eta=args.eta,
-                objective=objective)
+    res = synth(target, spec, mode=args.mode, objective=objective)
     return res, spec
 
 
@@ -145,7 +164,7 @@ def cmd_gendata(args):
     partition = args.partition or DEFAULT_PARTITION.get(args.system)
     if not partition:
         raise ValueError("no partition; pass --partition")
-    ds = generate_dataset(sys, builtin_partition(partition), args.T,
+    ds = generate_dataset(sys, _parsed(partition, builtin_partition), args.T,
                           args.seed, noise=args.noise)
     _write_json(args.out, ds.to_json_dict())
     print(f"gendata: {len(ds)} samples, epsilon={ds.epsilon}"
@@ -191,13 +210,18 @@ def cmd_synthesize(args):
 def _load_cert(args):
     if not args.cert:
         raise ValueError("pass --cert with a certificate file")
-    with open(args.cert) as f:
-        d = json.load(f)
-    rho = args.rho if args.rho is not None else d.get("rho")
+
+    def read(path):
+        d = _json(path)
+        rho = args.rho if args.rho is not None else d.get("rho")
+        return (StabCertificate.from_json_dict(d),
+                None if rho is None else float(rho))
+
+    cert, rho = _parsed(args.cert, read)
     if rho is None:
         raise ValueError("density unknown; pass --rho or use a certificate "
                          "that records one")
-    return StabCertificate.from_json_dict(d), float(rho)
+    return cert, rho
 
 
 def cmd_verify(args):
@@ -312,7 +336,6 @@ def build_parser():
         "--method": dict(choices=["sign", "aarc"], default="sign"),
         "--mode": dict(choices=["ss", "ess"], default="ess"),
         "--rho": dict(type=float),
-        "--eta": dict(type=float, default=DEFAULT_ETA),
         "--objective": dict(choices=["feasibility", "min-lambda"],
                             default="feasibility"),
         "--dump-z": dict(help="also write Farkas multipliers here "
@@ -328,7 +351,7 @@ def build_parser():
         "--rho-max": dict(type=float, default=1.0),
         "--out": dict(),
     }
-    synthesis = "--system --data --method --mode --eta"
+    synthesis = "--system --data --method --mode"
     commands = [
         ("gendata", "simulate a plant and record quantized data",
          "--system --partition --T --seed --noise --out", {"T": 100}),

@@ -209,12 +209,13 @@ def singleton_polytope(sys):
     return Polytope(G=np.vstack([eye, -eye]), h=np.concatenate([z, -z]))
 
 
-def contains_plant(poly, A, B, tol=CONTAIN_TOL):
-    """Membership test of a plant in the consistency polytope."""
+def contains_plant(poly, A, B):
+    """Membership test of a plant in the consistency polytope, to within
+    CONTAIN_TOL on every face."""
     z = plant_vec(A, B)
     if z.size != poly.dim:
         raise ValueError("plant dimensions do not match the polytope")
-    return poly.contains(z, tol)
+    return bool(np.all(poly.G @ z <= poly.h + CONTAIN_TOL))
 
 
 def _hull_redundant(hull):

@@ -206,10 +206,6 @@ class Polytope:
         so its first loop starts from the Chebyshev centres alone."""
         return {}
 
-    def contains(self, x, tol=1e-9):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(self.G @ x <= self.h + tol))
-
     def to_json_dict(self):
         return {"G": self.G.tolist(), "h": self.h.tolist()}
 

@@ -10,7 +10,7 @@ module.
 from dataclasses import dataclass
 
 from .consistency import plant_vec
-from .synth_sign import DEFAULT_ETA, synthesize_sign
+from .synth_sign import synthesize_sign
 from .synth_sign import LAMBDA_BISECT_TOL  # noqa: F401 (re-exported)
 
 __all__ = ["NominalProblem", "synthesize_nominal_sign"]
@@ -18,12 +18,12 @@ __all__ = ["NominalProblem", "synthesize_nominal_sign"]
 
 @dataclass(frozen=True)
 class NominalProblem:
-    """A known plant, a quantizer spec, and synthesize_sign's options."""
+    """A known plant, a quantizer spec, and synthesize_sign's mode and
+    objective."""
 
     sys: object
     spec: object
     mode: str = "ess"
-    eta: float = DEFAULT_ETA
     objective: str = "feasibility"
 
     def __post_init__(self):
@@ -35,5 +35,4 @@ class NominalProblem:
 def synthesize_nominal_sign(prob):
     """synthesize_sign at the point plant_vec(A, B)."""
     return synthesize_sign(plant_vec(prob.sys.A, prob.sys.B), prob.spec,
-                           mode=prob.mode, eta=prob.eta,
-                           objective=prob.objective)
+                           mode=prob.mode, objective=prob.objective)

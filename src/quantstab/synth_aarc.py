@@ -47,14 +47,15 @@ a genuine restriction: feasibility here implies feasibility of the
 sign-enumerated program, never the reverse.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import AffExpr, LPModel, Polytope, add_robust_rows
-from .synth_sign import (DEFAULT_ETA, _gain_rhs, _search_blocks,
-                         _signed_rows, _synthesize, _tile)
+from .synth_sign import (_gain_rhs, _search_blocks, _signed_rows,
+                         _synthesize, _tile)
 
 __all__ = [
     "AffineMParam",
@@ -161,26 +162,27 @@ def _envelope_plant_part(pattern, n, d):
         shape=(n * n * d, r.size))})
 
 
-def _envelope_rows(v_expr, S_expr, m0_expr, betas, M_G):
-    """(G_b, h_b) expressions of the envelope rows of every sector vertex.
+def _envelope_rows(m0_expr, betas, M_G):
+    """(G_b, h_b) expressions of the envelope rows of every sector vertex,
+    over the search blocks v and S (synth_sign._search_blocks).
 
-    betas is the 2^m x m array of vertices and M_G the plant part of the
-    envelope (_envelope_plant_part).  Row (beta, -/+, r = j*n + i) reads
+    m0_expr is the constant part m0 of the envelope (n^2 rows), betas the
+    2^m x m array of vertices and M_G the plant part of the envelope
+    (_envelope_plant_part).  Row (beta, -/+, r = j*n + i) reads
     -/+ (A diag(v) + B diag(beta) S)_ij - M(A, B)_ij <= 0 as
     G_b z <= h_b, G_b flattened row-major: it is the sign row of the
     unit sign vector -/+ e_j at beta (synth_sign._signed_rows), minus the
     row r of M_G, and h_b is entry r of m0.  Rows are ordered vertex,
     then lower before upper, then r.
     """
-    n = v_expr.rows
+    n = math.isqrt(m0_expr.rows)
     halves = 2 * len(betas)
     alpha = np.tile(np.vstack([-np.eye(n), np.eye(n)]), (len(betas), 1))
-    G_expr = _signed_rows(v_expr, S_expr, alpha,
-                          np.repeat(betas, 2 * n, axis=0))
+    G_expr = _signed_rows(alpha, np.repeat(betas, 2 * n, axis=0))
     return G_expr - _tile(M_G, halves), _tile(m0_expr, halves)
 
 
-def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
+def _aarc_model(poly, spec, n, mode, objective):
     """The affine-envelope LP.  On a polytope the plant part of the
     envelope is one block mz, allocated only on the entries of
     _envelope_pattern, in the order of _pattern_entries; on a point (not
@@ -192,17 +194,17 @@ def _aarc_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
     pattern = _envelope_pattern(poly, n) \
         if isinstance(poly, Polytope) else None
     model = LPModel()
-    v_expr, S_expr = _search_blocks(model, n, m, mode)
+    v_expr = _search_blocks(model, n, m, mode)
     model.add_block("m0", n * n)
     if pattern is not None:
         model.add_block("mz", np.count_nonzero(pattern))
     M_G = _envelope_plant_part(pattern, n, d)
-    h_M = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam) \
-        - model.identity_expr("m0").premul(_rowsum_selector(n))
+    m0_expr = model.identity_expr("m0")
+    h_M = _gain_rhs(model, v_expr, mode, objective) \
+        - m0_expr.premul(_rowsum_selector(n))
     add_robust_rows(model, poly, M_G.premul(_rowsum_selector(n, d)), h_M,
                     "ZM")
-    G_b, h_b = _envelope_rows(v_expr, S_expr, model.identity_expr("m0"),
-                              spec.beta_vertices(), M_G)
+    G_b, h_b = _envelope_rows(m0_expr, spec.beta_vertices(), M_G)
     add_robust_rows(model, poly, G_b, h_b, "Zb")
     return model
 
@@ -224,8 +226,7 @@ def _extract_aarc(model, values, poly, n, v, scale):
     return lam, None, {"m_param": param}
 
 
-def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
-                    objective="feasibility"):
+def synthesize_aarc(poly, spec, mode="ess", objective="feasibility"):
     """Affine-envelope robust synthesis over a consistency polytope.
 
     Same calling convention and certificate semantics as the sign-based
@@ -239,7 +240,7 @@ def synthesize_aarc(poly, spec, mode="ess", eta=DEFAULT_ETA,
     more conservative than the sign form whenever different vertices
     maximize different entries of one row.
     """
-    return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode, eta,
+    return _synthesize(_aarc_model, _extract_aarc, poly, spec, mode,
                        objective)
 
 

@@ -1,7 +1,7 @@
 """Exact data-driven synthesis by sign enumeration and Farkas containment.
 
 For each sign pattern alpha in {-1,1}^n and sector vertex beta, the robust
-stability requirement
+stability requirement, with the strict margin eta = ETA,
 
     sum_j alpha_j (A_ij v_j + sum_k beta_k B_ik S_kj) <= v_i - eta
         for every (A, B) in the consistency polytope P
@@ -53,18 +53,19 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ETA = 1e-6
+# The strict margin of the feasibility LPs: v_i - ETA on every row.
+ETA = 1e-6
 LAMBDA_BISECT_TOL = 1e-4
 
 
-def _signed_rows(v_expr, S_expr, alpha, beta):
-    """Expression of the stacked G_{alpha,beta} of P pairs.
+def _signed_rows(alpha, beta):
+    """Expression of the stacked G_{alpha,beta} of P pairs over the
+    search blocks v (n entries) and S (m*n entries, vec of the m x n
+    matrix S in column order) of _search_blocks.
 
-    v_expr (n rows) and S_expr (m*n rows, vec of the m x n matrix S in
-    column order) are affine expressions in the search variables; pair p
-    is the sign vector alpha[p] (alpha is P x n, entries in {-1, 0, 1})
-    and the sector vertex beta[p] (beta is P x m), and a 1-D alpha and
-    beta are one pair.  Returns the Pn x n(n+m) stack of the
+    Pair p is the sign vector alpha[p] (alpha is P x n, entries in
+    {-1, 0, 1}) and the sector vertex beta[p] (beta is P x m), and a 1-D
+    alpha and beta are one pair.  Returns the Pn x n(n+m) stack of the
     G_{alpha_p,beta_p}, rows ordered (p, i), flattened row by row.
     Numeric (v, S) in it times [vec(A); vec(B)] gives the signed row sums
     of A diag(v) + B diag(beta_p) S; a unit alpha_p = +/-e_j leaves the
@@ -72,15 +73,13 @@ def _signed_rows(v_expr, S_expr, alpha, beta):
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    n = v_expr.rows
+    n = alpha.shape[1]
     P, m = beta.shape
     if alpha.shape != (P, n) or not np.all(np.isin(alpha, (-1.0, 0.0, 1.0))):
         raise ValueError("alpha must hold one length-n row of entries in "
                          "{-1, 0, 1} per beta")
     if np.any(beta <= 0):
         raise ValueError("beta entries must be positive sector gains")
-    if S_expr.rows != m * n:
-        raise ValueError("S expression must have m*n rows")
     d = n * (n + m)
 
     def matrix(vals, flat, col, width):
@@ -95,9 +94,10 @@ def _signed_rows(v_expr, S_expr, alpha, beta):
     p, j = (a[:, None, None] for a in np.nonzero(alpha))
     i, k = np.arange(n)[:, None], np.arange(m)
     a, row = alpha[p, j], (p * n + i) * d
-    return (v_expr.premul(matrix(a, row + j * n + i, j, n))
-            + S_expr.premul(matrix(a * beta[p, k], row + n * n + k * n + i,
-                                  j * m + k, n * m)))
+    return AffExpr(P * n * d, {
+        "v": matrix(a, row + j * n + i, j, n),
+        "S": matrix(a * beta[p, k], row + n * n + k * n + i, j * m + k,
+                    n * m)})
 
 
 def _tile(expr, reps):
@@ -117,43 +117,45 @@ def _infer_state_dim(poly, m):
 
 
 def _search_blocks(model, n, m, mode):
-    """(v, S) expressions.  In 'ess' the rows are homogeneous in every
-    block, so v >= 1 is a pure normalization that keeps the LP away from
-    degenerate tiny-v solutions; 'ss' pins v = 1 by its upper bound."""
+    """Add the search blocks v and S, and return the expression of v.  In
+    'ess' the rows are homogeneous in every block, so v >= 1 is a pure
+    normalization that keeps the LP away from degenerate tiny-v
+    solutions; 'ss' pins v = 1 by its upper bound."""
     model.add_block("v", n, lb=1.0, ub=1.0 if mode == "ss" else None)
     model.add_block("S", m * n)
-    return model.identity_expr("v"), model.identity_expr("S")
+    return model.identity_expr("v")
 
 
-def _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam):
-    """Right-hand side of the gain rows: for a fixed lam, a free block u
-    with the model's own rows u <= lam * v, lam the model parameter "lam"
-    (LPModel.param_expr) set to lam_fixed; the robust rows are only
+def _gain_rhs(model, v_expr, mode, objective):
+    """Right-hand side of the gain rows, one of three.  Feasibility:
+    v - ETA.  ESS min-lambda: a free block u with the model's own rows
+    u <= lam * v, lam the model parameter "lam" (LPModel.param_expr),
+    set to 1 here and per probe by the solver; the robust rows are only
     looser for a larger u, so u = lam * v loses nothing, and lam stays
-    out of the robust rows (lp_core.add_robust_rows refuses it there).  A
-    free minimized lam adds its block and the objective; else v - eta."""
-    if lam_fixed is not None:
+    out of the robust rows (lp_core.add_robust_rows refuses it there).
+    SS min-lambda: the minimized block lam, times the pinned v = 1."""
+    if objective == "feasibility":
+        return v_expr - ETA
+    if mode == "ess":
         model.add_block("u", v_expr.rows)
         u_expr = model.identity_expr("u")
-        model.add_ineq(u_expr - model.param_expr("lam", "v", lam_fixed))
+        model.add_ineq(u_expr - model.param_expr("lam", "v", 1.0))
         return u_expr
-    if minimize_lam:
-        model.add_block("lam", 1)
-        model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
-        return AffExpr(v_expr.rows, {"lam": np.ones((v_expr.rows, 1))})
-    return v_expr - eta
+    model.add_block("lam", 1)
+    model.set_objective(AffExpr(1, {"lam": np.ones((1, 1))}))
+    return AffExpr(v_expr.rows, {"lam": np.ones((v_expr.rows, 1))})
 
 
-def _sign_model(poly, spec, n, mode, eta, lam_fixed=None, minimize_lam=False):
+def _sign_model(poly, spec, n, mode, objective):
     if n + spec.m > ENUM_GUARD:
         raise ValueError(f"sign enumeration limited to n + m <= {ENUM_GUARD}")
     model = LPModel()
-    v_expr, S_expr = _search_blocks(model, n, spec.m, mode)
-    h_expr = _gain_rhs(model, v_expr, eta, lam_fixed, minimize_lam)
+    v_expr = _search_blocks(model, n, spec.m, mode)
+    h_expr = _gain_rhs(model, v_expr, mode, objective)
     # Every (alpha, beta) pair, alpha outer and beta inner.
     pairs = cube_vertices(np.concatenate([-np.ones(n), 1.0 - spec.delta]),
                           np.concatenate([np.ones(n), 1.0 + spec.delta]))
-    G_expr = _signed_rows(v_expr, S_expr, pairs[:, :n], pairs[:, n:])
+    G_expr = _signed_rows(pairs[:, :n], pairs[:, n:])
     add_robust_rows(model, poly, G_expr, _tile(h_expr, len(pairs)), "Z")
     return model
 
@@ -230,11 +232,11 @@ def min_feasible_rho(probe, tol=1e-4):
     return (None, None) if rho is None else (rho, res)
 
 
-def _synthesize(build, extract, poly, spec, mode, eta, objective):
+def _synthesize(build, extract, poly, spec, mode, objective):
     """The objective dispatch and the result of every synthesizer.
 
-    build(poly, spec, n, mode, eta, lam_fixed=, minimize_lam=) returns an
-    LPModel, and lp_core.solver solves it.  extract(model, values, poly,
+    build(poly, spec, n, mode, objective) returns an LPModel, and
+    lp_core.solver solves it.  extract(model, values, poly,
     n, v, scale) reads the form's part of a solution: (lam, M, payload),
     the certified gain, the envelope matrix of the certificate (or None)
     and the form's extras, M and payload scaled by scale.  The rest is
@@ -243,11 +245,15 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
     the bound v >= 1 holds only to solver tolerance), S, and on a
     polytope extras["Z"], each family's multipliers scaled likewise, and
     extras["counts"] (_built_sizes); on a point the result carries no
-    multipliers and no size record.
+    multipliers and no size record.  Every certificate records eta = ETA.
     'min-lambda' is one LP in 'ss'; in 'ess' the bound lam * v_i is
     bilinear, so lam is bisected over (0, 1] with fixed-lam feasibility
     LPs: one model built with lam as its parameter, and one solver for
-    every probe of the call.  Every mode and objective shares one
+    every probe of the call.  Only the feasibility LPs carry the margin
+    ETA: the min-lambda rows are bounded by lam * v, so a min-lambda
+    certificate's margin on row i is at least (1 - lam) v_i - ETA, and
+    one whose lam is within ETA / v_i of 1 fails its audit (the CLI's
+    audit then refuses to write it).  Every mode and objective shares one
     verdict: 'feasible' only when the certified lam < 1.  An optimum with
     lam >= 1 is 'infeasible', with no certificate; extras["lam"] holds its
     lam and extras["optimum"] its (v, S) as a StabCertificate.  The 'ess'
@@ -258,16 +264,14 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
         raise ValueError("mode must be 'ss' or 'ess'")
     if objective not in ("feasibility", "min-lambda"):
         raise ValueError("objective must be 'feasibility' or 'min-lambda'")
-    if eta <= 0:
-        raise ValueError("stability tolerance eta must be positive")
     n = _infer_state_dim(poly, spec.m)
     if isinstance(poly, Polytope):
         _require_nonempty(poly)
     else:
         poly = np.asarray(poly, dtype=float).ravel()
+    model = build(poly, spec, n, mode, objective)
     probes = {}
     if objective == "min-lambda" and mode == "ess":
-        model = build(poly, spec, n, mode, eta, lam_fixed=1.0)
         solve_at = solver(model, "lam")
         failed = probes["failed_lam"] = []
 
@@ -279,8 +283,6 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
 
         _, sol = bisect_least(probe, lambda s: s.optimal, LAMBDA_BISECT_TOL)
     else:
-        model = build(poly, spec, n, mode, eta,
-                      minimize_lam=objective == "min-lambda")
         sol = solver(model)()
     if not sol.optimal:
         return SynthResult("infeasible" if sol.status == "infeasible"
@@ -290,7 +292,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
     scale = 1.0 / float(np.min(v)) if np.min(v) < 1.0 else 1.0
     lam, M, extras = extract(model, values, poly, n, v, scale)
     S = values["S"].reshape(n, -1).T
-    cert = StabCertificate(v=v * scale, S=S * scale, lam=lam, eta=eta,
+    cert = StabCertificate(v=v * scale, S=S * scale, lam=lam, eta=ETA,
                            mode=mode, M=M)
     if isinstance(poly, Polytope):
         extras["Z"] = {name: family.dense(values[name] * scale)
@@ -305,8 +307,7 @@ def _synthesize(build, extract, poly, spec, mode, eta, objective):
     return SynthResult("feasible", cert, extras)
 
 
-def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
-                    objective="feasibility"):
+def synthesize_sign(poly, spec, mode="ess", objective="feasibility"):
     """Controller synthesis over every plant in a consistency polytope.
 
     poly is the data polytope over [vec(A); vec(B)], or one plant vector
@@ -317,10 +318,13 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     of every probe that failed numerically in extras["failed_lam"]).  The
     status is 'feasible' only when the certified gain is below 1; an
     optimum at or above 1 is 'infeasible' and keeps its gain in
-    extras["lam"].  Returns a SynthResult whose extras["Z"] carries the
-    Farkas multipliers for audit, {"Z": array of shape (n 2^(n+m), L)}
-    with rows ordered as in _signed_rows (none on a point),
-    and extras["counts"] the size of the Farkas LP.  On a polytope the
+    extras["lam"].  The feasibility LPs hold every row to the strict
+    margin ETA, which every certificate records as eta; the min-lambda
+    LPs bound the rows by lam v instead (see _synthesize).  Returns a
+    SynthResult whose extras["Z"] carries the Farkas multipliers for
+    audit, {"Z": array of shape (n 2^(n+m), L)} with rows ordered as in
+    _signed_rows (none on a point), and extras["counts"] the size of the
+    Farkas LP.  On a polytope the
     LPs are solved by vertex cuts, or fresh as the Farkas LP where the
     rows cannot be cut (see the module docstring); the known-plant LPs by
     the same warm master.  The cut pool persists across calls: a call
@@ -332,7 +336,7 @@ def synthesize_sign(poly, spec, mode="ess", eta=DEFAULT_ETA,
     An empty polytope raises ValueError, and a failed nonemptiness LP
     SolverError.
     """
-    return _synthesize(_sign_model, _extract_sign, poly, spec, mode, eta,
+    return _synthesize(_sign_model, _extract_sign, poly, spec, mode,
                        objective)
 
 

@@ -137,9 +137,9 @@ def test_criterion_4_form_equivalence_and_counts():
             poly = Polytope(G=rng.normal(size=(poly_rows, d)),
                             h=rng.uniform(1, 2, size=poly_rows))
             spec = QuantizerSpec.uniform(0.5, m)
-            sign_model = _sign_model(poly, spec, n, "ess", 1e-6)
+            sign_model = _sign_model(poly, spec, n, "ess", "feasibility")
             assert sign_model.num_ineq_rows == n * 2 ** (n + m)
-            aarc_model = _aarc_model(poly, spec, n, "ess", 1e-6)
+            aarc_model = _aarc_model(poly, spec, n, "ess", "feasibility")
             assert aarc_model.num_ineq_rows == n + n * n * 2 ** (m + 1)
             assert count_constraints_sign(n, m, poly_rows)[
                 "robust_inequalities"] == n * 2 ** (n + m)

@@ -17,6 +17,7 @@ from quantstab import (Dataset, Polytope, SynthResult, VerificationReport,
                        builtin_partition, builtin_system, lp_core,
                        synthesize_sign)
 from quantstab.cli import build_parser, main
+from quantstab.synth_sign import ETA
 
 from conftest import fresh_solves
 from test_synth_sign import _StatusOnCall
@@ -106,6 +107,7 @@ def test_synthesize_emits_verified_certificate(cert_file):
     assert d["method"] == "sign"
     assert d["rho"] == pytest.approx(0.7)
     assert d["lambda"] < 1.0
+    assert d["eta"] == ETA
     K = np.asarray(d["K"])
     S = np.asarray(d["S"])
     v = np.asarray(d["v"])
@@ -256,6 +258,26 @@ def test_verify_rejects_tampered_certificate(tmp_path, data_file, cert_file):
     bad.write_text(json.dumps(d))
     assert run("verify", "--system", "sys1", "--data", data_file, "--cert",
                str(bad)) == UNVERIFIED
+
+
+def test_verify_audits_against_the_certificate_eta(tmp_path, data_file,
+                                                   cert_file):
+    # eta belongs to the certificate: a larger one lowers every margin by
+    # the difference, so the same (v, S) with eta = 0.5 is not verified
+    d = json.loads(Path(cert_file).read_text())
+    assert d["eta"] == ETA
+    reports = []
+    for eta in (ETA, 0.5):
+        cert, out = tmp_path / "cert.json", tmp_path / "report.json"
+        cert.write_text(json.dumps(dict(d, eta=eta)))
+        code = run("verify", "--system", "sys1", "--data", data_file,
+                   "--cert", str(cert), "--out", str(out))
+        reports.append((code, json.loads(out.read_text())))
+    (code, own), (code_half, half) = reports
+    assert (code, code_half) == (OK, UNVERIFIED)
+    assert half["verified"] is False
+    assert half["worst_margin"] == pytest.approx(
+        own["worst_margin"] - (0.5 - ETA), abs=1e-9)
 
 
 def test_verify_of_a_dataset_agrees_with_its_pruned_polytope(
@@ -557,16 +579,49 @@ def test_empty_dataset_is_config_error_before_its_shape_is_read(
 
 @pytest.mark.parametrize("command, message", [
     ("synthesize --rho 1.5", "synthesize requires --rho in (0, 1]"),
-    ("synthesize --rho 0.7 --eta 0",
-     "stability tolerance eta must be positive"),
     ("minrho --tol 0", "bisection tolerance must be positive"),
-    ("sweep --eta -1", "stability tolerance eta must be positive"),
 ])
 def test_bad_value_is_config_error_before_the_data_is_pruned(
         command, message, capsys, data_file, no_lp):
     name, *rest = command.split()
     assert run(name, "--data", data_file, *rest) == CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["synthesize --rho 0.7", "minrho",
+                                     "sweep"])
+def test_eta_is_an_unrecognized_option(command, capsys, data_file, no_lp):
+    # the margin eta is the constant synth_sign.ETA, not an option
+    name, *rest = command.split()
+    assert run(name, "--data", data_file, *rest, "--eta", "1e-6") == CONFIG
+    assert "unrecognized arguments: --eta" in capsys.readouterr().err
+
+
+_CERT = {"v": [1.0, 1.0, 1.0], "S": [[0.0] * 3] * 2, "lambda": 0.5,
+         "eta": 1e-6}
+
+
+@pytest.mark.parametrize("command, content", [
+    ("synthesize --rho 0.7 --data {bad}", [1, 2, 3]),
+    ("synthesize --rho 0.7 --data {bad}", {"epsilon": None, "samples": []}),
+    ("synthesize --rho 0.7 --data {bad}", {"samples": "oops"}),
+    ("verify --system sys1 --cert {bad}", [1, 2, 3]),
+    ("verify --system sys1 --cert {bad}", dict(_CERT, **{"lambda": None})),
+    ("verify --system sys1 --cert {bad}", dict(_CERT, rho=[0.7])),
+    ("synthesize --rho 0.7 --system {bad}", [1, 2, 3]),
+    ("synthesize --rho 0.7 --system {bad}", {"A": [[0.5]], "B": {"u": 1}}),
+    ("gendata --system sys1 --T 5 --partition {bad}", [1, 2, 3]),
+    ("gendata --system sys1 --T 5 --partition {bad}", {"edges": {"e": 1}}),
+])
+def test_malformed_json_file_is_config_error_naming_it(
+        command, content, tmp_path, capsys, no_lp):
+    # a file whose top level is not an object, or whose field has the
+    # wrong type, is a configuration error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(*command.format(bad=bad).split()) == CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not a valid input file (")
 
 
 def test_bad_subcommand_is_config_error():
@@ -610,9 +665,9 @@ def test_each_subcommand_takes_its_own_options_only():
     slots = {name: sum(1 for action in parser._actions
                        if action.option_strings and action.dest != "help")
              for name, parser in sub.choices.items()}
-    assert slots == {"gendata": 6, "synthesize": 9, "verify": 5,
-                     "simulate": 6, "minrho": 7, "sweep": 9, "prune": 2}
-    assert sum(slots.values()) == 44
+    assert slots == {"gendata": 6, "synthesize": 8, "verify": 5,
+                     "simulate": 6, "minrho": 6, "sweep": 8, "prune": 2}
+    assert sum(slots.values()) == 41
 
 
 def test_module_run_prints_no_runtime_warning(tmp_path):

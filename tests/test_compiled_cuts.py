@@ -21,7 +21,7 @@ from quantstab import (Polytope, QuantizerSpec, build_polytope,
 from quantstab import lp_core
 from quantstab.lp_core import LinprogBackend, SolverError
 from quantstab.synth_aarc import _aarc_model
-from quantstab.synth_sign import DEFAULT_ETA, _sign_model, bisect_least
+from quantstab.synth_sign import _sign_model, bisect_least
 
 from conftest import InteriorPoint, fresh_solves
 
@@ -69,12 +69,10 @@ def test_compiled_cut_rows_equal_the_assembled_rows(case, pruned_sys1,
     build = {"sign": _sign_model, "aarc": _aarc_model}[method]
     spec = QuantizerSpec.uniform(0.7, plant.m)
     if ss:
-        model = build(poly, spec, plant.n, "ss", DEFAULT_ETA,
-                      minimize_lam=True)
+        model = build(poly, spec, plant.n, "ss", "min-lambda")
         loop, lams = lp_core._CutLoop(model), [None]
     else:
-        model = build(poly, spec, plant.n, "ess", DEFAULT_ETA,
-                      lam_fixed=1.0)
+        model = build(poly, spec, plant.n, "ess", "min-lambda")
         loop, lams = lp_core._CutLoop(model, "lam"), [1.0, 0.6]
     rng = np.random.default_rng(3)
     for cut_rows in loop.families:
@@ -110,7 +108,7 @@ def test_lambda_reaches_only_the_u_rows_of_the_master(build, pruned_sys1,
     # n entries -lambda on v of those rows, and no cut carries lambda
     n = sys1.n
     model = build(pruned_sys1, QuantizerSpec.uniform(0.7, sys1.m), n, "ess",
-                  DEFAULT_ETA, lam_fixed=1.0)
+                  "min-lambda")
     loop = lp_core._CutLoop(model, "lam")
     rows, cols, base, slope = loop.entries
     offsets, _ = loop.master._offsets()
@@ -132,8 +130,7 @@ def test_aarc_rows_on_vertex_cuts_give_the_fresh_probe_verdicts(pruned_sys1,
     spec = QuantizerSpec.uniform(0.7, sys1.m)
 
     def verdicts(solver):
-        model = _aarc_model(pruned_sys1, spec, sys1.n, "ess", DEFAULT_ETA,
-                            lam_fixed=1.0)
+        model = _aarc_model(pruned_sys1, spec, sys1.n, "ess", "min-lambda")
         solve_at, seen = solver(model, "lam"), []
 
         def probe(lam):
@@ -309,7 +306,7 @@ def test_an_infeasible_call_leaves_the_cut_pool_as_it_was(pruned_sys2,
     def loop(rho):
         return lp_core._CutLoop(_sign_model(
             poly, QuantizerSpec.uniform(rho, sys2.m), sys2.n, "ess",
-            DEFAULT_ETA))
+            "feasibility"))
 
     assert loop(1.0)().optimal
     (key, pool), = poly.cut_pools.items()

@@ -101,15 +101,11 @@ def test_envelope_rows_are_signed_closed_loop_minus_envelope(rng, affine):
     nsq = n * n
     pattern = _row_local_pattern(n, m) if affine else None
     model = LPModel()
-    for name, size in (("v", n), ("S", n * m), ("m0", nsq)):
-        model.add_block(name, size)
-    if affine:
-        model.add_block("mz", np.count_nonzero(pattern))
+    model.add_block("m0", nsq)
     betas = QuantizerSpec.uniform(0.4, m).beta_vertices()
     d = n * (n + m)
-    G_expr, h_expr = _envelope_rows(
-        model.identity_expr("v"), model.identity_expr("S"),
-        model.identity_expr("m0"), betas, _envelope_plant_part(pattern, n, d))
+    G_expr, h_expr = _envelope_rows(model.identity_expr("m0"), betas,
+                                    _envelope_plant_part(pattern, n, d))
     assert set(G_expr.terms) == ({"v", "S", "mz"} if affine
                                  else {"v", "S"})
     for _ in range(3):
@@ -142,7 +138,8 @@ def test_aarc_model_has_two_multiplier_blocks():
     n, m, L = 2, 2, 7
     poly = Polytope(G=rng.normal(size=(L, n * (n + m))),
                     h=rng.uniform(1.0, 2.0, size=L))
-    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess",
+                        "feasibility")
     assert [(name, f.h_expr.rows, f.poly.num_faces)
             for name, f in model.robust.items()] \
         == [("ZM", n, L), ("Zb", 2 * n * n * 2 ** m, L)]
@@ -155,7 +152,8 @@ def test_dense_polytope_gets_the_full_envelope():
     poly = Polytope(G=rng.normal(size=(L, n * (n + m))),
                     h=rng.uniform(1.0, 2.0, size=L))
     assert _envelope_pattern(poly, n).all()
-    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess",
+                        "feasibility")
     assert model.blocks["mz"][0] == n ** 4 + n ** 3 * m
 
 
@@ -166,7 +164,8 @@ def test_data_polytope_allocates_only_the_row_local_envelope(n, m):
     poly = random_separable_polytope(rng, sys.A, sys.B)
     pattern = _envelope_pattern(poly, n)
     np.testing.assert_array_equal(pattern, _row_local_pattern(n, m))
-    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess", 1e-6)
+    model = _aarc_model(poly, QuantizerSpec.uniform(0.5, m), n, "ess",
+                        "feasibility")
     assert model.blocks["mz"][0] == n ** 3 + n * n * m
     # the vec(A) entries come first, each part row-major
     r, c = _pattern_entries(pattern)
@@ -302,7 +301,7 @@ def test_size_record_matches_assembled_model(n, m, L):
     h = rng.uniform(1.0, 2.0, size=L)
     poly = Polytope(G=G, h=h)
     spec = QuantizerSpec.uniform(0.5, m)
-    model = _aarc_model(poly, spec, n, "ess", 1e-6)
+    model = _aarc_model(poly, spec, n, "ess", "feasibility")
     counts = count_constraints_aarc(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
     c, _, _, A_eq, _, _ = model.assemble()
@@ -319,7 +318,7 @@ def test_size_record_matches_row_separable_model(n, m):
     row_faces = [np.count_nonzero(poly.G[:, i::n].any(axis=1))
                  for i in range(n)]
     spec = QuantizerSpec.uniform(0.5, m)
-    model = _aarc_model(poly, spec, n, "ess", 1e-6)
+    model = _aarc_model(poly, spec, n, "ess", "feasibility")
     counts = count_constraints_aarc(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
     c, _, _, A_eq, _, _ = model.assemble()

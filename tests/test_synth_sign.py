@@ -17,10 +17,11 @@ from quantstab import (
     prune_redundant,
     robust_verify,
     sign_vectors,
+    synthesize_aarc,
     synthesize_sign,
 )
-from quantstab.lp_core import LinprogBackend, LPModel
-from quantstab.synth_sign import _sign_model, _signed_rows
+from quantstab.lp_core import LinprogBackend
+from quantstab.synth_sign import ETA, _sign_model, _signed_rows
 
 from conftest import (box_polytope, fresh_solves, random_separable_polytope,
                       random_stabilizable_system)
@@ -48,14 +49,9 @@ def _singleton(sys):
 
 def test_row_assembly_matches_direct_kronecker(rng):
     n, m = 3, 2
-    model = LPModel()
-    model.add_block("v", n)
-    model.add_block("S", n * m)
-    v_expr = model.identity_expr("v")
-    S_expr = model.identity_expr("S")
     alpha = np.array([1.0, -1.0, 1.0])
     beta = np.array([0.7, 1.3])
-    G_expr = _signed_rows(v_expr, S_expr, alpha, beta)
+    G_expr = _signed_rows(alpha, beta)
     d = n * (n + m)
     assert G_expr.rows == n * d
 
@@ -73,13 +69,9 @@ def test_row_assembly_matches_direct_kronecker(rng):
 def test_row_assembly_acts_on_plants_as_signed_rowsum(rng):
     # G z must equal sum_j alpha_j (A_ij v_j + sum_k beta_k B_ik S_kj)
     n, m = 2, 2
-    model = LPModel()
-    model.add_block("v", n)
-    model.add_block("S", n * m)
     alpha = np.array([-1.0, 1.0])
     beta = np.array([1.25, 0.75])
-    G_expr = _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
-                          alpha, beta)
+    G_expr = _signed_rows(alpha, beta)
     v = rng.uniform(0.5, 2.0, size=n)
     S = rng.normal(size=(m, n))
     values = {"v": v, "S": S.T.reshape(-1)}
@@ -92,15 +84,10 @@ def test_row_assembly_acts_on_plants_as_signed_rowsum(rng):
 
 
 def test_row_assembly_validates_inputs():
-    model = LPModel()
-    model.add_block("v", 2)
-    model.add_block("S", 2)
     with pytest.raises(ValueError):
-        _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
-                     np.array([0.5, 1.0]), np.array([1.0]))
+        _signed_rows(np.array([0.5, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        _signed_rows(model.identity_expr("v"), model.identity_expr("S"),
-                     np.array([1.0, -1.0]), np.array([-0.2]))
+        _signed_rows(np.array([1.0, -1.0]), np.array([-0.2]))
 
 
 def test_unit_sign_vector_gives_the_rows_of_its_entry(rng):
@@ -109,18 +96,13 @@ def test_unit_sign_vector_gives_the_rows_of_its_entry(rng):
     # on vec(A) column j*n + i and s beta_k S_kj on vec(B) column
     # n^2 + k*n + i, and stores no other coefficient
     n, m = 3, 2
-    model = LPModel()
-    model.add_block("v", n)
-    model.add_block("S", n * m)
     v, S = rng.uniform(0.5, 2.0, size=n), rng.normal(size=(m, n))
     values = {"v": v, "S": S.flatten("F")}
     beta = np.array([0.7, 1.3])
     rows, k = np.arange(n), np.arange(m)
     for j in range(n):
         for sign in (-1.0, 1.0):
-            G_expr = _signed_rows(model.identity_expr("v"),
-                                  model.identity_expr("S"),
-                                  sign * np.eye(n)[j], beta)
+            G_expr = _signed_rows(sign * np.eye(n)[j], beta)
             expect = np.zeros((n, n * (n + m)))
             expect[rows, j * n + rows] = sign * v[j]
             expect[rows[:, None], n * n + k * n + rows[:, None]] = \
@@ -134,17 +116,12 @@ def test_unit_sign_vector_gives_the_rows_of_its_entry(rng):
 def test_stacked_pairs_equal_single_pair_calls(rng):
     # P pairs in one call are the row-wise stack of P one-pair calls
     n, m, P = 3, 2, 6
-    model = LPModel()
-    model.add_block("v", n)
-    model.add_block("S", n * m)
-    v_expr = model.identity_expr("v")
-    S_expr = model.identity_expr("S")
     alpha = rng.choice([-1.0, 1.0], size=(P, n))
     beta = rng.uniform(0.5, 1.5, size=(P, m))
-    G_expr = _signed_rows(v_expr, S_expr, alpha, beta)
+    G_expr = _signed_rows(alpha, beta)
     d = n * (n + m)
     assert G_expr.rows == P * n * d
-    singles = [_signed_rows(v_expr, S_expr, a, b)
+    singles = [_signed_rows(a, b)
                for a, b in zip(alpha, beta)]
     for _ in range(3):
         values = {"v": rng.uniform(0.5, 2.0, size=n),
@@ -154,7 +131,7 @@ def test_stacked_pairs_equal_single_pair_calls(rng):
             np.vstack([G.value(values).reshape(n, d) for G in singles]),
             atol=1e-12)
     with pytest.raises(ValueError):
-        _signed_rows(v_expr, S_expr, alpha[:-1], beta)
+        _signed_rows(alpha[:-1], beta)
 
 
 def test_sign_model_has_one_multiplier_block():
@@ -163,7 +140,7 @@ def test_sign_model_has_one_multiplier_block():
     poly = Polytope(G=rng.normal(size=(6, n * (n + m))),
                     h=rng.uniform(1.0, 2.0, size=6))
     spec = QuantizerSpec.uniform(0.5, m)
-    model = _sign_model(poly, spec, n, "ess", 1e-6)
+    model = _sign_model(poly, spec, n, "ess", "feasibility")
     assert list(model.robust) == ["Z"]
     assert model.robust["Z"].h_expr.rows == n * 2 ** (n + m)
 
@@ -175,7 +152,8 @@ def test_both_modes_search_one_weight_block(mode, upper):
     n, m = 2, 1
     poly = Polytope(G=rng.normal(size=(6, n * (n + m))),
                     h=rng.uniform(1.0, 2.0, size=6))
-    model = _sign_model(poly, QuantizerSpec.uniform(0.5, m), n, mode, 1e-6)
+    model = _sign_model(poly, QuantizerSpec.uniform(0.5, m), n, mode,
+                        "feasibility")
     size, lb, ub = model.blocks["v"]
     assert size == n and lb.tolist() == [1.0] * n
     assert ub.tolist() == [upper] * n
@@ -205,13 +183,29 @@ def test_ss_weights_are_exactly_one_on_every_path(sys1, part1, objective):
         assert lams[2] == pytest.approx(lams[3], abs=1e-6)
 
 
+@pytest.mark.parametrize("synth", [synthesize_sign, synthesize_aarc],
+                         ids=["sign", "aarc"])
+def test_every_certificate_carries_the_margin_eta(synth, sys1, part1):
+    # eta is the constant ETA: every form, mode, objective and target
+    # records it, the min-lambda certificates too, whose LPs do not use it
+    poly = prune_redundant(build_polytope(generate_dataset(sys1, part1, 100,
+                                                           seed=1)))
+    spec = QuantizerSpec.uniform(0.7, sys1.m)
+    for target in (poly, plant_vec(sys1.A, sys1.B)):
+        for mode in ("ss", "ess"):
+            for objective in ("feasibility", "min-lambda"):
+                res = synth(target, spec, mode=mode, objective=objective)
+                assert res.feasible, (mode, objective)
+                assert res.certificate.eta == ETA == 1e-6
+
+
 def test_sign_model_rows_run_alpha_outer_beta_inner(rng):
     # on a point the row sups are the signed row sums G z0, in row order
     n, m = 3, 2
     sys = LinearSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
     z0 = np.concatenate([sys.A.flatten("F"), sys.B.flatten("F")])
     spec = QuantizerSpec.uniform(0.4, m)
-    model = _sign_model(z0, spec, n, "ess", 1e-6)
+    model = _sign_model(z0, spec, n, "ess", "feasibility")
     assert model.robust == {}
     v = rng.uniform(0.5, 2.0, size=n)
     S = rng.normal(size=(m, n))
@@ -399,7 +393,7 @@ def test_size_record_matches_assembled_model(n, m, L):
     h = rng.uniform(1.0, 2.0, size=L)
     poly = Polytope(G=G, h=h)
     spec = QuantizerSpec.uniform(0.5, m)
-    model = _sign_model(poly, spec, n, "ess", 1e-6)
+    model = _sign_model(poly, spec, n, "ess", "feasibility")
     counts = count_constraints_sign(n, m, L)
     assert model.num_ineq_rows == counts["inequality_rows"]
     c, _, _, A_eq, _, _ = model.assemble()
@@ -417,7 +411,7 @@ def test_size_record_matches_row_separable_model(n, m):
     row_faces = [np.count_nonzero(poly.G[:, i::n].any(axis=1))
                  for i in range(n)]
     spec = QuantizerSpec.uniform(0.5, m)
-    model = _sign_model(poly, spec, n, "ess", 1e-6)
+    model = _sign_model(poly, spec, n, "ess", "feasibility")
     counts = count_constraints_sign(n, m, row_faces)
     assert model.num_ineq_rows == counts["inequality_rows"]
     c, _, _, A_eq, _, _ = model.assemble()

@@ -18,7 +18,6 @@ from quantstab import (LinearSystem, Polytope, QuantizerSpec,
                        generate_dataset, lp_core, min_feasible_rho, plant_vec,
                        prune_redundant, sign_vectors, singleton_polytope,
                        synthesize_aarc, synthesize_sign)
-from quantstab.lp_core import LPModel
 from quantstab.synth_aarc import (_aarc_model, _envelope_pattern,
                                   _pattern_entries)
 from quantstab.synth_sign import _signed_rows
@@ -74,13 +73,9 @@ def test_parity_with_the_farkas_lp_on_sys2(sys2, part2):
 def test_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
     n, m = sys1.n, sys1.m
     spec = QuantizerSpec.uniform(0.7, m)
-    model = LPModel()
-    model.add_block("v", n)
-    model.add_block("S", m * n)
     pairs = [(a, b) for a in sign_vectors(n) for b in spec.beta_vertices()]
-    G_expr = _signed_rows(
-        model.identity_expr("v"), model.identity_expr("S"),
-        np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    G_expr = _signed_rows(np.array([a for a, _ in pairs]),
+                          np.array([b for _, b in pairs]))
     row_faces = [np.count_nonzero(pruned_sys1.G[:, i::n].any(axis=1))
                  for i in range(n)]
     for mode, objective in (("ess", "feasibility"), ("ess", "min-lambda"),
@@ -110,9 +105,9 @@ def test_aarc_multipliers_meet_the_farkas_conditions(sys1, pruned_sys1):
         res = synthesize_aarc(pruned_sys1, spec, mode=mode,
                               objective=objective)
         cert, param = res.certificate, res.extras["m_param"]
-        gain = ({"lam_fixed": cert.lam} if mode == "ess"
-                else {"minimize_lam": True})
-        model = _aarc_model(pruned_sys1, spec, n, mode, cert.eta, **gain)
+        model = _aarc_model(pruned_sys1, spec, n, mode, "min-lambda")
+        if mode == "ess":
+            model.params["lam"] = cert.lam
         full = np.hstack([param.ma, param.mb])
         values = {"v": cert.v, "S": cert.S.flatten("F"), "m0": param.m0,
                   "mz": full[_pattern_entries(pattern)],

@@ -1,10 +1,17 @@
-"""Print the code lines of src/quantstab, per module and in total, and the
-size of quantstab.__all__.
+"""Print the code lines of src/quantstab, per module and in total, the
+size of quantstab.__all__, the CLI's option slots and the defaulted
+public parameters.
 
 A code line is a source line that holds a token of code: blank lines,
 comment lines and the lines of docstrings (the string that opens a
 module, class or function body) do not count.  A statement that spans
 several lines counts each of them.
+
+An option slot is an option string that a CLI subcommand accepts, other
+than --help: each subcommand's options are counted, then the total.  A
+defaulted public parameter is a parameter with a default value in the
+signature (inspect.signature) of a function or class named in
+quantstab.__all__.
 
 Usage, from the repository root:
 
@@ -53,12 +60,33 @@ def main(argv):
         print(f"{path.name:20s} {count:5d}")
     print(f"{'total':20s} {total:5d}")
     # a fresh interpreter, so that the checkout counted is the one imported
-    exported = subprocess.run(
-        [sys.executable, "-c",
-         "import quantstab; print(len(quantstab.__all__))"],
+    print(subprocess.run(
+        [sys.executable, "-c", _API_COUNTS],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, check=True).stdout.strip()
-    print(f"{'quantstab.__all__':20s} {exported:>5s}")
+        text=True, check=True).stdout, end="")
+
+
+_API_COUNTS = """
+import argparse, inspect
+import quantstab
+from quantstab.cli import build_parser
+
+print(f"{'quantstab.__all__':20s} {len(quantstab.__all__):5d}")
+sub = next(action for action in build_parser()._actions
+           if isinstance(action, argparse._SubParsersAction))
+slots = {name: sum(1 for action in parser._actions
+                   if action.option_strings and action.dest != "help")
+         for name, parser in sub.choices.items()}
+for name, count in slots.items():
+    print(f"{'cli ' + name:20s} {count:5d}")
+print(f"{'cli option slots':20s} {sum(slots.values()):5d}")
+defaulted = sum(
+    1 for name in quantstab.__all__
+    if callable(obj := getattr(quantstab, name))
+    for param in inspect.signature(obj).parameters.values()
+    if param.default is not inspect.Parameter.empty)
+print(f"{'defaulted params':20s} {defaulted:5d}")
+"""
 
 
 if __name__ == "__main__":
