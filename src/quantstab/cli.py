@@ -55,12 +55,13 @@ DEFAULT_PARTITION = {"sys1": "p1", "sys2": "p2"}
 def _parsed(path, read):
     """read(path), for a reader of the JSON input file path.  A file of
     the wrong shape (a list for an object, a null or a string for a
-    number or a list) makes the reader raise TypeError, AttributeError
-    or KeyError; that becomes a ValueError naming the file, a
-    configuration error."""
+    number or a list) makes the reader raise TypeError, AttributeError,
+    KeyError or ValueError (a string float() cannot read, or text that
+    is not JSON); that becomes a ValueError naming the file, with the
+    reader's message in it, a configuration error."""
     try:
         return read(path)
-    except (TypeError, AttributeError, KeyError) as e:
+    except (TypeError, AttributeError, KeyError, ValueError) as e:
         raise ValueError(f"{path} is not a valid input file "
                          f"({type(e).__name__}: {e})") from e
 

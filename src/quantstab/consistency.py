@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import (Polytope, _best_vertices, _require_nonempty,
+from .lp_core import (Polytope, _best_vertices, _pruned, _require_nonempty,
                       _SupportSession)
 from .quantizer import interval_quantize
 
@@ -175,24 +175,18 @@ def build_polytope(dataset):
     """
     if len(dataset) == 0:
         raise ValueError("cannot build a polytope from an empty dataset")
-    n, m = dataset.n, dataset.m
-    eps = dataset.epsilon
-    eye = np.eye(n)
-    rows, rhs = [], []
-    for s in dataset.samples:
-        block = np.hstack([np.kron(s.x_hat.reshape(1, -1), eye),
-                           np.kron(s.u_hat.reshape(1, -1), eye)])
-        for i in range(n):
-            if np.isfinite(s.q[i]):
-                rows.append(block[i])
-                rhs.append(s.q[i] + eps)
-            if np.isfinite(s.p[i]):
-                rows.append(-block[i])
-                rhs.append(-(s.p[i] - eps))
-    d = n * (n + m)
-    if not rows:
-        return Polytope(G=np.zeros((0, d)), h=np.zeros(0))
-    return Polytope(G=np.array(rows), h=np.array(rhs))
+    n, eps, samples = dataset.n, dataset.epsilon, dataset.samples
+    w = np.array([np.concatenate([s.x_hat, s.u_hat]) for s in samples])
+    p = np.array([s.p for s in samples])
+    q = np.array([s.q for s in samples])
+    # block[s, i] is row i of (w_s^T kron I_n); each is followed by its
+    # negation, as the bounds q and p of state i follow each other
+    block = (w[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(
+        len(w), n, -1)
+    G = np.stack([block, -block], axis=2)
+    h = np.stack([q + eps, -(p - eps)], axis=2)
+    finite = np.stack([np.isfinite(q), np.isfinite(p)], axis=2)
+    return Polytope(G=G[finite], h=h[finite])
 
 
 def plant_vec(A, B):
@@ -218,13 +212,63 @@ def contains_plant(poly, A, B):
     return bool(np.all(poly.G @ z <= poly.h + CONTAIN_TOL))
 
 
-def _hull_redundant(hull):
-    """Mask of the faces of a component whose support over its vertices
-    (lp_core._DualHull, from Polytope.hulls) is below h_r by more than
-    HULL_MARGIN.  The faces are scored by the cut engine's blocked scorer
-    (lp_core._best_vertices), whose blocks of SCORE_BLOCK scores keep the
-    whole faces-by-vertices product (29 MB on sys2/T=350) out of memory."""
-    return hull.h - _best_vertices(hull.G, hull.vertices)[1] > HULL_MARGIN
+def _hull_verdicts(hull):
+    """(drop, keep): masks of the faces of a component that its dual hull
+    (lp_core._DualHull, from Polytope.hulls) settles by more than
+    HULL_MARGIN, so that the LP test of prune_redundant would drop,
+    respectively keep, each of them whatever faces it has dropped before.
+
+    A face is dropped when its support over the vertices is below h_r by
+    more than HULL_MARGIN.  The faces are scored by the cut engine's
+    blocked scorer (lp_core._best_vertices), whose blocks of SCORE_BLOCK
+    scores keep the whole faces-by-vertices product (29 MB on sys2/T=350)
+    out of memory.
+
+    A face is kept when a witness point violates it by more than
+    HULL_MARGIN while it satisfies every other face of the component: the
+    LP test's feasible set, its retained faces with r's bound raised to
+    h_r + 1, contains every such point with G_r y <= h_r + 1.  With dual
+    points p = G / s, s = h - G x0, take for face r one facet a y = 1 whose
+    simplex holds it, M the facet's points and r the j-th of them, and
+    w = 2 (M^-1)[:, j] - a, so that p_r w = 1 and the facet's other points
+    give p w = -1.  Then y = x0 + a + (delta / 2) w, with delta the least
+    (1 - p a) / (p w) over the other points where p w > 0, capped at
+    1 / s_r, violates face r by s_r delta / 2 and satisfies every other
+    face.  Exact, scaled and near duplicates and faces within PRUNE_TOL of
+    another give delta near 0, so the LP test decides those near-ties,
+    and which of two equal faces stays; a singular M sends every face of
+    the component that is not dropped to the LP test.
+    """
+    drop = hull.h - _best_vertices(hull.G, hull.vertices)[1] > HULL_MARGIN
+    keep = np.zeros_like(drop)
+    s = hull.h - hull.G @ hull.x0
+    P = hull.G / s[:, None]
+    # the first facet of each face spanning a vertex: a dense facets x
+    # faces array would take tens of MB on sys2/T=350, and np.unique's
+    # sort of the simplices took 67 ms on a 56,000-facet hull
+    flat = hull.simplices.ravel()
+    first = np.full(s.size, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    faces = np.flatnonzero(first < flat.size)
+    facet, j = np.divmod(first[faces], hull.simplices.shape[1])
+    a = hull.vertices[facet] - hull.x0
+    try:
+        inv = np.linalg.solve(P[hull.simplices[facet]],
+                              np.eye(hull.cols.size)[j][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return drop, keep
+    w = 2.0 * inv - a
+    pw, pa = P @ w.T, P @ a.T
+    ratio = np.full(pw.shape, np.inf)
+    np.divide(1.0 - pa, pw, out=ratio, where=pw > 0)
+    own = faces, np.arange(faces.size)
+    ratio[own] = np.inf
+    delta = np.minimum(ratio.min(axis=0, initial=np.inf), 1.0 / s[faces])
+    # G_r y - h_r at the witness, from the computed products, so that an
+    # inaccurate or non-finite M^-1 keeps nothing
+    keep[faces] = s[faces] * (pa[own] - 1.0 + delta / 2 * pw[own]) \
+        > HULL_MARGIN
+    return drop, keep
 
 
 def prune_redundant(poly):
@@ -236,16 +280,20 @@ def prune_redundant(poly):
     component's remaining retained rows cannot exceed h_r + PRUNE_TOL.  The
     polytope is the product of its components' sets, so on a nonempty
     polytope this is the test over all retained rows; an all-zero face
-    (0 <= h_r) is always redundant.  A dual-hull prefilter (_hull_redundant)
-    first drops the faces of a component whose support is clearly below
-    h_r, without an LP, where the component has a dual hull
-    (Polytope.hulls).  Each component is one support session
+    (0 <= h_r) is always redundant.  Where a component has a dual hull
+    (Polytope.hulls), the hull settles the clear cases both ways first,
+    without an LP (_hull_verdicts): it drops the faces whose support is
+    below h_r, and keeps those a witness point violates, each by more than
+    HULL_MARGIN.  Only the rest, the near-ties, go to the LP test.  Each
+    component with such faces is one support session
     (lp_core._SupportSession): row r is tested with its bound raised to
     h_r + 1, which keeps the LP bounded without changing the verdict, and
-    is then freed when redundant or restored otherwise.  Rows are processed
+    is then freed when redundant or restored otherwise.  Rows are tested
     in order, and the retained rows keep their original order, so the
-    result is deterministic.  An empty polytope raises ValueError, and a
-    failed nonemptiness LP SolverError.
+    result is deterministic and the same as the LP test's alone.  The
+    result is the same set, so it inherits the nonemptiness check and,
+    where they carry over, the dual hulls (lp_core._pruned).  An empty
+    polytope raises ValueError, and a failed nonemptiness LP SolverError.
     """
     L = poly.num_faces
     if L == 0:
@@ -257,12 +305,18 @@ def prune_redundant(poly):
     for k, hull in enumerate(poly.hulls):
         faces = np.flatnonzero(face_comp == k)
         G, h = poly.G[np.ix_(faces, col_comp == k)], poly.h[faces]
-        rest = (np.ones(faces.size, dtype=bool) if hull is None
-                else ~_hull_redundant(hull))
-        logger.debug("dual hull dropped %d faces", rest.size - rest.sum())
-        faces, G, h = faces[rest], G[rest], h[rest]
+        if hull is None:
+            drop = kept = np.zeros(faces.size, dtype=bool)
+        else:
+            drop, kept = _hull_verdicts(hull)
+        logger.debug("dual hull dropped %d and kept %d faces", drop.sum(),
+                     kept.sum())
+        faces, G, h, kept = faces[~drop], G[~drop], h[~drop], kept[~drop]
+        keep[faces[kept]] = True
+        if kept.all():
+            continue
         session = _SupportSession(G, h)
-        for r in range(faces.size):
+        for r in np.flatnonzero(~kept):
             session.set_upper(r, h[r] + 1.0)
             support, _ = session.maximize(G[r])
             if support <= h[r] + PRUNE_TOL:
@@ -272,4 +326,4 @@ def prune_redundant(poly):
             else:
                 session.set_upper(r, h[r])
                 keep[faces[r]] = True
-    return Polytope(G=poly.G[keep], h=poly.h[keep])
+    return _pruned(poly, keep)

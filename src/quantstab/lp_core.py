@@ -47,8 +47,10 @@ solver solves a model's robust rows without their Farkas blocks, by
 vertex cuts (_CutLoop), for the sign and the envelope forms alike.
 Polytope.hulls gives each component, seen from its Chebyshev
 centre, the convex hull of its dual points (qhull), whose facets are the
-component's vertices: the same hull prunes faces
-(consistency._hull_redundant).  A robust row holds over a bounded
+component's vertices.  One hull serves a data set three ways: it decides
+which faces pruning drops and keeps (consistency._hull_verdicts), and the
+pruned polytope, the same set, inherits it as its own (_pruned), with
+the nonemptiness check.  A robust row holds over a bounded
 component iff it holds at every vertex, so a small master, the model's
 own LP without the robust families, takes the rows at the vertices that
 its solution violates most until none is violated.  Each family is
@@ -187,9 +189,10 @@ class Polytope:
         """One _DualHull per component (components), or None for a
         component with under two or over HULL_MAX_COLS columns, a flat one
         (Chebyshev radius at most FLAT_TOL), or one where qhull or the
-        Chebyshev LP fails.  Pruning drops faces by them
-        (consistency._hull_redundant), and the cut engine (_CutLoop) takes
-        its vertex sets from the bounded ones.  Needs a nonempty
+        Chebyshev LP fails.  Pruning drops and keeps faces by them
+        (consistency._hull_verdicts), the pruned polytope inherits them
+        where they carry over (_pruned), and the cut engine (_CutLoop)
+        takes its vertex sets from the bounded ones.  Needs a nonempty
         polytope."""
         face_comp, col_comp = self.components
         return [_dual_hull(self, np.flatnonzero(face_comp == k),
@@ -593,6 +596,37 @@ def _free(d):
     return np.column_stack([np.full(d, -np.inf), np.full(d, np.inf)])
 
 
+def _pruned(poly, keep):
+    """The Polytope of the faces of poly where keep holds, for a keep that
+    drops only redundant faces, so that both describe one set.  It
+    inherits poly's nonemptiness check (_require_nonempty) and, when
+    every component of it keeps the columns of one of poly's and each of
+    those has a hull that carries over (_DualHull.kept), poly's computed
+    dual hulls; otherwise Polytope.hulls builds its own when asked."""
+    pruned = Polytope(G=poly.G[keep], h=poly.h[keep])
+    if getattr(poly, "_nonempty", False):
+        object.__setattr__(pruned, "_nonempty", True)
+    hulls = vars(poly).get("hulls")
+    if hulls is None:
+        return pruned
+    old_comp = poly.components[1]
+    face_comp, col_comp = pruned.components
+    inherited = []
+    for k in range(col_comp.max(initial=-1) + 1):
+        # components are numbered in face order, so they are matched by
+        # their columns
+        cols = np.flatnonzero(col_comp == k)
+        hull = hulls[old_comp[cols[0]]]
+        if hull is None or not np.array_equal(hull.cols, cols):
+            return pruned
+        hull = hull.kept(keep[hull.faces], np.flatnonzero(face_comp == k))
+        if hull is None:
+            return pruned
+        inherited.append(hull)
+    vars(pruned)["hulls"] = inherited
+    return pruned
+
+
 def _require_nonempty(poly):
     """Check {G x <= h} nonempty, as the Farkas rule needs, by one
     zero-cost LP over free x: ValueError when empty, SolverError on any
@@ -778,8 +812,9 @@ class _DualHull:
     d points each).  A facet through the origin is a recession direction,
     so the set is bounded exactly when none is (bounded).  faces and cols
     place the component in its polytope.  The cut engine (_CutLoop) takes
-    its vertex sets from the bounded hulls, and pruning scores the faces
-    against the vertices (consistency._hull_redundant).
+    its vertex sets from the bounded hulls, pruning settles faces by the
+    vertices and the dual points (consistency._hull_verdicts), and a
+    pruned polytope inherits the hull (kept).
     """
 
     def __init__(self, G, h, faces, cols, x0, hull):
@@ -793,6 +828,18 @@ class _DualHull:
             x0 + hull.equations[misses, :d] / -hull.equations[misses, d:])
         self.simplices = hull.simplices[misses] - 1
         self.bounded = bool(misses.all()) and 0 not in hull.vertices
+
+    def kept(self, keep, faces):
+        """This hull for the component's faces where keep holds, placed at
+        faces in their polytope, when they describe the same set: x0, the
+        vertices and bounded carry over as they are.  None when a face
+        active at a vertex is dropped, as a duplicate face can be."""
+        if not keep[self.simplices].all():
+            return None
+        hull = copy.copy(self)
+        hull.G, hull.h, hull.faces = self.G[keep], self.h[keep], faces
+        hull.simplices = (np.cumsum(keep) - 1)[self.simplices]
+        return hull
 
 
 def _dual_hull(poly, faces, cols):

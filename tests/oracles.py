@@ -7,7 +7,9 @@ sequential redundancy test over the whole polytope, against which the
 per-component prune_redundant is checked; check_cert is the envelope
 check of a certificate against a known plant; every_row_margin solves
 every robust row of the audit over the whole polytope, against which
-robust_verify's skipped rows are checked.
+robust_verify's skipped rows are checked; polytope_row_by_row builds the
+consistency polytope sample by sample with np.kron, against which the
+array-built build_polytope is checked.
 """
 
 import itertools
@@ -68,6 +70,27 @@ def check_containment_bruteforce(P1, P2, tol=ABS_TOL):
         if not np.all(P2.G @ x <= P2.h + tol):
             return False
     return True
+
+
+def polytope_row_by_row(dataset):
+    """The rows +(x_hat^T kron I_n | u_hat^T kron I_n) z <= q + epsilon and
+    their negations <= -(p - epsilon) of every sample, state by state,
+    each omitted where its bound is infinite."""
+    n, eps = dataset.n, dataset.epsilon
+    eye = np.eye(n)
+    rows, rhs = [], []
+    for s in dataset.samples:
+        block = np.hstack([np.kron(s.x_hat.reshape(1, -1), eye),
+                           np.kron(s.u_hat.reshape(1, -1), eye)])
+        for i in range(n):
+            if np.isfinite(s.q[i]):
+                rows.append(block[i])
+                rhs.append(s.q[i] + eps)
+            if np.isfinite(s.p[i]):
+                rows.append(-block[i])
+                rhs.append(-(s.p[i] - eps))
+    d = n * (n + dataset.m)
+    return np.reshape(rows, (-1, d)), np.array(rhs, dtype=float)
 
 
 def prune_whole_polytope(poly, tol=1e-8):

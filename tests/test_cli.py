@@ -624,6 +624,22 @@ def test_malformed_json_file_is_config_error_naming_it(
     assert err.startswith(f"error: {bad} is not a valid input file (")
 
 
+@pytest.mark.parametrize("command, content", [
+    ("prune --data {bad}", {"G": "oops", "h": [1]}),
+    ("verify --system sys1 --cert {bad}", dict(_CERT, rho="oops")),
+])
+def test_unreadable_number_is_config_error_naming_the_file(
+        command, content, tmp_path, capsys, no_lp):
+    # float() raises ValueError, not TypeError: the message still names
+    # the file, and keeps the reader's own
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(*command.format(bad=bad).split()) == CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {bad} is not a valid input file (ValueError: could not "
+        "convert string to float: 'oops')\n")
+
+
 def test_bad_subcommand_is_config_error():
     assert run("explode") == CONFIG
 

@@ -11,6 +11,7 @@ from quantstab import (
     LinearSystem,
     Partition,
     Polytope,
+    QuantizerSpec,
     build_polytope,
     builtin_partition,
     builtin_system,
@@ -20,11 +21,14 @@ from quantstab import (
     plant_vec,
     prune_redundant,
     singleton_polytope,
+    synthesize_sign,
 )
+
+from quantstab.consistency import _hull_verdicts
 
 from conftest import (box_polytope, farkas_status, fresh_solves,
                       random_separable_polytope, random_stabilizable_system)
-from oracles import prune_whole_polytope
+from oracles import polytope_row_by_row, prune_whole_polytope
 
 
 def _scalar_sample(x, u, p, q):
@@ -156,6 +160,36 @@ def test_kronecker_rows_match_direct_residuals(rng):
     assert k == poly.num_faces
 
 
+@pytest.mark.parametrize("system,partition,T,noise", [
+    ("sys1", "p1", 100, 0.0), ("sys1", "p1", 17, 0.05),
+    ("sys2", "p2", 60, 0.0), ("sys2", "p2", 5, 0.05),
+])
+def test_polytope_equals_the_row_by_row_build_bit_for_bit(system, partition,
+                                                          T, noise):
+    ds = generate_dataset(builtin_system(system),
+                          builtin_partition(partition), T, 1, noise=noise)
+    _assert_built_row_by_row(ds)
+
+
+def test_polytope_keeps_signed_zeros_and_drops_infinite_bounds():
+    samples = [DataSample(x_hat=np.array([1.0, -0.0]),
+                          u_hat=np.array([-2.0]), p=np.array([-np.inf, 0.5]),
+                          q=np.array([3.0, np.inf])),
+               DataSample(x_hat=np.array([0.0, -1.5]), u_hat=np.array([0.0]),
+                          p=np.array([-1.0, -np.inf]),
+                          q=np.array([np.inf, np.inf]))]
+    _assert_built_row_by_row(Dataset(samples, 0.1))
+    _assert_built_row_by_row(Dataset(samples[1:], 0.0))
+
+
+def _assert_built_row_by_row(ds):
+    G, h = polytope_row_by_row(ds)
+    poly = build_polytope(ds)
+    assert poly.G.shape == G.shape
+    assert poly.G.tobytes() == G.tobytes()
+    assert poly.h.tobytes() == h.tobytes()
+
+
 def test_contains_plant_trivial_when_no_rows():
     s = DataSample(x_hat=np.array([1.0]), u_hat=np.array([0.0]),
                    p=np.array([-np.inf]), q=np.array([np.inf]))
@@ -246,7 +280,9 @@ def test_nested_prefix_polytopes_shrink(sys1, part1):
 
 def _assert_prunes_like_whole_polytope(poly):
     """The warm session and a fresh linprog per face (the reference path)
-    keep exactly the oracle's faces, in order."""
+    keep exactly the oracle's faces, in order, and every face the dual
+    hulls settle without an LP, dropped or kept, is settled as the oracle
+    does.  Returns the count of faces the hulls keep."""
     keep = prune_whole_polytope(poly)
     warm = prune_redundant(poly)
     with fresh_solves():
@@ -254,6 +290,14 @@ def _assert_prunes_like_whole_polytope(poly):
     for pruned in (warm, fresh):
         np.testing.assert_array_equal(pruned.G, poly.G[keep])
         np.testing.assert_array_equal(pruned.h, poly.h[keep])
+    settled = 0
+    for hull in poly.hulls:
+        if hull is not None:
+            drop, kept = _hull_verdicts(hull)
+            assert set(hull.faces[kept]) <= set(keep)
+            assert not set(hull.faces[drop]) & set(keep)
+            settled += kept.sum()
+    return settled
 
 
 @pytest.mark.parametrize("system,partition,T",
@@ -262,7 +306,7 @@ def test_prune_per_component_matches_whole_polytope_on_data(system,
                                                             partition, T):
     plant = builtin_system(system)
     ds = generate_dataset(plant, builtin_partition(partition), T, 1)
-    _assert_prunes_like_whole_polytope(build_polytope(ds))
+    assert _assert_prunes_like_whole_polytope(build_polytope(ds)) > 0
 
 
 def test_prune_per_component_matches_whole_polytope_on_random_products():
@@ -299,7 +343,72 @@ def test_dual_hull_leaves_few_faces_to_the_lp_test(monkeypatch, sys1, part1):
     monkeypatch.setattr(lp_core._WarmLP, "run", counted)
     poly = build_polytope(generate_dataset(sys1, part1, 100, 1))
     assert prune_redundant(poly).num_faces == 48
-    assert len(runs) < 100
+    # a Chebyshev LP per component, and at most one LP test more each
+    assert len(runs) <= 2 * (poly.components[1].max() + 1)
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(np.round(a, 6).T[::-1])]
+
+
+@pytest.mark.parametrize("system,partition,T",
+                         [("sys1", "p1", 100), ("sys2", "p2", 60)])
+def test_pruned_polytope_inherits_the_hulls_of_a_fresh_build(system,
+                                                              partition, T):
+    plant = builtin_system(system)
+    ds = generate_dataset(plant, builtin_partition(partition), T, 1)
+    pruned = prune_redundant(build_polytope(ds))
+    assert "hulls" in vars(pruned)
+    fresh = Polytope(G=pruned.G, h=pruned.h).hulls
+    assert len(pruned.hulls) == len(fresh)
+    for hull, ref in zip(pruned.hulls, fresh):
+        np.testing.assert_array_equal(hull.faces, ref.faces)
+        np.testing.assert_array_equal(hull.cols, ref.cols)
+        np.testing.assert_array_equal(hull.G,
+                                      pruned.G[np.ix_(hull.faces, hull.cols)])
+        np.testing.assert_array_equal(hull.h, pruned.h[hull.faces])
+        assert hull.bounded == ref.bounded
+        assert hull.vertices.shape == ref.vertices.shape
+        np.testing.assert_allclose(_sorted_rows(hull.vertices),
+                                   _sorted_rows(ref.vertices), atol=1e-9)
+        assert ({tuple(sorted(f)) for f in hull.faces[hull.simplices]}
+                == {tuple(sorted(f)) for f in ref.faces[ref.simplices]})
+
+
+def test_a_dropped_vertex_face_leaves_the_hulls_to_a_fresh_build():
+    # face 0 and its exact copy share a dual point: qhull spans the vertex
+    # with face 0, and the LP test keeps the later copy
+    rng = np.random.default_rng(8)
+    sys = random_stabilizable_system(rng, 2, 1)
+    poly = random_separable_polytope(rng, sys.A, sys.B)
+    poly = Polytope(G=np.vstack([poly.G, poly.G[:1]]),
+                    h=np.append(poly.h, poly.h[0]))
+    hull = poly.hulls[poly.components[0][0]]
+    assert 0 in hull.faces[hull.simplices]
+    _assert_prunes_like_whole_polytope(poly)
+    pruned = prune_redundant(poly)
+    assert "hulls" not in vars(pruned)
+    for hull in pruned.hulls:
+        np.testing.assert_array_equal(hull.G,
+                                      pruned.G[np.ix_(hull.faces, hull.cols)])
+
+
+def test_synthesis_on_a_pruned_polytope_solves_no_nonemptiness_lp(
+        monkeypatch, sys1, part1):
+    pruned = prune_redundant(build_polytope(generate_dataset(sys1, part1,
+                                                             100, 1)))
+
+    def solved(*args):
+        pytest.fail("a fresh LP was solved")
+
+    def built(*args):
+        pytest.fail("a dual hull was built")
+
+    monkeypatch.setattr(lp_core.LinprogBackend, "solve", solved)
+    monkeypatch.setattr(lp_core, "_dual_hull", built)
+    res = synthesize_sign(pruned, QuantizerSpec.uniform(0.7, sys1.m),
+                          mode="ess")
+    assert res.status == "feasible"
 
 
 def test_prune_drops_an_all_zero_face():

@@ -54,8 +54,8 @@ def test_fingerprint_prints_every_group_of_lines():
                              rf"sha256 {SHA}")
         assert any(pattern.fullmatch(line) for line in lines), label
     for label, result in (
-            ("sys1 prune T=100", rf"\d+ faces sha256 {SHA}"),
-            ("sys2 prune T=60", rf"\d+ faces sha256 {SHA}"),
+            ("sys1 prune T=100", rf"\d+ faces sha256 {SHA} lps=\d+"),
+            ("sys2 prune T=60", rf"\d+ faces sha256 {SHA} lps=\d+"),
             ("sys2 audit",
              r"verified=(True|False) worst_margin=\S+ i=\d+ lps=\d+")):
         pattern = re.compile(rf"{label} result {result}")

@@ -27,8 +27,9 @@ Chebyshev centres and the vertex cuts are added to it after it is built,
 and are not hashed.  They are compiled from the robust rows
 (lp_core._CutRows).  On a plant point, which has no robust rows, the
 master is the point's LP.  The Chebyshev LPs of the vertex sets are warm
-models too, so they also get warm lines.  The Farkas LP is never warm:
-where a robust row family cannot be cut (the dense polytope's one
+models too, so a call that builds vertex sets gets warm lines for them
+(the calls here build none: see pruning below).  The Farkas LP is never
+warm: where a robust row family cannot be cut (the dense polytope's one
 component has too many columns for a vertex set), every call of the
 model is solved fresh through LinprogBackend.solve and hashed as usual,
 and a call the engine cannot answer is a numerical failure, "!".
@@ -45,15 +46,20 @@ its cuts=, rounds= and warm probe string differ from a cold start's.
 
 A polytope is checked for nonemptiness by one fresh LP, the first time a
 synthesis call needs it, so the later calls on the same polytope print
-no line for it.
+no line for it.  A pruned polytope inherits the check from the polytope
+it was pruned from, and so needs no LP of its own.
 
 Pruning and the robust audit solve their support LPs in warm HiGHS
 sessions that never reach LinprogBackend.solve, so after the patch is
 removed the script prints one result line for each of them instead: the
 kept face count and a sha256 of the kept (G, h) for the sys1/T=100 and
 sys2/T=60 prunes, and the verdict, worst margin and worst-case row of
-the audit of the sys2 certificate, with the number of LPs the audit
-solved (lps=; the audit skips the rows its box bound rules out).
+the audit of the sys2 certificate.  Each line ends in the support LPs
+it solved (lps=).  A prune's count includes the Chebyshev LPs of its
+dual hulls, one per component, and the LP tests of the faces that the
+hulls leave undecided; the audit skips the rows its box bound rules out.
+The pruned polytopes inherit the hulls of the sets they were pruned
+from, so synthesis on them builds none and prints no Chebyshev warm line.
 
 Usage, from the repository root:
 
@@ -139,14 +145,14 @@ def _result_digest(res):
     return _digest(parts)
 
 
-def _faces(poly):
+def _faces(poly, lps):
     digest = _digest(_dense(poly.G) + _dense(poly.h))
-    return f"{poly.num_faces} faces sha256 {digest}"
+    return f"{poly.num_faces} faces sha256 {digest} lps={lps}"
 
 
-def _audit(poly, res, spec):
-    """The audit's result line, with the LPs it solved: warm runs, and
-    fresh solves where the warm model is missing."""
+def _counted(thunk):
+    """(thunk(), the LPs it solved): warm runs, and fresh solves where the
+    warm model is missing."""
     lps = 0
     patched = [(cls, name, getattr(cls, name)) for cls, name in (
         (getattr(lp_core, "_WarmLP", None), "run"),
@@ -162,18 +168,30 @@ def _audit(poly, res, spec):
     for cls, name, method in patched:
         setattr(cls, name, counted(method))
     try:
-        rep = qs.robust_verify(poly, res.certificate, spec)
+        out = thunk()
     finally:
         for cls, name, method in patched:
             setattr(cls, name, method)
+    return out, lps
+
+
+def _audit(poly, res, spec):
+    """The audit's result line, with the LPs it solved."""
+    rep, lps = _counted(lambda: qs.robust_verify(poly, res.certificate,
+                                                 spec))
     return (f"verified={rep.verified} worst_margin={rep.worst_margin:.9f} "
             f"i={rep.worst_case['i']} lps={lps}")
 
 
 def _pruned(system, partition, T):
+    """(pruned polytope, plant, the support LPs the prune solved).  The
+    nonemptiness LP is solved first, uncounted: it is no support LP."""
     plant = qs.builtin_system(system)
     ds = qs.generate_dataset(plant, qs.builtin_partition(partition), T, 1)
-    return qs.prune_redundant(qs.build_polytope(ds)), plant
+    poly = qs.build_polytope(ds)
+    lp_core._require_nonempty(poly)
+    pruned, lps = _counted(lambda: qs.prune_redundant(poly))
+    return pruned, plant, lps
 
 
 def _dense_polytope(plant, seed=0):
@@ -197,8 +215,8 @@ def calls():
     """(label, thunk) for every call whose LPs are hashed, and (label,
     thunk) for the unhashed checks run after them; a check's thunk takes
     the hashed calls' results by label."""
-    poly1, sys1 = _pruned("sys1", "p1", 100)
-    poly2, _ = _pruned("sys2", "p2", 60)
+    poly1, sys1, lps1 = _pruned("sys1", "p1", 100)
+    poly2, _, lps2 = _pruned("sys2", "p2", 60)
     spec = qs.QuantizerSpec.uniform(RHO, sys1.m)
     spec2 = qs.QuantizerSpec.uniform(RHO, 3)
     out = []
@@ -228,8 +246,8 @@ def calls():
         out.append((f"cli minrho sys1 {method} ss",
                     lambda mt=method: _cli(["minrho", "--system", "sys1",
                                             "--method", mt, "--mode", "ss"])))
-    checks = [("sys1 prune T=100", lambda results: _faces(poly1)),
-              ("sys2 prune T=60", lambda results: _faces(poly2)),
+    checks = [("sys1 prune T=100", lambda results: _faces(poly1, lps1)),
+              ("sys2 prune T=60", lambda results: _faces(poly2, lps2)),
               ("sys2 audit", lambda results: _audit(
                   poly2, results["sys2 sign ess feasibility"], spec2))]
     return out, checks
